@@ -1,18 +1,18 @@
 GO ?= go
 
-.PHONY: check build vet test race bench bench-stream bench-obs bench-hotpath bench-columnar bench-contend bench-sample bench-floor inline-guard smoke-obs chaos fuzz-smoke clean
+.PHONY: check build vet test race bench bench-obs bench-hotpath bench-columnar bench-contend bench-sample bench-floor inline-guard smoke-obs chaos fuzz-smoke clean
 
 ## check: everything CI runs — build, vet, full tests, race tests on the
-## concurrent packages, the streaming/batch and hot-path differentials under
-## the race detector, the hot-path acceptance gate, the live /metrics +
-## /statusz smoke, and a short fuzz pass over the salvaging decoders. This is
-## the single command to run before pushing.
+## concurrent packages, the golden reports and the lane and hot-path
+## differentials under the race detector, the hot-path acceptance gate, the
+## live /metrics + /statusz smoke, and a short fuzz pass over the salvaging
+## decoders. This is the single command to run before pushing.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/obs/... ./internal/trace/... ./internal/core/... ./internal/par/... ./internal/sample/... ./cmd/dsspy/
-	$(GO) test -race -run 'Streaming|HotPath|Columnar|Contend|Contention|Sample' .
+	$(GO) test -race -run 'Golden|Streaming|HotPath|Columnar|Contend|Contention|Sample' .
 	$(MAKE) bench-hotpath
 	$(MAKE) bench-columnar
 	$(MAKE) bench-contend
@@ -36,16 +36,12 @@ test:
 race:
 	$(GO) test -race ./internal/obs/... ./internal/trace/... ./internal/core/... ./cmd/dsspy/ .
 
-## bench: the sharded-pipeline benchmark battery from EXPERIMENTS.md, plus
-## the overload-policy producer-latency comparison.
+## bench: the sharded-collection and streaming-pipeline benchmarks from
+## EXPERIMENTS.md (the live-heap-MB metric must stay flat when the event
+## count doubles from 1M to 2M), plus the overload-policy producer-latency
+## comparison.
 bench:
-	$(GO) test -run xxx -bench 'Collect1M|Analyze1M|Build1M|Pipeline1M|Overload' -benchmem -benchtime 5x -count 5 .
-
-## bench-stream: the streaming-engine acceptance numbers — full-pipeline time
-## and post-collection live heap, batch vs streamed, at 1M and 2M events (the
-## streamed live-heap-MB metric must stay flat when the event count doubles).
-bench-stream:
-	$(GO) test -run xxx -bench 'Pipeline1MStreamed|Pipeline1MBatchHeap|Pipeline2MStreamed|Pipeline2MBatchHeap' -benchmem -benchtime 5x .
+	$(GO) test -run xxx -bench 'Collect1M|Pipeline[12]MStreamed|Overload' -benchmem -benchtime 5x -count 5 .
 
 ## bench-obs: the observability-plane overhead pair — producer-side Record
 ## cost with the plane off vs fully on (self-tracer, queue-depth sampling,

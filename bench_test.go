@@ -137,13 +137,6 @@ func BenchmarkRecorderCounting(b *testing.B) {
 	})
 }
 
-func BenchmarkRecorderAsync(b *testing.B) {
-	benchRecorder(b, func() (trace.Recorder, func()) {
-		col := trace.NewAsyncCollector()
-		return col, col.Close
-	})
-}
-
 func BenchmarkRecorderFile(b *testing.B) {
 	path := b.TempDir() + "/events.dslog"
 	fr, err := trace.CreateEventLog(path)
@@ -432,14 +425,11 @@ func BenchmarkSeqOptNoCleanup(b *testing.B) {
 	}
 }
 
-// --- Sharded collection and the parallel analysis pipeline -------------------
+// --- Sharded collection and the streaming pipeline --------------------------
 //
 // An 8-producer, 1M-event workload: each goroutine owns one instrumented
 // instance and emits insert/scan/clear phases, the trace shape the paper's
-// multithreaded programs produce. The pairs below compare the seed pipeline
-// (single-channel collection, 1-worker analysis over the flat sorted stream)
-// with the sharded pipeline (per-instance partitioning, shard-local profile
-// construction, N-worker analysis).
+// multithreaded programs produce.
 
 const (
 	pipeBenchProducers   = 8
@@ -475,49 +465,15 @@ func pipelineBenchWorkload(s *trace.Session, producers, perProducer int) {
 	wg.Wait()
 }
 
-func benchCollect(b *testing.B, mk func() trace.Collector) {
+func BenchmarkCollect1MSharded(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		col := mk()
+		col := trace.NewShardedCollector(0)
 		s := trace.NewSessionWith(trace.Options{Recorder: col})
 		pipelineBenchWorkload(s, pipeBenchProducers, pipeBenchPerProducer)
 		col.Close()
 	}
 }
-
-func BenchmarkCollect1MAsync(b *testing.B) {
-	benchCollect(b, func() trace.Collector { return trace.NewAsyncCollector() })
-}
-
-func BenchmarkCollect1MSharded(b *testing.B) {
-	benchCollect(b, func() trace.Collector { return trace.NewShardedCollector(0) })
-}
-
-func analyze1MTrace(b *testing.B) (*trace.Session, []trace.Event) {
-	b.Helper()
-	mem := trace.NewMemRecorder()
-	s := trace.NewSessionWith(trace.Options{Recorder: mem})
-	pipelineBenchWorkload(s, pipeBenchProducers, pipeBenchPerProducer)
-	return s, mem.Events()
-}
-
-func benchAnalyze(b *testing.B, workers int) {
-	s, events := analyze1MTrace(b)
-	cfg := core.DefaultConfig()
-	cfg.Workers = workers
-	d := core.NewWith(cfg)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep := d.Analyze(s, events)
-		if len(rep.Instances) != pipeBenchProducers {
-			b.Fatalf("instances = %d", len(rep.Instances))
-		}
-	}
-}
-
-func BenchmarkAnalyze1MWorkers1(b *testing.B) { benchAnalyze(b, 1) }
-func BenchmarkAnalyze1MWorkersN(b *testing.B) { benchAnalyze(b, 0) }
 
 // --- Overload policies ------------------------------------------------------
 
@@ -575,78 +531,11 @@ func BenchmarkOverloadBlock(b *testing.B)      { benchOverload(b, trace.Block())
 func BenchmarkOverloadDropNewest(b *testing.B) { benchOverload(b, trace.DropNewest()) }
 func BenchmarkOverloadSample8(b *testing.B)    { benchOverload(b, trace.Sample(8)) }
 
-// The profile-construction stage in isolation: the flat path copies and
-// globally sorts the merged stream, the sharded path groups the per-shard
-// stores in place. This is the stage the refactor actually restructures, so
-// it is where the win is largest and core-count independent.
-
-func BenchmarkBuild1MFlat(b *testing.B) {
-	s, events := analyze1MTrace(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if ps := profile.Build(s, events); len(ps) != pipeBenchProducers {
-			b.Fatalf("profiles = %d", len(ps))
-		}
-	}
-}
-
-func BenchmarkBuild1MSharded(b *testing.B) {
-	col := trace.NewShardedCollector(0)
-	s := trace.NewSessionWith(trace.Options{Recorder: col})
-	pipelineBenchWorkload(s, pipeBenchProducers, pipeBenchPerProducer)
-	col.Close()
-	shards := col.ShardEvents()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if ps := profile.BuildShards(s, shards, 0); len(ps) != pipeBenchProducers {
-			b.Fatalf("profiles = %d", len(ps))
-		}
-	}
-}
-
-// The acceptance pair: full pipeline (collection + analysis) on the
-// multi-goroutine 1M-event workload, seed shape vs sharded shape.
-
-func BenchmarkPipeline1MSequential(b *testing.B) {
-	cfg := core.DefaultConfig()
-	cfg.Workers = 1
-	d := core.NewWith(cfg)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		col := trace.NewAsyncCollector()
-		s := trace.NewSessionWith(trace.Options{Recorder: col})
-		pipelineBenchWorkload(s, pipeBenchProducers, pipeBenchPerProducer)
-		col.Close()
-		rep := d.Analyze(s, col.Events())
-		if len(rep.Instances) != pipeBenchProducers {
-			b.Fatalf("instances = %d", len(rep.Instances))
-		}
-	}
-}
-
-func BenchmarkPipeline1MSharded(b *testing.B) {
-	d := core.New() // Workers = GOMAXPROCS
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		col := trace.NewShardedCollector(0)
-		s := trace.NewSessionWith(trace.Options{Recorder: col})
-		pipelineBenchWorkload(s, pipeBenchProducers, pipeBenchPerProducer)
-		col.Close()
-		rep := d.AnalyzeCollector(s, col)
-		if len(rep.Instances) != pipeBenchProducers {
-			b.Fatalf("instances = %d", len(rep.Instances))
-		}
-	}
-}
-
 // --- Streaming pipeline: time and bounded memory ----------------------------
 
-// liveHeapMB forces a collection and returns the live heap in MiB. Both
-// pipeline shapes sample it at the same point — right after the collector
-// closes, before final analysis — which is where the batch shape holds the
-// full event store and the streaming shape holds only per-instance reducers.
+// liveHeapMB forces a collection and returns the live heap in MiB, sampled
+// right after the collector closes and before final analysis, where the
+// streaming pipeline holds only per-instance reducers.
 func liveHeapMB() float64 {
 	runtime.GC()
 	var ms runtime.MemStats
@@ -674,42 +563,15 @@ func benchPipelineStreamed(b *testing.B, producers, perProducer int) {
 	b.ReportMetric(heap/float64(b.N), "live-heap-MB")
 }
 
-func benchPipelineBatchHeap(b *testing.B, producers, perProducer int) {
-	d := core.New()
-	b.ReportAllocs()
-	var heap float64
-	for i := 0; i < b.N; i++ {
-		col := trace.NewShardedCollector(0)
-		s := trace.NewSessionWith(trace.Options{Recorder: col})
-		pipelineBenchWorkload(s, producers, perProducer)
-		col.Close()
-		heap += liveHeapMB()
-		rep := d.AnalyzeCollector(s, col)
-		if len(rep.Instances) != producers {
-			b.Fatalf("instances = %d", len(rep.Instances))
-		}
-	}
-	b.ReportMetric(heap/float64(b.N), "live-heap-MB")
-}
-
-// The acceptance pair for the streaming engine, plus 2M twins: the streamed
-// live-heap-MB number must stay flat when the event count doubles, while the
-// batch shape's grows with it.
+// The streaming engine at 1M and 2M events: the live-heap-MB number must stay
+// flat when the event count doubles.
 
 func BenchmarkPipeline1MStreamed(b *testing.B) {
 	benchPipelineStreamed(b, pipeBenchProducers, pipeBenchPerProducer)
 }
 
-func BenchmarkPipeline1MBatchHeap(b *testing.B) {
-	benchPipelineBatchHeap(b, pipeBenchProducers, pipeBenchPerProducer)
-}
-
 func BenchmarkPipeline2MStreamed(b *testing.B) {
 	benchPipelineStreamed(b, pipeBenchProducers, 2*pipeBenchPerProducer)
-}
-
-func BenchmarkPipeline2MBatchHeap(b *testing.B) {
-	benchPipelineBatchHeap(b, pipeBenchProducers, 2*pipeBenchPerProducer)
 }
 
 // --- App-level end-to-end benches (the Table IV rows as single targets) -----
@@ -719,7 +581,7 @@ func BenchmarkAppInstrumented(b *testing.B) {
 		app := app
 		b.Run(app.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				col := trace.NewAsyncCollector()
+				col := trace.NewShardedCollector(1)
 				s := trace.NewSessionWith(trace.Options{Recorder: col, CaptureSites: true})
 				app.Instrumented(s)
 				col.Close()

@@ -39,7 +39,6 @@ type options struct {
 	merge       bool
 	mergeFiles  []string
 	saveReport  string
-	stream      bool
 	live        time.Duration
 	stats       bool
 	shards      int
@@ -86,12 +85,11 @@ func parseFlags(args []string, errw io.Writer) (*options, error) {
 	fs.IntVar(&o.conns, "conns", 1, "with -listen: number of producer streams to wait for before analyzing")
 	fs.DurationVar(&o.connTO, "conn-timeout", 0, "with -listen: per-frame read deadline on producer connections (0 = none); with -collect: write deadline per batch")
 	fs.StringVar(&o.overload, "overload", "block", "in-process overload policy: block (lossless), drop, or sample:N")
-	fs.BoolVar(&o.stream, "stream", false, "analyze incrementally while the workload runs (bounded memory; events are not retained unless -log asks for them)")
-	fs.DurationVar(&o.live, "live", 0, "print a live snapshot table at this interval while streaming (implies -stream)")
-	fs.BoolVar(&o.stats, "stats", false, "print pipeline observability: per-stage latency quantiles, per-shard queue statistics, delivery accounting, and self-overhead")
-	fs.IntVar(&o.shards, "shards", 0, "collector shards (events partitioned by instance); 0 = GOMAXPROCS, 1 = the single-channel async collector")
-	fs.IntVar(&o.workers, "workers", 0, "analysis worker-pool size; 0 = GOMAXPROCS, 1 = sequential")
-	fs.StringVar(&o.sampleMode, "sample", "full", "per-instance sampling: full (lossless), adaptive (back off once classification stabilizes), or 1:N (static burst rate); non-full implies -stream")
+	fs.DurationVar(&o.live, "live", 0, "print a live snapshot table at this interval while the workload runs")
+	fs.BoolVar(&o.stats, "stats", false, "print pipeline observability: streaming fold counters, per-shard queue statistics, delivery accounting, and self-overhead")
+	fs.IntVar(&o.shards, "shards", 0, "collector and analyzer shards (events partitioned by instance); 0 = GOMAXPROCS, 1 = the paper's single-channel collector")
+	fs.IntVar(&o.workers, "workers", 0, "per-instance finalization worker-pool size; 0 = GOMAXPROCS, 1 = sequential")
+	fs.StringVar(&o.sampleMode, "sample", "full", "per-instance sampling: full (lossless), adaptive (back off once classification stabilizes), or 1:N (static burst rate)")
 	fs.Float64Var(&o.minConf, "min-confidence", 0, "with -sample: suppress findings whose sampling confidence is below this (0..1)")
 	fs.StringVar(&o.httpAddr, "http", "", "serve live observability on this address: /metrics, /statusz, /healthz, /debug/pprof")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write a Chrome trace-event JSON of DSspy's own pipeline spans (load in Perfetto)")
@@ -99,14 +97,6 @@ func parseFlags(args []string, errw io.Writer) (*options, error) {
 	fs.BoolVar(&o.quiet, "quiet", false, "suppress diagnostics below error level")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
-	}
-	if o.live > 0 {
-		o.stream = true
-	}
-	if o.sampleMode != "" && o.sampleMode != "full" {
-		// The gate feeds the streaming reducers; batch analysis would retain
-		// only the admitted events anyway, so sampling implies -stream.
-		o.stream = true
 	}
 	o.mergeFiles = fs.Args()
 	if err := o.validate(); err != nil {
@@ -134,8 +124,8 @@ func (o *options) isSet(name string) bool {
 		return o.listen != ""
 	case "spill-dir":
 		return o.spillDir != ""
-	case "stream":
-		return o.stream
+	case "live":
+		return o.live > 0
 	case "v":
 		return o.verbose
 	case "quiet":
@@ -190,7 +180,7 @@ var conflicts = []flagConflict{
 	{"listen", "app", "the collector side runs no workload"},
 	{"listen", "demo", "the collector side runs no workload"},
 	{"listen", "collect", "a process is producer or collector, not both"},
-	{"collect", "stream", "streaming analysis runs in the collector process, not the producer"},
+	{"collect", "live", "live snapshots fold in the collector process, not the producer"},
 	{"merge", "app", "a merge folds saved reports instead of running a workload"},
 	{"merge", "demo", "a merge folds saved reports instead of running a workload"},
 	{"merge", "replay", "a merge folds saved report snapshots, not session logs"},

@@ -17,10 +17,10 @@ func TestFlagValidation(t *testing.T) {
 		{"app alone", []string{"-app", "Mandelbrot"}, ""},
 		{"demo alone", []string{"-demo", "figure3"}, ""},
 		{"replay alone", []string{"-replay", "run.dslog"}, ""},
-		{"stream run", []string{"-app", "Mandelbrot", "-stream", "-http", ":0"}, ""},
+		{"stream run", []string{"-app", "Mandelbrot", "-live", "500ms", "-http", ":0"}, ""},
 		{"collect with spill", []string{"-app", "Algorithmia", "-collect", "h:1", "-spill-dir", "/tmp"}, ""},
 		{"listen alone", []string{"-listen", ":7777", "-conns", "2"}, ""},
-		{"replay streamed", []string{"-replay", "run.dslog", "-stream"}, ""},
+		{"replay streamed", []string{"-replay", "run.dslog", "-shards", "2"}, ""},
 		{"daemon run", []string{"-listen", ":7777", "-daemon", "-checkpoint-dir", "/tmp/ck",
 			"-window-events", "100000", "-quotas", "alpha:rate=500,conns=2;beta:sample=16"}, ""},
 		{"tenant producer", []string{"-app", "Algorithmia", "-collect", "h:1", "-tenant", "alpha"}, ""},
@@ -40,8 +40,7 @@ func TestFlagValidation(t *testing.T) {
 		{"recover and app", []string{"-recover", "f", "-app", "a"}, "-recover and -app"},
 		{"listen and app", []string{"-listen", ":1", "-app", "a"}, "-listen and -app"},
 		{"listen and collect", []string{"-listen", ":1", "-collect", "h:1"}, "-listen and -collect"},
-		{"collect and stream", []string{"-app", "a", "-collect", "h:1", "-stream"}, "-collect and -stream"},
-		{"collect and live", []string{"-app", "a", "-collect", "h:1", "-live", "1s"}, "-collect and -stream"},
+		{"collect and live", []string{"-app", "a", "-collect", "h:1", "-live", "1s"}, "-collect and -live"},
 		{"spill without collect", []string{"-app", "a", "-spill-dir", "/tmp"}, "-spill-dir requires -collect"},
 		{"v and quiet", []string{"-app", "a", "-v", "-quiet"}, "-v and -quiet"},
 
@@ -90,23 +89,12 @@ func TestFlagValidation(t *testing.T) {
 	}
 }
 
-func TestLiveImpliesStream(t *testing.T) {
-	o, err := parseFlags([]string{"-app", "a", "-live", "500ms"}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !o.stream {
-		t.Fatal("-live should imply -stream")
-	}
-}
-
-func TestSampleImpliesStream(t *testing.T) {
+// TestSampleConfigParsed checks that -sample's mode string is parsed into the
+// controller config during validation.
+func TestSampleConfigParsed(t *testing.T) {
 	o, err := parseFlags([]string{"-app", "a", "-sample", "adaptive"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !o.stream {
-		t.Fatal("-sample=adaptive should imply -stream: the gate feeds the streaming reducers")
 	}
 	if o.sampleCfg.Mode != sample.ModeAdaptive {
 		t.Fatalf("parsed sample config mode = %v, want adaptive", o.sampleCfg.Mode)
@@ -116,16 +104,15 @@ func TestSampleImpliesStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !o.stream || o.sampleCfg.Mode != sample.ModeStatic || o.sampleCfg.StaticRate != 16 {
-		t.Fatalf("-sample=1:16 parsed as %+v (stream=%v)", o.sampleCfg, o.stream)
+	if o.sampleCfg.Mode != sample.ModeStatic || o.sampleCfg.StaticRate != 16 {
+		t.Fatalf("-sample=1:16 parsed as %+v", o.sampleCfg)
 	}
 
-	// full stays in whatever analysis mode the rest of the line picked.
 	o, err = parseFlags([]string{"-app", "a", "-sample", "full"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.stream {
-		t.Fatal("-sample=full must not force -stream")
+	if o.sampleCfg.Mode != sample.ModeFull {
+		t.Fatalf("-sample=full parsed as %+v", o.sampleCfg)
 	}
 }

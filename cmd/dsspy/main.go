@@ -8,10 +8,10 @@
 //	dsspy -app Gpdotnet [-chart] [-svg out.svg] [-html report.html]
 //	dsspy -app Mandelbrot -advise -cores 8
 //	dsspy -demo figure3 [-chart] [-log run.dslog]
-//	dsspy -app Mandelbrot -stream -live 500ms
-//	dsspy -app Mandelbrot -stream -http 127.0.0.1:6060 -trace-out run.trace.json
+//	dsspy -app Mandelbrot -live 500ms
+//	dsspy -app Mandelbrot -http 127.0.0.1:6060 -trace-out run.trace.json
 //	dsspy -replay run.dslog
-//	dsspy -recover crashed.dslog -stream
+//	dsspy -recover crashed.dslog
 //	dsspy -listen 127.0.0.1:7777 -conns 1 -stats
 //	dsspy -app Algorithmia -collect 127.0.0.1:7777 -spill-dir /var/tmp/dsspy
 package main
@@ -37,16 +37,6 @@ import (
 	"dsspy/internal/trace"
 	"dsspy/internal/viz"
 )
-
-// observableCollector is the in-process collector surface the CLI wires into
-// the observability plane. Both *trace.ShardedCollector and
-// *trace.AsyncCollector satisfy it.
-type observableCollector interface {
-	trace.Collector
-	SetTracer(*obs.Tracer)
-	EnableQueueSampling(time.Duration)
-	WriteMetrics(*obs.PromWriter)
-}
 
 func main() {
 	o, err := parseFlags(os.Args[1:], os.Stderr)
@@ -115,23 +105,29 @@ func main() {
 		return
 	}
 
+	// Every path below ends in the one analysis engine: the workload's
+	// collector drains into it, a replayed or salvaged log is fed to it as
+	// column batches, and -collect's local copy is fed to it as events.
+	sa := analyzer.NewStreamAnalyzer(o.shards)
+	// The trace renderers draw per-event profiles, so only they make the
+	// run retain its events (attached to the report below).
+	charts := o.chart || o.svgPath != "" || o.htmlPath != ""
 	var (
 		s         *trace.Session
-		evs       []trace.Event
-		cols      []*trace.ColumnBatch // columnar replay runs (streaming mode)
-		col       trace.Collector      // set when events are collected in-process
+		evs       []trace.Event // retained events, for -log and the trace renderers
+		scol      *trace.ShardedCollector
 		resilient *trace.ResilientRecorder
-		rep       *core.Report // set early by the streaming paths
 		timed     *trace.TimedRecorder
 		wall      time.Duration // instrumented workload wall time
 		plainWall time.Duration // uninstrumented twin wall time (with -stats)
 	)
 	switch {
-	case o.replay != "":
+	case o.replay != "" || o.recoverPath != "":
+		// Replay and recovery go columnar: v3 frames reach the reducers
+		// without ever inflating []Event.
+		var cols []*trace.ColumnBatch
 		var err error
-		if o.stream {
-			// Streaming replay goes columnar: v3 frames reach the reducers
-			// without ever inflating []Event.
+		if o.replay != "" {
 			s, cols, err = trace.LoadSessionColumns(o.replay)
 			if err != nil {
 				fatal(err)
@@ -141,29 +137,21 @@ func main() {
 				n += b.Len()
 			}
 			fmt.Printf("replaying %s: %d instances, %d events\n\n", o.replay, s.NumInstances(), n)
-			break
-		}
-		s, evs, err = trace.LoadSessionLog(o.replay)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("replaying %s: %d instances, %d events\n\n", o.replay, s.NumInstances(), len(evs))
-	case o.recoverPath != "":
-		var rec *trace.Recovery
-		var err error
-		if o.stream {
+		} else {
+			var rec *trace.Recovery
 			s, cols, rec, err = trace.RecoverSessionColumns(o.recoverPath)
 			if err != nil {
 				fatal(err)
 			}
 			fmt.Printf("recovering %s: %s\n\n", o.recoverPath, rec)
-			break
 		}
-		s, evs, rec, err = trace.RecoverSessionLog(o.recoverPath)
-		if err != nil {
-			fatal(err)
+		sa.Attach(s)
+		for _, b := range cols {
+			sa.FeedColumns(b)
+			if charts {
+				evs = b.Events(evs)
+			}
 		}
-		fmt.Printf("recovering %s: %s\n\n", o.recoverPath, rec)
 	default:
 		app, workload := pickWorkload(o.appName, o.demo)
 		if workload == nil {
@@ -184,17 +172,47 @@ func main() {
 			sp.End("workload", runLabel(o))
 		}
 
-		if o.stream && o.collect == "" {
-			// Streaming mode: the collector's drain goroutines feed the
-			// analyzer's reducers directly; the event stores stay empty
-			// unless -log asks for a replayable session log.
-			sa := analyzer.NewStreamAnalyzer(o.shards)
-			scol := sa.Collector(trace.DefaultAsyncBuffer, policy, o.logPath != "")
+		if o.collect != "" {
+			var err error
+			resilient, err = trace.NewResilientRecorder(trace.ResilientOptions{
+				Network:        "tcp",
+				Addr:           o.collect,
+				SpillDir:       o.spillDir,
+				WriteTimeout:   o.connTO,
+				Logger:         slog.Default(),
+				Tracer:         tracer,
+				SampleInterval: sampleInterval(sampling),
+				Hello:          producerHello(o),
+			})
+			if err != nil {
+				fatal(err)
+			}
+			// Keep a local copy for the report; the remote collector gets
+			// the same stream.
+			mem := trace.NewMemRecorder()
+			timed = trace.NewTimedRecorder(trace.TeeRecorder{resilient, mem}, 0)
+			s = trace.NewSessionWith(trace.Options{Recorder: timed, CaptureSites: true})
+			sa.Attach(s)
+			if srv != nil {
+				srv.AddSource(resilient)
+				srv.AddSource(timed)
+				srv.AddSource(s)
+			}
+			runWorkload(s)
+			evs = mem.Events()
+			if err := resilient.FinishSession(s); err != nil {
+				slog.Warn("collector link failed; report uses the local copy", "err", err)
+			}
+			sa.Feed(evs...)
+		} else {
+			// The collector's drain goroutines feed the analyzer's reducers
+			// directly; the event stores stay empty unless -log or a trace
+			// renderer asks for the events.
+			scol = sa.Collector(trace.DefaultAsyncBuffer, policy, o.logPath != "" || charts)
 			scol.SetTracer(tracer)
 			if sampling {
 				scol.EnableQueueSampling(0)
 			}
-			col = scol
 			timed = trace.NewTimedRecorder(scol, 0)
 			sessOpts := trace.Options{Recorder: timed, CaptureSites: true}
 			if ctrl != nil {
@@ -240,60 +258,9 @@ func main() {
 				close(stop)
 				<-ticked
 			}
-			rep = sa.Close()
-			cs := scol.Stats()
-			rep.Stats.Collector = &cs
-		} else if o.collect != "" {
-			var err error
-			resilient, err = trace.NewResilientRecorder(trace.ResilientOptions{
-				Network:        "tcp",
-				Addr:           o.collect,
-				SpillDir:       o.spillDir,
-				WriteTimeout:   o.connTO,
-				Logger:         slog.Default(),
-				Tracer:         tracer,
-				SampleInterval: sampleInterval(sampling),
-				Hello:          producerHello(o),
-			})
-			if err != nil {
-				fatal(err)
+			if charts {
+				evs = scol.Events()
 			}
-			// Keep a local copy for the report; the remote collector gets
-			// the same stream.
-			mem := trace.NewMemRecorder()
-			timed = trace.NewTimedRecorder(trace.TeeRecorder{resilient, mem}, 0)
-			s = trace.NewSessionWith(trace.Options{Recorder: timed, CaptureSites: true})
-			if srv != nil {
-				srv.AddSource(resilient)
-				srv.AddSource(timed)
-				srv.AddSource(s)
-			}
-			runWorkload(s)
-			evs = mem.Events()
-			if err := resilient.FinishSession(s); err != nil {
-				slog.Warn("collector link failed; report uses the local copy", "err", err)
-			}
-		} else {
-			var ocol observableCollector
-			if o.shards == 1 {
-				ocol = trace.NewAsyncCollectorOpts(trace.DefaultAsyncBuffer, policy)
-			} else {
-				ocol = trace.NewShardedCollectorOpts(o.shards, trace.DefaultAsyncBuffer, policy)
-			}
-			ocol.SetTracer(tracer)
-			if sampling {
-				ocol.EnableQueueSampling(0)
-			}
-			col = ocol
-			timed = trace.NewTimedRecorder(ocol, 0)
-			s = trace.NewSessionWith(trace.Options{Recorder: timed, CaptureSites: true})
-			if srv != nil {
-				srv.AddSource(ocol)
-				srv.AddSource(timed)
-				srv.AddSource(s)
-			}
-			runWorkload(s)
-			ocol.Close()
 		}
 		if o.stats && app != nil && app.PlainTwin != nil {
 			// Paper §V baseline: the same workload at the same input size on
@@ -304,18 +271,15 @@ func main() {
 			plainWall = time.Since(t0)
 		}
 		if o.logPath != "" {
-			if mc, ok := col.(interface{ MergedColumns() *trace.ColumnBatch }); ok && mc.MergedColumns() != nil {
+			if scol != nil {
 				// The collector already merged into columns; encode them to v3
 				// frames directly without inflating an []Event copy.
-				cb := mc.MergedColumns()
+				cb := scol.MergedColumns()
 				if err := trace.SaveSessionColumns(o.logPath, s, cb); err != nil {
 					fatal(err)
 				}
 				fmt.Printf("session log written to %s (%d events) — re-analyze with -replay\n\n", o.logPath, cb.Len())
 			} else {
-				if col != nil {
-					evs = col.Events()
-				}
 				if err := trace.SaveSessionLog(o.logPath, s, evs); err != nil {
 					fatal(err)
 				}
@@ -324,27 +288,13 @@ func main() {
 		}
 	}
 
-	if rep == nil {
-		if o.stream {
-			// Replay / recovery through the streaming analyzer: feed the
-			// salvaged or logged stream into the reducers — as column batches
-			// when the loader produced them (v3 logs reach the reducers
-			// without ever inflating an []Event).
-			sa := analyzer.NewStreamAnalyzer(o.shards)
-			sa.Attach(s)
-			if cols != nil {
-				for _, b := range cols {
-					sa.FeedColumns(b)
-				}
-			} else {
-				sa.Feed(evs...)
-			}
-			rep = sa.Close()
-		} else if col != nil {
-			rep = analyzer.AnalyzeCollector(s, col)
-		} else {
-			rep = analyzer.Analyze(s, evs)
-		}
+	rep := sa.Close()
+	if scol != nil {
+		cs := scol.Stats()
+		rep.Stats.Collector = &cs
+	}
+	if charts {
+		rep.AttachEvents(s, evs)
 	}
 	if timed != nil && rep.Stats != nil {
 		rep.Stats.Overhead = overheadStats(timed, wall, plainWall)
@@ -423,11 +373,6 @@ func main() {
 		fmt.Printf("\nHTML report written to %s\n", o.htmlPath)
 	}
 
-	if o.stream && (o.chart || o.svgPath != "") {
-		slog.Warn("-chart and -svg need the retained event trace; streaming mode folds events instead of keeping them — run without -stream for charts")
-		o.chart = false
-		o.svgPath = ""
-	}
 	if o.chart {
 		for _, ir := range rep.Instances {
 			if len(ir.UseCases) == 0 {
@@ -522,7 +467,10 @@ func runListen(analyzer *core.DSspy, o *options, tracer *obs.Tracer, srv *obs.Se
 		fmt.Printf("session log written to %s — re-analyze with -replay\n\n", o.logPath)
 	}
 
-	rep := analyzer.Analyze(s, evs)
+	sa := analyzer.NewStreamAnalyzer(o.shards)
+	sa.Attach(s)
+	sa.Feed(evs...)
+	rep := sa.Close()
 	rsp := tracer.Begin("report", "run")
 	err = rep.Write(os.Stdout)
 	rsp.End()

@@ -222,7 +222,7 @@ func useCaseSection(rep *core.Report) obs.StatusSection {
 // shardSection tables the collector's live queue figures.
 func shardSection(cs trace.CollectorStats) obs.StatusSection {
 	table := &obs.StatusTable{Header: []string{"shard", "events", "dropped", "high-water", "block", "depth p50", "depth p99"}}
-	for i := range cs.ShardEvents {
+	for i := range cs.ShardRecorded {
 		p50, p99 := "-", "-"
 		if i < len(cs.ShardQueueDepth) && cs.ShardQueueDepth[i].Count > 0 {
 			p50 = fmt.Sprintf("%.0f", cs.ShardQueueDepth[i].Quantile(0.50))
@@ -233,7 +233,7 @@ func shardSection(cs trace.CollectorStats) obs.StatusSection {
 			dropped = cs.ShardDropped[i]
 		}
 		table.Rows = append(table.Rows, []string{
-			fmt.Sprint(i), fmt.Sprint(cs.ShardEvents[i]), fmt.Sprint(dropped),
+			fmt.Sprint(i), fmt.Sprint(cs.ShardRecorded[i]), fmt.Sprint(dropped),
 			fmt.Sprintf("%d/%d", cs.ShardHighWater[i], cs.Buffer),
 			cs.ShardBlock[i].Round(time.Microsecond).String(), p50, p99,
 		})

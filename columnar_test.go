@@ -18,15 +18,16 @@ import (
 
 // The columnar differential suite: a v3 session log replayed as column
 // batches (zero []Event inflation) must render byte-identical reports to the
-// batch pipeline, across every corpus workload and shard shape. These tests
+// event-slice lane (Analyze, which folds through Feed), across every corpus
+// workload and shard shape. These tests
 // are the referee for the columnar engine — any divergence between
 // FoldBatch's column walks and the per-event folds shows up here as a report
 // diff.
 
 // TestColumnarReplayDifferentialCorpus saves every dynamic-study program to a
 // v3 session log, replays it through LoadSessionColumns + FeedColumns at
-// several shard counts, and compares the rendered bytes against the batch
-// analysis of the same events.
+// several shard counts, and compares the rendered bytes against Analyze of
+// the same events.
 func TestColumnarReplayDifferentialCorpus(t *testing.T) {
 	progs := append(corpus.PatternStudyPrograms(), corpus.UseCaseStudyPrograms()...)
 	dir := t.TempDir()
@@ -124,8 +125,8 @@ func TestColumnarReplaySnapshotMidRun(t *testing.T) {
 
 // TestColumnarRecoverDamagedLog chops the tail off a concurrent workload's v3
 // log and replays the salvage through RecoverSessionColumns + FeedColumns:
-// the report must match the batch analysis of the events the struct-based
-// salvager recovers from the same file.
+// the report must match Analyze of the events the struct-based salvager
+// recovers from the same file.
 func TestColumnarRecoverDamagedLog(t *testing.T) {
 	mem := trace.NewMemRecorder()
 	s := trace.NewSessionWith(trace.Options{Recorder: mem, CaptureSites: true})

@@ -1,10 +1,11 @@
 package dsspy_test
 
 // Concurrency-aware analysis: differential coverage for the contention
-// detectors (streaming vs batch byte-identity over the multi-thread corpus
-// and the Contend app), the advisor's contention-aware planning, semantic
-// preservation of the recommendation-applied Contend workload, and the
-// single-threaded overhead budget of the contention reducer.
+// detectors (collector lane vs event-slice lane byte-identity over the
+// multi-thread corpus and the Contend app), the advisor's contention-aware
+// planning, semantic preservation of the recommendation-applied Contend
+// workload, and the single-threaded overhead budget of the contention
+// reducer.
 
 import (
 	"bytes"
@@ -22,27 +23,21 @@ import (
 
 // TestStreamingDifferentialContention extends the streaming differential
 // suite to the multi-thread study programs: the contention reducers must
-// render byte-identical reports in batch, sharded-batch, and streaming mode.
-// The behaviors emit simulated thread ids from one real goroutine, so the
-// per-instance sequences are deterministic.
+// render byte-identical reports on the collector lane and the event-slice
+// lane. The behaviors emit simulated thread ids from one real goroutine, so
+// the per-instance sequences are deterministic.
 func TestStreamingDifferentialContention(t *testing.T) {
 	for _, p := range corpus.ContentionStudyPrograms() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
-			workload := func(s *trace.Session) {
+			collected, fed := runBothLanes(t, func(s *trace.Session) {
 				for _, b := range p.Mix.Behaviors(p.Name) {
 					b(s)
 				}
-			}
-			batch := NewReportBytes(t, core.New().Run(workload))
-			sharded := NewReportBytes(t, core.New().RunSharded(workload))
-			streamed := NewReportBytes(t, core.New().RunStreamed(workload))
-			if !bytes.Equal(batch, sharded) {
-				t.Fatalf("%s: sharded report differs from batch", p.Name)
-			}
-			if !bytes.Equal(batch, streamed) {
-				t.Fatalf("%s: streamed report differs from batch:\n--- batch ---\n%s\n--- streamed ---\n%s",
-					p.Name, batch, streamed)
+			})
+			if !bytes.Equal(collected, fed) {
+				t.Fatalf("%s: Analyze report differs from Run:\n--- Run ---\n%s\n--- Analyze ---\n%s",
+					p.Name, collected, fed)
 			}
 		})
 	}
@@ -55,14 +50,9 @@ func TestStreamingDifferentialContendApp(t *testing.T) {
 	if app == nil {
 		t.Fatal("Contend app not registered")
 	}
-	batch := NewReportBytes(t, core.New().Run(app.Instrumented))
-	sharded := NewReportBytes(t, core.New().RunSharded(app.Instrumented))
-	streamed := NewReportBytes(t, core.New().RunStreamed(app.Instrumented))
-	if !bytes.Equal(batch, sharded) {
-		t.Fatal("Contend: sharded report differs from batch")
-	}
-	if !bytes.Equal(batch, streamed) {
-		t.Fatal("Contend: streamed report differs from batch")
+	collected, fed := runBothLanes(t, app.Instrumented)
+	if !bytes.Equal(collected, fed) {
+		t.Fatal("Contend: Analyze report differs from Run")
 	}
 }
 
@@ -211,26 +201,31 @@ func TestContentionOverheadEndToEnd(t *testing.T) {
 	}
 
 	bestPipeline := time.Duration(1<<62 - 1)
-	var rep *core.Report
 	for r := 0; r < 3; r++ {
 		start := time.Now()
-		rep = core.New().Run(workload)
+		core.New().Run(workload)
 		if d := time.Since(start); d < bestPipeline {
 			bestPipeline = d
 		}
 	}
-	events := rep.Instances[0].Profile.Events
+	// The events the reducer folds below: recorded once, with the per-event
+	// profile view attached by Analyze, then laid out as the column batch
+	// the pipeline's drain goroutines fold.
+	mem := trace.NewMemRecorder()
+	s := trace.NewSessionWith(trace.Options{Recorder: mem})
+	workload(s)
+	events := core.New().Analyze(s, mem.Events()).Instances[0].Profile.Events
 	if len(events) != n {
 		t.Fatalf("captured %d events, want %d", len(events), n)
 	}
+	var cols trace.ColumnBatch
+	cols.AppendEvents(events)
 
 	bestFold := time.Duration(1<<62 - 1)
 	for r := 0; r < 5; r++ {
 		var sc profile.StreamContention
 		start := time.Now()
-		for _, e := range events {
-			sc.Fold(e)
-		}
+		sc.FoldBatch(&cols, 0, cols.Len())
 		if d := time.Since(start); d < bestFold {
 			bestFold = d
 		}

@@ -11,8 +11,10 @@
 //     this proxy layer replaces the paper's Roslyn source rewriting.
 //  2. Run the workload through a Session; every interface method emits one
 //     access event into a recorder.
-//  3. Analyze post-mortem: profiles → access patterns → use cases, each use
-//     case carrying evidence and a recommended action.
+//  3. Analyze: the collector folds every event into per-instance reducers
+//     while the workload runs — profile statistics → access patterns → use
+//     cases — and the report at the end carries each use case's evidence
+//     and recommended action.
 //
 // Minimal usage:
 //
@@ -75,9 +77,6 @@ type BatchStats = trace.BatchStats
 // concurrent-safe Recorder plus Close, Events and Stats.
 type Collector = trace.Collector
 
-// AsyncCollector is the paper's single-channel asynchronous collector.
-type AsyncCollector = trace.AsyncCollector
-
 // ShardedCollector partitions events by instance across several buffers and
 // drain goroutines, removing the single-channel bottleneck under
 // multi-goroutine workloads.
@@ -93,10 +92,6 @@ type ColumnBatch = trace.ColumnBatch
 
 // PipelineStats instruments the analysis pipeline itself; see Report.Stats.
 type PipelineStats = metrics.PipelineStats
-
-// StageStats summarizes one pipeline stage's latency distribution
-// (count, wall, p50/p90/p99, min/max) from its log-bucketed histogram.
-type StageStats = metrics.StageStats
 
 // OverheadStats is the paper-§V self-overhead accounting: sampled Record
 // cost, estimated producer overhead, and the instrumented-vs-uninstrumented
@@ -128,10 +123,8 @@ func NewTimedRecorder(rec Recorder, every int) *TimedRecorder {
 	return trace.NewTimedRecorder(rec, every)
 }
 
-// NewAsyncCollector starts a single-channel asynchronous collector.
-func NewAsyncCollector() *AsyncCollector { return trace.NewAsyncCollector() }
-
-// NewShardedCollector starts a collector with n shards; 0 means GOMAXPROCS.
+// NewShardedCollector starts a collector with n shards; 0 means GOMAXPROCS
+// and 1 is the paper's single-channel asynchronous collector.
 func NewShardedCollector(n int) *ShardedCollector { return trace.NewShardedCollector(n) }
 
 // OverloadPolicy decides what happens when a producer finds the collector's
@@ -213,35 +206,22 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 // DefaultThresholds returns the §III.B threshold values.
 func DefaultThresholds() Thresholds { return usecase.Default() }
 
-// Run profiles the workload with an asynchronous collector and analyzes it
-// with default configuration — the one-call entry point.
+// Run profiles the workload with default configuration — the one-call entry
+// point. The collector drains into the streaming analyzer while the workload
+// runs, so no event store is retained.
 func Run(workload func(*Session)) *Report {
 	return core.New().Run(workload)
 }
 
-// RunSharded profiles the workload with the sharded collector and analyzes
-// the shards in place with the parallel pipeline. The report is identical to
-// Run's; collection and analysis scale with GOMAXPROCS.
-func RunSharded(workload func(*Session)) *Report {
-	return core.New().RunSharded(workload)
-}
-
-// StreamAnalyzer computes reports incrementally while events arrive, in
-// O(instances) memory: no event store is retained, and Snapshot returns a
-// consistent report at any point of the run. The final report at Close is
-// identical to the batch entry points'.
+// StreamAnalyzer is the analysis engine: it computes reports incrementally
+// while events arrive, in O(instances) memory. No event store is retained,
+// Snapshot returns a consistent report at any point of the run, and Close
+// returns the final one. Run and Analyzer.Analyze are drivers over it.
 type StreamAnalyzer = core.StreamAnalyzer
 
 // NewStreamAnalyzer returns a streaming analyzer with default configuration
 // and n shards (0 means GOMAXPROCS).
 func NewStreamAnalyzer(n int) *StreamAnalyzer { return core.New().NewStreamAnalyzer(n) }
-
-// RunStreamed profiles the workload through the streaming analyzer: events
-// are folded into per-instance reducers as the collector drains them, nothing
-// is retained, and the report is identical to Run's and RunSharded's.
-func RunStreamed(workload func(*Session)) *Report {
-	return core.New().RunStreamed(workload)
-}
 
 // StreamingStats instruments the streaming analysis path (events folded, open
 // runs, snapshot cost); surfaced through Report.Stats.Streaming.

@@ -86,7 +86,7 @@ func TestHotPathDifferentialCorpus(t *testing.T) {
 
 // TestHotPathDifferentialStream feeds the batched replay through the
 // streaming analyzer's collector: incremental folding of producer batches
-// must render the same bytes as the per-event batch analysis.
+// must render the same bytes as Analyze of the per-event stream.
 func TestHotPathDifferentialStream(t *testing.T) {
 	progs := append(corpus.PatternStudyPrograms(), corpus.UseCaseStudyPrograms()...)
 	for _, p := range progs {
@@ -112,7 +112,7 @@ func TestHotPathDifferentialStream(t *testing.T) {
 			scol.Close()
 			got := NewReportBytes(t, sa.Close())
 			if !bytes.Equal(want, got) {
-				t.Fatalf("%s: streamed report over batched producer differs from batch analysis", p.Name)
+				t.Fatalf("%s: streamed report over batched producer differs from per-event analysis", p.Name)
 			}
 		})
 	}
@@ -168,7 +168,7 @@ func TestHotPathRecoverReplay(t *testing.T) {
 // TestHotPathBatchedConcurrentProducers is the race half of the bar: one
 // execution with 8 Bind()-batched goroutines is teed into a memory recorder
 // and a sharded collector. Nothing may be lost, the Seq space must stay
-// gap-free (flush-time block stamping leaves no holes), and the parallel
+// gap-free (flush-time block stamping leaves no holes), and the columnar
 // analysis of the shards must match the sequential analysis of the tee twin
 // byte for byte. Run under -race via `make check`.
 func TestHotPathBatchedConcurrentProducers(t *testing.T) {
@@ -212,7 +212,7 @@ func TestHotPathBatchedConcurrentProducers(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Workers = 1
 	seq := NewReportBytes(t, core.NewWith(cfg).Analyze(s, mem.Events()))
-	par := NewReportBytes(t, core.New().AnalyzeCollector(s, sharded))
+	par := NewReportBytes(t, analyzeColumns(s, sharded))
 	if !bytes.Equal(seq, par) {
 		t.Fatal("parallel report over batched producers differs from sequential tee-twin report")
 	}

@@ -72,6 +72,24 @@ func TestIntegrationDsspyCLI(t *testing.T) {
 	if !strings.Contains(out, "replaying") || !strings.Contains(out, "Long-Insert") {
 		t.Errorf("replay output wrong:\n%s", out)
 	}
+
+	// Charts work on every run: a trace renderer makes the collector (or
+	// the replay) keep the events the chart draws, live snapshots or not.
+	const chartHeader = `Profile of List[int] "producer/scanner" (3612 events):`
+	for _, args := range [][]string{
+		{"-demo", "figure3", "-live", "50ms", "-chart"},
+		{"-replay", logPath, "-chart"},
+	} {
+		out = run(t, bin, args...)
+		i := strings.Index(out, chartHeader)
+		if i < 0 {
+			t.Errorf("%v: no chart header in output:\n%s", args, out)
+			continue
+		}
+		if chart := strings.TrimSpace(out[i+len(chartHeader):]); strings.Count(chart, "\n") < 5 {
+			t.Errorf("%v: chart body missing after header:\n%s", args, out)
+		}
+	}
 }
 
 func TestIntegrationDsstudy(t *testing.T) {

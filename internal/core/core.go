@@ -1,8 +1,16 @@
 // Package core is the DSspy orchestrator: it wires the Figure 4 pipeline —
 // instrumentation (dstruct), execution and collection (trace), profile
-// construction (profile), pattern detection (pattern) and use-case
-// generation (usecase) — and produces the report an engineer reads:
-// locations, reasons, recommended actions.
+// statistics (profile), pattern detection (pattern) and use-case generation
+// (usecase) — and produces the report an engineer reads: locations, reasons,
+// recommended actions.
+//
+// There is one analysis engine, the StreamAnalyzer: every report is built by
+// folding events into per-instance reducers (FeedShard from a collector's
+// drain goroutines, FeedColumns from columnar replay, Feed from event slices)
+// and finalizing them at Close. Run and Analyze are drivers over it. The
+// paper's post-mortem profile → pattern → use-case stages survive as those
+// reducers; a per-event Profile is an on-demand view (Report.AttachEvents)
+// for the renderers that draw the trace.
 package core
 
 import (
@@ -10,7 +18,6 @@ import (
 	"io"
 	"path/filepath"
 	"sort"
-	"time"
 
 	"dsspy/internal/metrics"
 	"dsspy/internal/obs"
@@ -27,15 +34,15 @@ type Config struct {
 	Thresholds usecase.Thresholds
 	Pattern    pattern.Config
 	Regularity pattern.RegularityConfig
-	// Workers bounds the fan-out of per-instance analysis (profile
-	// grouping, pattern summaries, use-case detection, regularity, shared
-	// access). 0 means GOMAXPROCS; 1 is the classic sequential pipeline.
+	// Workers bounds the fan-out of per-instance finalization (flushing
+	// the open runs, use-case detection, regularity, shared access) at
+	// Snapshot and Close. 0 means GOMAXPROCS; 1 finalizes sequentially.
 	// The report is byte-identical for every value: results are written by
 	// instance order, never by completion order.
 	Workers int
 	// Tracer, when set, records self-profiling spans for the analysis
-	// stages (build-profiles, per-instance analysis, snapshot, finalize).
-	// Nil disables tracing; it never influences the findings.
+	// (snapshot, finalize). Nil disables tracing; it never influences the
+	// findings.
 	Tracer *obs.Tracer
 }
 
@@ -111,25 +118,11 @@ type Report struct {
 	// re-merging associative: without it, two same-ID instances from
 	// different processes would collapse into one registry row.
 	RegisteredFrom []string
-	// Stats instruments the analysis pipeline itself: per-stage wall
-	// times, worker count, and (when the events came from an in-process
-	// collector) the collection-side queue statistics. It never influences
-	// the findings.
+	// Stats instruments the analysis pipeline itself: events folded,
+	// reducer state, wall time, and (when the events came from an
+	// in-process collector) the collection-side queue statistics. It never
+	// influences the findings.
 	Stats *metrics.PipelineStats
-}
-
-// Pipeline stage indexes into the metrics clocks, in execution order.
-const (
-	stageBuild = iota
-	stageSummarize
-	stageUseCases
-	stageRegularity
-	stageShared
-	numStages
-)
-
-func newPipelineClocks() *metrics.Pipeline {
-	return metrics.NewPipeline("build-profiles", "summarize", "use-cases", "regularity", "shared-access")
 }
 
 // workers resolves Config.Workers: 0 means GOMAXPROCS.
@@ -140,123 +133,18 @@ func (d *DSspy) workers() int {
 	return par.DefaultParallelism()
 }
 
-// Analyze builds profiles from the events and runs pattern and use-case
-// detection on each, fanning per-instance work across Config.Workers
-// goroutines. Report ordering is deterministic (by instance id) regardless
-// of the worker count.
+// Analyze folds a recorded event stream through the streaming analyzer and
+// returns its report with per-event profiles attached (AttachEvents), for
+// callers that hold the events anyway: replayed logs, memory recorders, the
+// figure renderers. Events must be in sequence order, as every trace source
+// returns them; the report does not depend on Config.Workers.
 func (d *DSspy) Analyze(s *trace.Session, events []trace.Event) *Report {
-	t0 := time.Now()
-	clocks := newPipelineClocks()
-
-	tb := time.Now()
-	bsp := d.cfg.Tracer.Begin("build-profiles", "analyze")
-	profiles := profile.BuildParallel(s, events, d.workers())
-	bsp.End()
-	clocks.Stage(stageBuild).Observe(time.Since(tb))
-
-	rep := d.analyzeProfiles(s, profiles, clocks)
-	rep.Stats.Events = len(events)
-	rep.Stats.Wall = time.Since(t0)
+	a := d.NewStreamAnalyzer(0)
+	a.Attach(s)
+	a.Feed(events...)
+	rep := a.Close()
+	rep.AttachEvents(s, events)
 	return rep
-}
-
-// AnalyzeCollector analyzes the events held by a closed collector. For a
-// ShardedCollector the profiles are built shard-locally from the per-shard
-// stores in place, skipping the global merge copy and sort that the flat
-// Events view costs; any other collector falls back to Analyze on the
-// merged stream. Either way the collector's queue statistics are attached
-// to Report.Stats.
-func (d *DSspy) AnalyzeCollector(s *trace.Session, col trace.Collector) *Report {
-	sc, ok := col.(*trace.ShardedCollector)
-	if !ok {
-		rep := d.Analyze(s, col.Events())
-		cs := col.Stats()
-		rep.Stats.Collector = &cs
-		return rep
-	}
-
-	t0 := time.Now()
-	clocks := newPipelineClocks()
-
-	tb := time.Now()
-	bsp := d.cfg.Tracer.Begin("build-profiles", "analyze")
-	shards := sc.ShardEvents()
-	total := 0
-	for _, evs := range shards {
-		total += len(evs)
-	}
-	profiles := profile.BuildShards(s, shards, d.workers())
-	bsp.End()
-	clocks.Stage(stageBuild).Observe(time.Since(tb))
-
-	rep := d.analyzeProfiles(s, profiles, clocks)
-	rep.Stats.Events = total
-	rep.Stats.Wall = time.Since(t0)
-	cs := sc.Stats()
-	rep.Stats.Collector = &cs
-	return rep
-}
-
-// analyzeProfiles runs the per-instance stages over the worker pool and
-// assembles the report. Results land at their profile's index, so the
-// report order never depends on goroutine scheduling.
-func (d *DSspy) analyzeProfiles(s *trace.Session, profiles []*profile.Profile, clocks *metrics.Pipeline) *Report {
-	results := make([]*InstanceResult, len(profiles))
-	workers := d.workers()
-	asp := d.cfg.Tracer.Begin("analyze-instances", "analyze")
-	par.For(len(profiles), workers, func(i int) {
-		p := profiles[i]
-		st := p.Stats() // computed once; every stage below reads the cache
-
-		t := time.Now()
-		sum := pattern.SummarizeThreads(p, d.cfg.Pattern)
-		clocks.Stage(stageSummarize).Observe(time.Since(t))
-
-		t = time.Now()
-		ucs := usecase.DetectWithSummary(p, sum, d.cfg.Thresholds)
-		clocks.Stage(stageUseCases).Observe(time.Since(t))
-
-		t = time.Now()
-		// Regularity is judged over the global (interleaved) segmentation;
-		// for single-threaded profiles that is exactly the summary already
-		// computed, so only multi-threaded profiles summarize again.
-		gsum := sum
-		if st.Threads > 1 {
-			gsum = pattern.Summarize(p, d.cfg.Pattern)
-		}
-		regular := pattern.RegularityFrom(gsum, st, d.cfg.Regularity)
-		clocks.Stage(stageRegularity).Observe(time.Since(t))
-
-		t = time.Now()
-		shared := profile.SharedAccessOf(p)
-		// The cross-thread summary exists only for multi-thread instances
-		// (DetectWithSummary already populated the cache for those).
-		var ct *profile.Contention
-		if st.Threads > 1 {
-			ct = p.Contention()
-		}
-		clocks.Stage(stageShared).Observe(time.Since(t))
-
-		results[i] = &InstanceResult{
-			Profile:    p,
-			Summary:    sum,
-			UseCases:   ucs,
-			Regular:    regular,
-			Shared:     shared,
-			Contention: ct,
-		}
-	})
-	asp.End("instances", fmt.Sprint(len(profiles)))
-	return &Report{
-		Instances:  results,
-		Registered: s.Instances(),
-		Stats: &metrics.PipelineStats{
-			Instances:  len(profiles),
-			Workers:    workers,
-			Stages:     clocks.Snapshot(),
-			Contention: contentionStats(results),
-		},
-	}
 }
 
 // contentionStats aggregates the per-instance cross-thread summaries for the
@@ -282,27 +170,44 @@ func contentionStats(results []*InstanceResult) *metrics.ContentionStats {
 	return cs
 }
 
-// Run is the one-call convenience driver: it creates a session with the
-// paper's asynchronous collector, hands it to the workload, flushes the
-// collector, and analyzes everything it saw.
+// Run is the one-call convenience driver: the workload runs against a
+// session whose sharded collector drains straight into the streaming
+// analyzer's reducers, so the report is built while the workload executes
+// and no event store is retained.
 func (d *DSspy) Run(workload func(*trace.Session)) *Report {
-	return d.RunCollector(trace.NewAsyncCollector(), workload)
-}
-
-// RunSharded is Run on the sharded collector: events are partitioned by
-// instance across GOMAXPROCS buffers while the workload executes, and the
-// analysis consumes the shards in place.
-func (d *DSspy) RunSharded(workload func(*trace.Session)) *Report {
-	return d.RunCollector(trace.NewShardedCollector(0), workload)
-}
-
-// RunCollector profiles the workload through an explicit collector, closes
-// it, and analyzes what it collected.
-func (d *DSspy) RunCollector(col trace.Collector, workload func(*trace.Session)) *Report {
+	a := d.NewStreamAnalyzer(0)
+	col := a.Collector(trace.DefaultAsyncBuffer, trace.Block(), false)
 	s := trace.NewSessionWith(trace.Options{Recorder: col, CaptureSites: true})
+	a.Attach(s)
 	workload(s)
 	col.Close()
-	return d.AnalyzeCollector(s, col)
+	rep := a.Close()
+	cs := col.Stats()
+	rep.Stats.Collector = &cs
+	return rep
+}
+
+// AttachEvents swaps each instance's event-free streamed profile for the
+// per-event view profile.Build derives from events, matched by instance id,
+// so renderers that draw the trace (charts, SVG, HTML, Figures 2 and 3) can
+// read Profile.Events. The folded statistics and contention summary carry
+// over unchanged; instances without events in the slice keep their profile.
+func (r *Report) AttachEvents(s *trace.Session, events []trace.Event) {
+	byID := make(map[trace.InstanceID]*profile.Profile)
+	for _, p := range profile.Build(s, events) {
+		byID[p.Instance.ID] = p
+	}
+	for _, ir := range r.Instances {
+		p := byID[ir.Profile.Instance.ID]
+		if p == nil {
+			continue
+		}
+		p.PrimeStats(ir.Profile.Stats())
+		if ir.Contention != nil {
+			p.PrimeContention(ir.Contention)
+		}
+		ir.Profile = p
+	}
 }
 
 // UseCases returns every detected use case across instances, in instance

@@ -75,32 +75,10 @@ func TestAnalyzeWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// TestAnalyzeCollectorShardedMatchesFlat feeds one identical event stream to
-// the sequential pipeline and to the sharded fast path (per-shard in-place
-// profile construction) and requires byte-identical reports.
-func TestAnalyzeCollectorShardedMatchesFlat(t *testing.T) {
-	mem := trace.NewMemRecorder()
-	sharded := trace.NewShardedCollectorSize(4, 1024)
-	s := trace.NewSessionWith(trace.Options{
-		Recorder:     trace.TeeRecorder{mem, sharded},
-		CaptureSites: true,
-	})
-	parallelWorkload(s)
-	sharded.Close()
-
-	cfg := DefaultConfig()
-	cfg.Workers = 1
-	want := renderReport(t, NewWith(cfg).Analyze(s, mem.Events()))
-	got := renderReport(t, New().AnalyzeCollector(s, sharded))
-	if !bytes.Equal(want, got) {
-		t.Fatalf("sharded fast-path report differs from sequential pipeline:\n--- want ---\n%s\n--- got ---\n%s", want, got)
-	}
-}
-
-// TestReportStatsPopulated checks the observability surface: stage clocks,
+// TestReportStatsPopulated checks the observability surface: fold counters,
 // worker count and collector queue statistics all arrive on Report.Stats.
 func TestReportStatsPopulated(t *testing.T) {
-	rep := New().RunSharded(func(s *trace.Session) {
+	rep := New().Run(func(s *trace.Session) {
 		l := dstruct.NewList[int](s)
 		for i := 0; i < 5000; i++ {
 			l.Add(i)
@@ -116,13 +94,8 @@ func TestReportStatsPopulated(t *testing.T) {
 	if st.Wall <= 0 {
 		t.Fatal("stats wall time not measured")
 	}
-	if len(st.Stages) != numStages {
-		t.Fatalf("stages = %d, want %d", len(st.Stages), numStages)
-	}
-	for _, stage := range st.Stages {
-		if stage.Count == 0 {
-			t.Fatalf("stage %s never observed", stage.Name)
-		}
+	if st.Streaming == nil || st.Streaming.Folded != 5000 || st.Streaming.Instances != 1 {
+		t.Fatalf("streaming stats = %+v, want 5000 events folded into 1 reducer", st.Streaming)
 	}
 	if st.Collector == nil {
 		t.Fatal("collector stats not attached")
@@ -136,33 +109,5 @@ func TestReportStatsPopulated(t *testing.T) {
 	}
 	if sb.Len() == 0 {
 		t.Fatal("stats render empty")
-	}
-}
-
-// TestRunShardedMatchesRun repeats the same deterministic single-goroutine
-// workload through both drivers; findings must agree.
-func TestRunShardedMatchesRun(t *testing.T) {
-	workload := func(s *trace.Session) {
-		l := dstruct.NewListLabeled[int](s, "work")
-		for c := 0; c < 12; c++ {
-			for i := 0; i < 150; i++ {
-				l.Add(i)
-			}
-			for i := 0; i < l.Len(); i++ {
-				l.Get(i)
-			}
-			l.Clear()
-		}
-	}
-	a := New().Run(workload)
-	b := New().RunSharded(workload)
-	au, bu := a.UseCases(), b.UseCases()
-	if len(au) != len(bu) {
-		t.Fatalf("Run found %d use cases, RunSharded %d", len(au), len(bu))
-	}
-	for i := range au {
-		if au[i].Kind != bu[i].Kind || au[i].Evidence != bu[i].Evidence {
-			t.Fatalf("use case %d differs: %v vs %v", i, au[i], bu[i])
-		}
 	}
 }

@@ -20,9 +20,9 @@ import (
 // Streaming analysis: the per-instance reducers of profile, pattern and
 // usecase wired into the collector's drain path, so the full report is
 // computed during execution in O(instances) memory instead of post-mortem
-// over a retained O(events) trace. The final report is byte-identical to the
-// batch pipeline's because both sides run the same reducers — batch mode is a
-// driver over them, stream mode feeds them in place.
+// over a retained O(events) trace. This is the only analysis engine: Run
+// drives it from a live collector, Analyze from an event slice, and replay
+// from column batches.
 //
 // Ordering contract: a shard's drain goroutine delivers each producer
 // goroutine's events in program order, so per-thread figures are always
@@ -55,7 +55,7 @@ type instanceStream struct {
 	ct        profile.StreamContention
 	perThread map[trace.ThreadID]*pattern.StreamDetector
 	// global segments the interleaved per-instance stream with the
-	// configured options — what the batch regularity check summarizes.
+	// configured options — what the regularity check summarizes.
 	global *pattern.StreamDetector
 	// runSeg produces the default-options run stream for the use-case layer.
 	// It is nil when the configured segmentation already is default-options;
@@ -221,7 +221,7 @@ func (st *instanceStream) clone() *instanceStream {
 }
 
 // finalize flushes the open runs and applies the detectors, producing the
-// same InstanceResult the batch pipeline computes for this instance.
+// instance's report row.
 func (st *instanceStream) finalize(d *DSspy, s *trace.Session) *InstanceResult {
 	// Flush per-thread detectors in ascending thread-id order and merge their
 	// summaries — exactly SummarizeThreads' merge order.
@@ -249,8 +249,8 @@ func (st *instanceStream) finalize(d *DSspy, s *trace.Session) *InstanceResult {
 	}
 
 	stats := st.stats.Snapshot()
-	// Same contract as the batch side: the cross-thread summary exists only
-	// for instances more than one thread touched.
+	// The cross-thread summary exists only for instances more than one
+	// thread touched.
 	var ct *profile.Contention
 	if stats.Threads > 1 {
 		ct = st.ct.Snapshot()
@@ -294,8 +294,7 @@ type streamShard struct {
 // StreamAnalyzer computes reports incrementally from a live event stream. It
 // plugs into the sharded collector's drain path (Collector / FeedShard), or
 // consumes replayed streams via Feed. Snapshot returns a consistent report at
-// any time; Close flushes everything and returns the final report, identical
-// to what the batch pipeline would produce from the same events.
+// any time; Close flushes everything and returns the final report.
 //
 // Callers draining through a collector must close the collector first, so
 // every delivered event has been folded before Close builds the report.
@@ -438,15 +437,15 @@ func (a *StreamAnalyzer) Feed(events ...trace.Event) {
 		for j < len(events) && int(events[j].Instance)%len(a.shards) == shard {
 			j++
 		}
-		a.feedShardEvents(shard, events[i:j])
+		a.feedEvents(shard, events[i:j])
 		i = j
 	}
 }
 
-// feedShardEvents folds a struct batch event-at-a-time — the compatibility
+// feedEvents folds a struct batch event-at-a-time — the compatibility
 // driver behind Feed, kept so pre-v3 logs and ad-hoc event slices exercise
 // the identical reducer state transitions the columnar path takes.
-func (a *StreamAnalyzer) feedShardEvents(shard int, batch []trace.Event) {
+func (a *StreamAnalyzer) feedEvents(shard int, batch []trace.Event) {
 	sh := a.shards[shard]
 	sh.mu.Lock()
 	for _, e := range batch {
@@ -628,20 +627,4 @@ func (a *StreamAnalyzer) WriteMetrics(w *obs.PromWriter) {
 				maxErr, "shard", strconv.Itoa(i))
 		}
 	}
-}
-
-// RunStreamed is the streaming counterpart of Run/RunSharded: the workload's
-// events are analyzed as they are drained, no event store is retained, and
-// the report is identical to the batch entry points'.
-func (d *DSspy) RunStreamed(workload func(*trace.Session)) *Report {
-	a := d.NewStreamAnalyzer(0)
-	col := a.Collector(trace.DefaultAsyncBuffer, trace.Block(), false)
-	s := trace.NewSessionWith(trace.Options{Recorder: col, CaptureSites: true})
-	a.Attach(s)
-	workload(s)
-	col.Close()
-	rep := a.Close()
-	cs := col.Stats()
-	rep.Stats.Collector = &cs
-	return rep
 }

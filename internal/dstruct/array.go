@@ -49,10 +49,11 @@ func (a *Array[T]) SetLabel(label string) { a.h.Session().SetLabel(a.h.ID(), lab
 func (a *Array[T]) Len() int { return len(a.items) }
 
 // Get returns the element at i (one Read event). The sampled-out body is
-// kept to the inlined credit test plus the bounds-checked load; the admitted
-// path — formatted index check and Emit — lives in getSlow, off the floor.
+// kept to the range test plus the inlined credit test and the load; the
+// admitted path — Emit — lives in getSlow, off the floor. An out-of-range
+// index always takes getSlow and its formatted panic, sampled out or not.
 func (a *Array[T]) Get(i int) T {
-	if a.h.Drop(trace.OpRead, i) {
+	if uint(i) < uint(len(a.items)) && a.h.Drop(trace.OpRead, i) {
 		return a.items[i]
 	}
 	return a.getSlow(i)
@@ -66,7 +67,7 @@ func (a *Array[T]) getSlow(i int) T {
 
 // Set replaces the element at i (one Write event).
 func (a *Array[T]) Set(i int, v T) {
-	if a.h.Drop(trace.OpWrite, i) {
+	if uint(i) < uint(len(a.items)) && a.h.Drop(trace.OpWrite, i) {
 		a.items[i] = v
 		return
 	}

@@ -110,11 +110,12 @@ func (l *List[T]) Insert(i int, v T) {
 
 // Get returns the element at i, emitting a Read event. It panics on
 // out-of-range indexes, like the C# indexer throws. The sampled-out body is
-// kept to the inlined credit test plus the bounds-checked load; everything
-// the admitted path needs — the formatted index check, the size figure, the
-// Emit — lives in getSlow, off the floor.
+// kept to the range test plus the inlined credit test and the load;
+// everything the admitted path needs — the size figure, the Emit — lives in
+// getSlow, off the floor. An out-of-range index always takes getSlow, so it
+// raises the same formatted panic whether or not the access was sampled out.
 func (l *List[T]) Get(i int) T {
-	if l.h.Drop(trace.OpRead, i) {
+	if uint(i) < uint(len(l.items)) && l.h.Drop(trace.OpRead, i) {
 		return l.items[i]
 	}
 	return l.getSlow(i)
@@ -128,7 +129,7 @@ func (l *List[T]) getSlow(i int) T {
 
 // Set replaces the element at i, emitting a Write event.
 func (l *List[T]) Set(i int, v T) {
-	if l.h.Drop(trace.OpWrite, i) {
+	if uint(i) < uint(len(l.items)) && l.h.Drop(trace.OpWrite, i) {
 		l.items[i] = v
 		return
 	}

@@ -92,7 +92,7 @@ func RunTable4(opts Options) []Table4Row {
 		// Slowdown: instrumented vs plain twin at the same input size.
 		twin := bestOf(opts.reps(), app.PlainTwin)
 		instr := bestOf(opts.reps(), func() {
-			col := trace.NewAsyncCollector()
+			col := trace.NewShardedCollectorOpts(1, trace.DefaultAsyncBuffer, trace.Block())
 			s := trace.NewSessionWith(trace.Options{Recorder: col, CaptureSites: true})
 			app.Instrumented(s)
 			col.Close()

@@ -1,12 +1,11 @@
 // Package metrics instruments DSspy's own pipeline. The paper reports an
 // average profiling slowdown of 47.13× and leaves the analysis cost opaque;
 // a profiler that recommends parallelization should be able to account for
-// its own time. Stage clocks are log-bucketed histograms (p50/p90/p99, not
-// just min/mean/max) accumulated across concurrent workers, OverheadStats
-// reproduces the paper's §V slowdown metric per run, and PipelineStats is
-// the report-facing snapshot that `dsspy -stats` prints — per-stage latency
-// quantiles next to the collector's per-shard queue statistics and the
-// self-overhead accounting.
+// its own time. OverheadStats reproduces the paper's §V slowdown metric per
+// run, and PipelineStats is the report-facing snapshot that `dsspy -stats`
+// prints — the streaming analyzer's fold counters next to the collector's
+// per-shard queue statistics, the contention and sampling accounting, and
+// the self-overhead figures.
 package metrics
 
 import (
@@ -14,101 +13,8 @@ import (
 	"io"
 	"time"
 
-	"dsspy/internal/obs"
 	"dsspy/internal/trace"
 )
-
-// Stage accumulates observations for one pipeline stage in a lock-free
-// log-bucketed histogram. It is safe for concurrent use: analysis workers on
-// any number of goroutines may observe durations simultaneously.
-type Stage struct {
-	name string
-	hist obs.Histogram
-}
-
-func newStage(name string) *Stage {
-	s := &Stage{name: name}
-	s.hist.Init()
-	return s
-}
-
-// Observe adds one timed execution of the stage.
-func (s *Stage) Observe(d time.Duration) { s.hist.Observe(d) }
-
-// Snapshot returns the stage's accumulated figures: exact count, total, min,
-// max, and bucket-interpolated latency quantiles.
-func (s *Stage) Snapshot() StageStats {
-	h := s.hist.Snapshot()
-	return StageStats{
-		Name:  s.name,
-		Count: int64(h.Count),
-		Wall:  time.Duration(h.Sum),
-		Min:   time.Duration(h.Min),
-		Max:   time.Duration(h.Max),
-		P50:   h.QuantileDuration(0.50),
-		P90:   h.QuantileDuration(0.90),
-		P99:   h.QuantileDuration(0.99),
-		Hist:  h,
-	}
-}
-
-// StageStats is the immutable snapshot of one stage.
-type StageStats struct {
-	Name  string
-	Count int64         // number of observations (per-instance stages: instances)
-	Wall  time.Duration // cumulative wall time across workers
-	Min   time.Duration
-	Max   time.Duration
-	P50   time.Duration
-	P90   time.Duration
-	P99   time.Duration
-	// Hist is the full bucket snapshot behind the quantiles; /metrics
-	// exports it as a Prometheus histogram.
-	Hist obs.HistSnapshot
-}
-
-// Mean returns the average observation, or 0 when the stage never ran.
-func (s StageStats) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Wall / time.Duration(s.Count)
-}
-
-// Pipeline is an ordered set of stage clocks.
-type Pipeline struct {
-	stages []*Stage
-}
-
-// NewPipeline returns a pipeline with one clock per stage name, in order.
-func NewPipeline(names ...string) *Pipeline {
-	p := &Pipeline{stages: make([]*Stage, len(names))}
-	for i, n := range names {
-		p.stages[i] = newStage(n)
-	}
-	return p
-}
-
-// Stage returns the i-th stage clock.
-func (p *Pipeline) Stage(i int) *Stage { return p.stages[i] }
-
-// Snapshot returns the per-stage figures in pipeline order.
-func (p *Pipeline) Snapshot() []StageStats {
-	out := make([]StageStats, len(p.stages))
-	for i, s := range p.stages {
-		out[i] = s.Snapshot()
-	}
-	return out
-}
-
-// WriteMetrics exports the stage clocks as Prometheus histograms, one
-// family with a stage label.
-func (p *Pipeline) WriteMetrics(w *obs.PromWriter) {
-	for _, s := range p.stages {
-		w.Histogram("dsspy_pipeline_stage_seconds",
-			"Per-stage analysis latency.", s.hist.Snapshot(), 1e9, "stage", s.name)
-	}
-}
 
 // PipelineStats is the observability outcome of one analysis run, surfaced
 // through core.Report.Stats.
@@ -117,20 +23,18 @@ type PipelineStats struct {
 	Instances int           // instances profiled
 	Workers   int           // analysis worker-pool size used
 	Wall      time.Duration // end-to-end analysis wall time
-	Stages    []StageStats  // per-stage timings in pipeline order
 
 	// Collector holds the collection-side counters when the events came
 	// from an in-process collector; nil for replayed or externally
 	// collected streams.
 	Collector *trace.CollectorStats
 
-	// Streaming holds the incremental-analysis counters when the report was
-	// produced by the streaming analyzer; nil in batch mode.
+	// Streaming holds the incremental-analysis counters; nil only in
+	// reports rebuilt from snapshots or merges.
 	Streaming *StreamingStats
 
 	// Contention aggregates the per-instance cross-thread summaries; nil
-	// when the run was entirely single-threaded. Batch and streaming modes
-	// both fill it from the same per-instance figures.
+	// when the run was entirely single-threaded.
 	Contention *ContentionStats
 
 	// Overhead holds the self-overhead accounting — sampled Record cost and
@@ -378,20 +282,6 @@ func (ps *PipelineStats) Write(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "Pipeline: %d events, %d instances, %d worker(s), wall %s\n",
 		ps.Events, ps.Instances, ps.Workers, ps.Wall.Round(time.Microsecond)); err != nil {
 		return err
-	}
-	for _, st := range ps.Stages {
-		if st.Count == 0 {
-			continue
-		}
-		if _, err := fmt.Fprintf(w, "  stage %-14s %6d call(s)  total %-10s p50 %-9s p90 %-9s p99 %-9s max %s\n",
-			st.Name, st.Count,
-			st.Wall.Round(time.Microsecond),
-			st.P50.Round(100*time.Nanosecond),
-			st.P90.Round(100*time.Nanosecond),
-			st.P99.Round(100*time.Nanosecond),
-			st.Max.Round(time.Microsecond)); err != nil {
-			return err
-		}
 	}
 	if ps.Streaming != nil {
 		if err := ps.Streaming.Write(w); err != nil {

@@ -2,96 +2,11 @@ package metrics
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	"dsspy/internal/obs"
 	"dsspy/internal/trace"
 )
-
-func TestStageObserve(t *testing.T) {
-	p := NewPipeline("build", "detect")
-	p.Stage(0).Observe(10 * time.Millisecond)
-	p.Stage(0).Observe(30 * time.Millisecond)
-	st := p.Stage(0).Snapshot()
-	if st.Name != "build" || st.Count != 2 {
-		t.Fatalf("snapshot = %+v, want build ×2", st)
-	}
-	if st.Wall != 40*time.Millisecond || st.Min != 10*time.Millisecond || st.Max != 30*time.Millisecond {
-		t.Fatalf("wall/min/max = %v/%v/%v", st.Wall, st.Min, st.Max)
-	}
-	if st.Mean() != 20*time.Millisecond {
-		t.Fatalf("mean = %v, want 20ms", st.Mean())
-	}
-	// Quantiles stay within the observed range and order correctly.
-	if st.P50 < st.Min || st.P99 > st.Max || st.P50 > st.P90 || st.P90 > st.P99 {
-		t.Fatalf("quantiles out of order: p50 %v p90 %v p99 %v (min %v max %v)",
-			st.P50, st.P90, st.P99, st.Min, st.Max)
-	}
-	if empty := p.Stage(1).Snapshot(); empty.Count != 0 || empty.Min != 0 || empty.Mean() != 0 || empty.P99 != 0 {
-		t.Fatalf("empty stage snapshot = %+v", empty)
-	}
-}
-
-func TestStageQuantiles(t *testing.T) {
-	p := NewPipeline("s")
-	for i := 1; i <= 100; i++ {
-		p.Stage(0).Observe(time.Duration(i) * time.Microsecond)
-	}
-	st := p.Stage(0).Snapshot()
-	approx := func(got time.Duration, want float64) bool {
-		g := float64(got)
-		return g > want*0.9 && g < want*1.1
-	}
-	if !approx(st.P50, 50e3) || !approx(st.P90, 90e3) || !approx(st.P99, 99e3) {
-		t.Fatalf("p50/p90/p99 = %v/%v/%v, want ≈50µs/90µs/99µs", st.P50, st.P90, st.P99)
-	}
-}
-
-func TestStageConcurrentObserve(t *testing.T) {
-	p := NewPipeline("s")
-	var wg sync.WaitGroup
-	const workers, per = 8, 1000
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				p.Stage(0).Observe(time.Microsecond)
-			}
-		}()
-	}
-	wg.Wait()
-	st := p.Stage(0).Snapshot()
-	if st.Count != workers*per {
-		t.Fatalf("count = %d, want %d", st.Count, workers*per)
-	}
-	if st.Wall != time.Duration(workers*per)*time.Microsecond {
-		t.Fatalf("wall = %v", st.Wall)
-	}
-}
-
-func TestPipelineWriteMetrics(t *testing.T) {
-	p := NewPipeline("build-profiles", "use-cases")
-	p.Stage(0).Observe(time.Millisecond)
-	var sb strings.Builder
-	w := obs.NewPromWriter(&sb)
-	p.WriteMetrics(w)
-	if err := w.Err(); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		"# TYPE dsspy_pipeline_stage_seconds histogram",
-		`dsspy_pipeline_stage_seconds_count{stage="build-profiles"} 1`,
-		`dsspy_pipeline_stage_seconds_count{stage="use-cases"} 0`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics missing %q:\n%s", want, out)
-		}
-	}
-}
 
 func TestOverheadStats(t *testing.T) {
 	ov := &OverheadStats{
@@ -191,15 +106,12 @@ func TestOverheadStats(t *testing.T) {
 }
 
 func TestPipelineStatsWrite(t *testing.T) {
-	p := NewPipeline("build-profiles", "use-cases")
-	p.Stage(0).Observe(time.Millisecond)
-	p.Stage(1).Observe(2 * time.Millisecond)
 	ps := &PipelineStats{
 		Events:    1000,
 		Instances: 3,
 		Workers:   4,
 		Wall:      5 * time.Millisecond,
-		Stages:    p.Snapshot(),
+		Streaming: &StreamingStats{Shards: 4, Folded: 1000, Instances: 3, OpenRuns: 2},
 		Overhead: &OverheadStats{
 			WorkloadWall:      20 * time.Millisecond,
 			Events:            1000,
@@ -212,7 +124,7 @@ func TestPipelineStatsWrite(t *testing.T) {
 			Shards:         2,
 			Buffer:         8,
 			Events:         1000,
-			ShardEvents:    []uint64{600, 400},
+			ShardRecorded:  []uint64{600, 400},
 			ShardHighWater: []int{8, 3},
 			ShardBlock:     []time.Duration{time.Millisecond, 0},
 			BlockTime:      time.Millisecond,
@@ -225,9 +137,7 @@ func TestPipelineStatsWrite(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		"1000 events, 3 instances, 4 worker(s)",
-		"stage build-profiles",
-		"stage use-cases",
-		"p50", "p90", "p99",
+		"Streaming: 4 shard(s), 1000 events folded, 3 instance reducer(s), 2 open run(s)",
 		"Overhead: workload wall 20ms",
 		"Collector: 2 shard(s) × buffer 8",
 		"shard 0: 600 events, queue high-water 8/8",

@@ -1,10 +1,10 @@
 // Online reducers: the per-instance analysis state as fold operations over
 // single events, so one pass over the stream — during execution, not after it
-// — produces the same figures the batch pipeline derives from a retained
-// trace. StreamStats folds events into Stats; StreamSegmenter is the run
-// segmentation of runs.go re-expressed as a state machine that emits each
-// maximal run the moment the next event closes it, holding only the open run.
-// The batch entry points (Profile.Stats, Profile.RunsWith) are thin drivers
+// — produces the figures a pass over a retained trace would. StreamStats
+// folds events into Stats; StreamSegmenter is the run segmentation of
+// runs.go re-expressed as a state machine that emits each maximal run the
+// moment the next event closes it, holding only the open run. The per-event
+// profile view's methods (Profile.Stats, Profile.RunsWith) are thin drivers
 // over these reducers, so there is exactly one implementation of the paper's
 // semantics.
 package profile

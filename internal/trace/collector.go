@@ -12,8 +12,8 @@ import (
 // Recorder that producers feed concurrently, a Close that flushes and seals
 // the store, an EventSource that hands the merged stream back for post-mortem
 // analysis, and Stats describing what the collection pipeline itself did.
-// AsyncCollector is the single-shard case; ShardedCollector partitions by
-// instance across several buffers and drain goroutines.
+// ShardedCollector implements it, partitioning by instance across one or
+// more buffers and drain goroutines.
 type Collector interface {
 	Recorder
 	EventSource
@@ -34,7 +34,7 @@ type Collector interface {
 // minus Dropped is exactly the number of events in the store — nothing is
 // ever silently lost.
 type CollectorStats struct {
-	Shards    int           // number of shards (1 for AsyncCollector)
+	Shards    int           // number of shards
 	Buffer    int           // per-shard channel capacity
 	Policy    string        // overload policy: block, drop, or sample:N
 	Events    uint64        // total events recorded (delivered + dropped)
@@ -47,10 +47,10 @@ type CollectorStats struct {
 	DroppedAfterClose uint64
 
 	// Per-shard breakdowns, indexed by shard. Events are partitioned by
-	// InstanceID, so a skewed ShardEvents distribution means a few hot
+	// InstanceID, so a skewed ShardRecorded distribution means a few hot
 	// instances dominate the trace. ShardDropped counts overload drops only;
 	// after-close drops are reported in the collector-wide counter.
-	ShardEvents    []uint64
+	ShardRecorded  []uint64
 	ShardDropped   []uint64
 	ShardHighWater []int // max queue length observed per shard
 	ShardBlock     []time.Duration
@@ -76,9 +76,9 @@ func (cs CollectorStats) Write(w io.Writer) error {
 		cs.Shards, cs.Buffer, policy, cs.Events, cs.Dropped, cs.DroppedAfterClose, cs.BlockTime); err != nil {
 		return err
 	}
-	for i := range cs.ShardEvents {
+	for i := range cs.ShardRecorded {
 		line := fmt.Sprintf("  shard %d: %d events, queue high-water %d/%d, block %s",
-			i, cs.ShardEvents[i], cs.ShardHighWater[i], cs.Buffer, cs.ShardBlock[i])
+			i, cs.ShardRecorded[i], cs.ShardHighWater[i], cs.Buffer, cs.ShardBlock[i])
 		if i < len(cs.ShardDropped) && cs.ShardDropped[i] > 0 {
 			line += fmt.Sprintf(", dropped %d", cs.ShardDropped[i])
 		}

@@ -123,7 +123,7 @@ func (b *ColumnBatch) AppendRange(src *ColumnBatch, i, j int) {
 }
 
 // AppendTo inflates events [i, j) onto dst — the compatibility bridge for
-// consumers that still want []Event (batch analysis, charts, v2 writers).
+// consumers that still want []Event (Feed, charts, v2 writers).
 func (b *ColumnBatch) AppendTo(dst []Event, i, j int) []Event {
 	if n := j - i; cap(dst)-len(dst) < n {
 		grown := make([]Event, len(dst), len(dst)+n)

@@ -396,6 +396,10 @@ type CollectorServer struct {
 	active    int
 	completed int
 	closed    bool
+	// aborted is set by Abort under mu. A connection the accept loop
+	// registers after Abort took its snapshot of open would otherwise be
+	// served with nobody left to tear it down.
+	aborted bool
 
 	wg      sync.WaitGroup
 	closing chan struct{}
@@ -502,6 +506,11 @@ func (cs *CollectorServer) acceptLoop() {
 		delay = 0
 
 		cs.mu.Lock()
+		if cs.aborted {
+			cs.mu.Unlock()
+			conn.Close()
+			return
+		}
 		if cs.opts.MaxConns > 0 && cs.active >= cs.opts.MaxConns {
 			cs.rejected++
 			cs.mu.Unlock()
@@ -777,6 +786,7 @@ func (cs *CollectorServer) shutdown(kill bool) error {
 	cs.closed = true
 	var open []net.Conn
 	if kill {
+		cs.aborted = true
 		open = make([]net.Conn, 0, len(cs.open))
 		for conn := range cs.open {
 			open = append(open, conn)

@@ -110,7 +110,7 @@ func TestBatchRecorderOwnership(t *testing.T) {
 	})
 
 	t.Run("async", func(t *testing.T) {
-		c := NewAsyncCollectorSize(1 << 12)
+		c := NewShardedCollectorSize(1, 1<<12)
 		batch := ownershipBatch(n)
 		RecordAll(c, batch)
 		clobber(batch)

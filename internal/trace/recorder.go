@@ -28,7 +28,7 @@ type EventSource interface {
 // NOT retain the slice (or any sub-slice of it) after returning — the caller
 // (a Producer, a socket buffer, a replaying spill file) overwrites it
 // immediately. An implementation that needs the events past return — because
-// it hands them to another goroutine (AsyncCollector, ShardedCollector), or
+// it hands them to another goroutine (ShardedCollector), or
 // stores them (MemRecorder) — must copy them out synchronously, before
 // RecordBatch returns. Forwarding the same slice to a nested recorder within
 // the call (TeeRecorder, FilterRecorder) is fine: the contract transfers,

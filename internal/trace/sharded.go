@@ -13,17 +13,23 @@ import (
 	"dsspy/internal/obs"
 )
 
-// ShardedCollector partitions the event stream by InstanceID into N shards,
-// each with its own buffer and drain goroutine. Producers touching different
-// instances never contend on a shared channel, which removes the
-// single-channel bottleneck AsyncCollector has under multi-goroutine
-// workloads; all events of one instance land in exactly one shard, so the
-// analysis side can build profiles shard-locally without a global merge
-// (core.AnalyzeCollector consumes ShardEvents in place).
+// ShardedCollector is the paper's collector design (§IV): producers hand
+// events over asynchronous communication to separate consumers, so the
+// instrumented program is never blocked on analysis or I/O. It partitions
+// the event stream by InstanceID into N shards, each with its own buffer and
+// drain goroutine; the one-shard case is the paper's single-channel
+// collector. Producers touching different instances never contend on a
+// shared channel, and all events of one instance land in exactly one shard,
+// so a streaming sink folds each instance shard-locally.
 //
 // Producers call Record; Close flushes every shard and stops the drain
 // goroutines. Events merges the shards back into one Seq-ordered stream for
 // callers that need the flat post-mortem view (session logs, replay).
+
+// DefaultAsyncBuffer is the default per-shard channel capacity. Large enough
+// that bursts (tight instrumented loops) rarely block the producer, small
+// enough not to dominate memory.
+const DefaultAsyncBuffer = 1 << 16
 
 // OverloadPolicy decides what happens when a producer finds its shard's
 // buffer full. Whatever the choice, every event is accounted for:
@@ -414,7 +420,7 @@ func NewShardedCollectorOpts(n, buf int, policy OverloadPolicy) *ShardedCollecto
 // event batches to sink (may be nil). retain controls whether events are also
 // kept in the per-shard stores for post-mortem access; a streaming consumer
 // passes retain=false so memory stays bounded by its own reducer state. With
-// retain=false, Events/ShardEvents return nothing — the sink is the only
+// retain=false, Events returns nothing — the sink is the only
 // destination — while the Stats accounting is unchanged.
 func NewStreamingShardedCollector(n, buf int, policy OverloadPolicy, retain bool, sink ShardSink) *ShardedCollector {
 	if n <= 0 {
@@ -499,7 +505,7 @@ func (c *ShardedCollector) Close() {
 
 // merge builds, once, the Seq-ordered union of all shard stores. Only called
 // after Close, when the drain goroutines have stopped; the single-shard case
-// sorts the store in place so AsyncCollector pays no merge copy. Each shard
+// sorts the store in place and pays no merge copy. Each shard
 // store arrives near-sorted (producers enqueue in Seq order; only cross-
 // producer interleaving perturbs it), so each is cheaply sorted in place and
 // the sorted column runs are combined with the span-copying k-way heap merge
@@ -615,38 +621,6 @@ func (c *ShardedCollector) MergedColumns() *ColumnBatch {
 	return c.merge()
 }
 
-// ShardColumns returns the per-shard columnar stores without copying. Only
-// valid after Close (nil before); the batches are read-only. Because events
-// are partitioned by instance, analysis can fold these shard-locally without
-// a global merge.
-func (c *ShardedCollector) ShardColumns() []*ColumnBatch {
-	if !c.closed.Load() {
-		return nil
-	}
-	out := make([]*ColumnBatch, len(c.shards))
-	for i, sh := range c.shards {
-		out[i] = &sh.cols
-	}
-	return out
-}
-
-// ShardEvents returns the per-shard stores inflated to []Event slices. Only
-// valid after Close (nil before). The canonical store is columnar, so each
-// call materializes fresh copies; the batch analysis path still consumes
-// this shard-local form to build profiles without a global merge.
-func (c *ShardedCollector) ShardEvents() [][]Event {
-	if !c.closed.Load() {
-		return nil
-	}
-	out := make([][]Event, len(c.shards))
-	for i, sh := range c.shards {
-		if n := sh.cols.Len(); n > 0 {
-			out[i] = sh.cols.Events(make([]Event, 0, n))
-		}
-	}
-	return out
-}
-
 // NumShards returns the number of shards.
 func (c *ShardedCollector) NumShards() int { return len(c.shards) }
 
@@ -669,14 +643,14 @@ func (c *ShardedCollector) Stats() CollectorStats {
 		Shards:         len(c.shards),
 		Buffer:         c.buf,
 		Policy:         c.policy.String(),
-		ShardEvents:    make([]uint64, len(c.shards)),
+		ShardRecorded:  make([]uint64, len(c.shards)),
 		ShardDropped:   make([]uint64, len(c.shards)),
 		ShardHighWater: make([]int, len(c.shards)),
 		ShardBlock:     make([]time.Duration, len(c.shards)),
 	}
 	for i, sh := range c.shards {
 		n := sh.count.Load()
-		cs.ShardEvents[i] = n
+		cs.ShardRecorded[i] = n
 		cs.Events += n
 		d := sh.dropped.Load()
 		cs.ShardDropped[i] = d

@@ -17,20 +17,13 @@ func TestShardedCollectorPartitionsByInstance(t *testing.T) {
 	for i := 0; i < n; i++ {
 		c.Record(Event{Seq: uint64(i + 1), Instance: InstanceID(i % 7), Op: OpRead})
 	}
-	if got := c.ShardEvents(); got != nil {
-		t.Fatalf("ShardEvents before Close = %v, want nil", got)
-	}
 	c.Close()
-	per := c.ShardEvents()
-	if len(per) != shards {
-		t.Fatalf("ShardEvents returned %d shards, want %d", len(per), shards)
-	}
 	total := 0
-	for si, evs := range per {
-		total += len(evs)
-		for _, e := range evs {
-			if int(e.Instance)%shards != si {
-				t.Fatalf("instance %d landed in shard %d", e.Instance, si)
+	for si, sh := range c.shards {
+		total += sh.cols.Len()
+		for _, id := range sh.cols.Instance {
+			if int(id)%shards != si {
+				t.Fatalf("instance %d landed in shard %d", id, si)
 			}
 		}
 	}
@@ -115,8 +108,8 @@ func TestShardedCollectorStats(t *testing.T) {
 		t.Fatalf("stats events = %d, want %d", cs.Events, 2*n)
 	}
 	var sum uint64
-	for i := range cs.ShardEvents {
-		sum += cs.ShardEvents[i]
+	for i := range cs.ShardRecorded {
+		sum += cs.ShardRecorded[i]
 		if cs.ShardHighWater[i] < 0 || cs.ShardHighWater[i] > 4 {
 			t.Fatalf("shard %d high-water %d out of [0,4]", i, cs.ShardHighWater[i])
 		}
@@ -130,7 +123,7 @@ func TestShardedCollectorStats(t *testing.T) {
 // behavior of re-sorting the full copy on every Events call: Close must seal
 // the sequence order so that Events afterwards is one copy, no sort.
 func TestAsyncCollectorSortsOnceAtClose(t *testing.T) {
-	c := NewAsyncCollectorSize(1 << 12)
+	c := NewShardedCollectorSize(1, 1<<12)
 	// Feed sequence numbers in shuffled order, as interleaved producers
 	// would.
 	perm := rand.New(rand.NewSource(7)).Perm(2000)
@@ -167,7 +160,7 @@ func TestAsyncCollectorSortsOnceAtClose(t *testing.T) {
 }
 
 func TestAsyncCollectorStats(t *testing.T) {
-	c := NewAsyncCollector()
+	c := NewShardedCollector(1)
 	for i := 0; i < 100; i++ {
 		c.Record(Event{Seq: uint64(i + 1), Instance: 1, Op: OpWrite})
 	}

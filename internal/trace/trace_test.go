@@ -248,8 +248,10 @@ func TestTeeAndFilterRecorders(t *testing.T) {
 	}
 }
 
+// The AsyncCollector tests cover the paper's single-channel asynchronous
+// collector, which is the one-shard ShardedCollector.
 func TestAsyncCollectorBasic(t *testing.T) {
-	c := NewAsyncCollector()
+	c := NewShardedCollector(1)
 	s := NewSessionWith(Options{Recorder: c})
 	id := s.Register(KindList, "List[int]", "", 0)
 	const n = 10000
@@ -269,7 +271,7 @@ func TestAsyncCollectorBasic(t *testing.T) {
 }
 
 func TestAsyncCollectorConcurrentProducers(t *testing.T) {
-	c := NewAsyncCollectorSize(64) // small buffer to force producer blocking
+	c := NewShardedCollectorSize(1, 64) // small buffer to force producer blocking
 	s := NewSessionWith(Options{Recorder: c})
 	id := s.Register(KindList, "List[int]", "", 0)
 	const workers, perWorker = 4, 2000
@@ -477,6 +479,9 @@ func TestSocketCollectorMultipleProducers(t *testing.T) {
 		}(rec, id)
 	}
 	wg.Wait()
+	// Close cuts connections still waiting in the listen backlog, so wait
+	// for every producer stream to be accepted and finished first.
+	srv.WaitStreams(producers)
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}

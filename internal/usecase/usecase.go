@@ -311,7 +311,7 @@ func DetectWithSummary(p *profile.Profile, sum *pattern.Summary, th Thresholds) 
 		u.Pattern(pat)
 	}
 	// The cross-thread summary is only consulted for multi-thread profiles,
-	// so single-threaded batch analysis never pays the contention fold.
+	// so single-threaded profiles never pay the contention fold.
 	var ct *profile.Contention
 	if st.Threads > 1 {
 		ct = p.Contention()

@@ -9,21 +9,24 @@ import (
 	"dsspy/internal/trace"
 )
 
+// reportForHTML records a workload in memory and analyzes it, so the report
+// carries the per-event profiles the charts draw.
 func reportForHTML() *core.Report {
-	return core.New().Run(func(s *trace.Session) {
-		l := dstruct.NewListLabeled[int](s, "work items")
-		for c := 0; c < 12; c++ {
-			for i := 0; i < 150; i++ {
-				l.Add(i)
-			}
-			for i := 0; i < l.Len(); i++ {
-				l.Get(i)
-			}
-			l.Clear()
+	rec := trace.NewMemRecorder()
+	s := trace.NewSessionWith(trace.Options{Recorder: rec, CaptureSites: true})
+	l := dstruct.NewListLabeled[int](s, "work items")
+	for c := 0; c < 12; c++ {
+		for i := 0; i < 150; i++ {
+			l.Add(i)
 		}
-		quiet := dstruct.NewListLabeled[int](s, "quiet <list>")
-		quiet.Add(1)
-	})
+		for i := 0; i < l.Len(); i++ {
+			l.Get(i)
+		}
+		l.Clear()
+	}
+	quiet := dstruct.NewListLabeled[int](s, "quiet <list>")
+	quiet.Add(1)
+	return core.New().Analyze(s, rec.Events())
 }
 
 func TestWriteHTMLReport(t *testing.T) {

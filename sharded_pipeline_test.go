@@ -55,9 +55,9 @@ func shardedWorkload(s *trace.Session) {
 // TestShardedCollectorConcurrencyLossless is the concurrency coverage for
 // the sharded pipeline: 8 goroutines of instrumented containers on a
 // ShardedCollector must lose no event (the merged stream is a gap-free
-// sequence), and the parallel analysis of the shards must render the same
-// report bytes as the sequential pipeline over the identical flat stream.
-// Run it under -race.
+// sequence), and folding the collector's merged columns must render the
+// same report bytes as the sequential event-slice analysis of the identical
+// stream. Run it under -race.
 func TestShardedCollectorConcurrencyLossless(t *testing.T) {
 	mem := trace.NewMemRecorder()
 	sharded := trace.NewShardedCollectorSize(4, 512)
@@ -82,10 +82,19 @@ func TestShardedCollectorConcurrencyLossless(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Workers = 1
 	seq := NewReportBytes(t, core.NewWith(cfg).Analyze(s, mem.Events()))
-	par := NewReportBytes(t, core.New().AnalyzeCollector(s, sharded))
+	par := NewReportBytes(t, analyzeColumns(s, sharded))
 	if !bytes.Equal(seq, par) {
-		t.Fatalf("parallel pipeline report differs from sequential:\n--- sequential ---\n%s\n--- parallel ---\n%s", seq, par)
+		t.Fatalf("columnar report differs from sequential:\n--- sequential ---\n%s\n--- columnar ---\n%s", seq, par)
 	}
+}
+
+// analyzeColumns folds a closed collector's merged column store through the
+// stream analyzer's columnar lane.
+func analyzeColumns(s *trace.Session, col *trace.ShardedCollector) *core.Report {
+	sa := core.New().NewStreamAnalyzer(0)
+	sa.Attach(s)
+	sa.FeedColumns(col.MergedColumns())
+	return sa.Close()
 }
 
 func NewReportBytes(t *testing.T, rep *core.Report) []byte {
@@ -101,14 +110,14 @@ func NewReportBytes(t *testing.T, rep *core.Report) []byte {
 }
 
 // TestReplayRoundtripParallelPipeline saves a session collected by the
-// sharded collector and re-analyzes the replay through the parallel
-// pipeline; the findings must match the original run exactly.
+// sharded collector and re-analyzes the replay; the findings must match the
+// original run exactly.
 func TestReplayRoundtripParallelPipeline(t *testing.T) {
 	col := dsspy.NewShardedCollector(4)
 	s := trace.NewSessionWith(trace.Options{Recorder: col, CaptureSites: true})
 	shardedWorkload(s)
 	col.Close()
-	orig := core.New().AnalyzeCollector(s, col)
+	orig := analyzeColumns(s, col)
 
 	path := filepath.Join(t.TempDir(), "run.dslog")
 	if err := dsspy.SaveSession(path, s, col.Events()); err != nil {

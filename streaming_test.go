@@ -14,50 +14,57 @@ import (
 	"dsspy/internal/trace"
 )
 
-// The streaming differential suite: the incremental analyzer must render
-// byte-identical reports (text + JSON) to the batch pipeline for every
-// corpus workload, every evaluation app, concurrent producers, mid-run
-// snapshots, and salvaged event logs.
+// The streaming differential suite: events reach the one analysis engine
+// along several lanes — a live collector draining column batches into
+// FeedShard (Run), a recorded []Event slice folded through Feed (Analyze),
+// and column batches from a log (FeedColumns). Every lane must render
+// byte-identical reports (text + JSON) for every corpus workload, every
+// evaluation app, concurrent producers, mid-run snapshots, and salvaged
+// event logs.
+
+// runBothLanes profiles a deterministic workload twice: once through Run's
+// collector lane and once recorded in memory and folded through Analyze.
+func runBothLanes(t *testing.T, workload func(*trace.Session)) (collected, fed []byte) {
+	t.Helper()
+	collected = NewReportBytes(t, core.New().Run(workload))
+	mem := trace.NewMemRecorder()
+	s := trace.NewSessionWith(trace.Options{Recorder: mem, CaptureSites: true})
+	workload(s)
+	fed = NewReportBytes(t, core.New().Analyze(s, mem.Events()))
+	return collected, fed
+}
 
 // TestStreamingDifferentialCorpus runs every dynamic-study program through
-// the batch and the streaming entry points and compares the rendered report
-// bytes. The behaviors are deterministic and single-threaded, so running the
-// workload twice yields the same event stream.
+// the collector lane and the event-slice lane and compares the rendered
+// report bytes. The behaviors are deterministic and single-threaded, so
+// running the workload twice yields the same event stream.
 func TestStreamingDifferentialCorpus(t *testing.T) {
 	progs := append(corpus.PatternStudyPrograms(), corpus.UseCaseStudyPrograms()...)
 	for _, p := range progs {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
-			workload := func(s *trace.Session) {
+			collected, fed := runBothLanes(t, func(s *trace.Session) {
 				for _, b := range p.Mix.Behaviors(p.Name) {
 					b(s)
 				}
-			}
-			batch := NewReportBytes(t, core.New().Run(workload))
-			streamed := NewReportBytes(t, core.New().RunStreamed(workload))
-			if !bytes.Equal(batch, streamed) {
-				t.Fatalf("%s: streamed report differs from batch:\n--- batch ---\n%s\n--- streamed ---\n%s",
-					p.Name, batch, streamed)
+			})
+			if !bytes.Equal(collected, fed) {
+				t.Fatalf("%s: Analyze report differs from Run:\n--- Run ---\n%s\n--- Analyze ---\n%s",
+					p.Name, collected, fed)
 			}
 		})
 	}
 }
 
-// TestStreamingDifferentialApps covers the evaluation programs: RunStreamed
-// must match both Run and RunSharded byte for byte.
+// TestStreamingDifferentialApps covers the evaluation programs the same way.
 func TestStreamingDifferentialApps(t *testing.T) {
 	for _, app := range apps.Apps() {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
-			batch := NewReportBytes(t, core.New().Run(app.Instrumented))
-			sharded := NewReportBytes(t, core.New().RunSharded(app.Instrumented))
-			streamed := NewReportBytes(t, core.New().RunStreamed(app.Instrumented))
-			if !bytes.Equal(batch, sharded) {
-				t.Fatalf("%s: sharded report differs from batch", app.Name)
-			}
-			if !bytes.Equal(batch, streamed) {
-				t.Fatalf("%s: streamed report differs from batch:\n--- batch ---\n%s\n--- streamed ---\n%s",
-					app.Name, batch, streamed)
+			collected, fed := runBothLanes(t, app.Instrumented)
+			if !bytes.Equal(collected, fed) {
+				t.Fatalf("%s: Analyze report differs from Run:\n--- Run ---\n%s\n--- Analyze ---\n%s",
+					app.Name, collected, fed)
 			}
 		})
 	}
@@ -65,9 +72,9 @@ func TestStreamingDifferentialApps(t *testing.T) {
 
 // TestStreamingConcurrentProducers is the race-mode differential: one
 // execution of the 8-goroutine workload is teed into a memory recorder (for
-// the batch pipeline) and the streaming analyzer's collector, so both sides
-// see the identical stream, thread ids included. Run under -race via `make
-// check`.
+// the event-slice lane) and the streaming analyzer's collector, so both
+// sides see the identical stream, thread ids included. Run under -race via
+// `make check`.
 func TestStreamingConcurrentProducers(t *testing.T) {
 	sa := core.New().NewStreamAnalyzer(4)
 	scol := sa.Collector(512, trace.Block(), false)
@@ -89,11 +96,11 @@ func TestStreamingConcurrentProducers(t *testing.T) {
 		t.Fatalf("serialized same-instance access must fold in order; got %d out-of-order events", ooo)
 	}
 
-	batch := NewReportBytes(t, core.New().Analyze(s, mem.Events()))
+	fed := NewReportBytes(t, core.New().Analyze(s, mem.Events()))
 	streamed := NewReportBytes(t, streamedRep)
-	if !bytes.Equal(batch, streamed) {
-		t.Fatalf("streamed report differs from batch under 8 producers:\n--- batch ---\n%s\n--- streamed ---\n%s",
-			batch, streamed)
+	if !bytes.Equal(fed, streamed) {
+		t.Fatalf("collector-lane report differs from Analyze under 8 producers:\n--- Analyze ---\n%s\n--- collector ---\n%s",
+			fed, streamed)
 	}
 }
 
@@ -129,17 +136,18 @@ func TestStreamingSnapshotMidRun(t *testing.T) {
 
 	sa.Feed(events[half:]...)
 	final := NewReportBytes(t, sa.Close())
-	batch := NewReportBytes(t, core.New().Analyze(s, events))
-	if !bytes.Equal(batch, final) {
-		t.Fatalf("final report after mid-run snapshot differs from batch:\n--- batch ---\n%s\n--- streamed ---\n%s",
-			batch, final)
+	whole := NewReportBytes(t, core.New().Analyze(s, events))
+	if !bytes.Equal(whole, final) {
+		t.Fatalf("final report after mid-run snapshot differs from an undisturbed run:\n--- undisturbed ---\n%s\n--- snapshotted ---\n%s",
+			whole, final)
 	}
 }
 
 // TestStreamingRecoverDamagedLog replays a salvaged session log through the
 // streaming analyzer: save a real workload's log, chop its tail (losing the
-// registry and end marker), salvage with RecoverSession, and assert the
-// streaming analysis of the salvaged events matches the batch analysis.
+// registry and end marker), salvage it both as events (RecoverSession, fed
+// through Feed) and as column batches (RecoverSessionColumns, fed through
+// FeedColumns), and assert both lanes render the same report.
 func TestStreamingRecoverDamagedLog(t *testing.T) {
 	mem := trace.NewMemRecorder()
 	s := trace.NewSessionWith(trace.Options{Recorder: mem, CaptureSites: true})
@@ -185,13 +193,20 @@ func TestStreamingRecoverDamagedLog(t *testing.T) {
 		t.Fatal("salvage recovered no events; the fixture should keep its event frames")
 	}
 
+	fed := NewReportBytes(t, core.New().Analyze(rs, revs))
+
+	cs, cols, _, err := dsspy.RecoverSessionColumns(path)
+	if err != nil {
+		t.Fatalf("columnar recovery errored: %v", err)
+	}
 	sa := core.New().NewStreamAnalyzer(0)
-	sa.Attach(rs)
-	sa.Feed(revs...)
-	streamed := NewReportBytes(t, sa.Close())
-	batch := NewReportBytes(t, core.New().Analyze(rs, revs))
-	if !bytes.Equal(batch, streamed) {
-		t.Fatalf("streamed analysis of salvaged log differs from batch:\n--- batch ---\n%s\n--- streamed ---\n%s",
-			batch, streamed)
+	sa.Attach(cs)
+	for _, b := range cols {
+		sa.FeedColumns(b)
+	}
+	columnar := NewReportBytes(t, sa.Close())
+	if !bytes.Equal(fed, columnar) {
+		t.Fatalf("columnar analysis of salvaged log differs from the event lane:\n--- events ---\n%s\n--- columns ---\n%s",
+			fed, columnar)
 	}
 }
