@@ -44,6 +44,9 @@ func main() {
 	if err := sock.Close(); err != nil {
 		fatal(err)
 	}
+	// Close cuts a connection still waiting in the listen backlog, so wait
+	// for the producer stream to be accepted and finished first.
+	srv.WaitStreams(1)
 	if err := srv.Close(); err != nil {
 		fatal(err)
 	}

@@ -326,6 +326,12 @@ func (rr *ResilientRecorder) reconnectLoop(loopDone chan struct{}) {
 		}
 		sock, err := rr.connect()
 		if err == nil {
+			// Count the reconnect when the dial succeeds: the replay below
+			// may already deliver events even if Close wins the race to
+			// install the connection.
+			rr.mu.Lock()
+			rr.reconnects++
+			rr.mu.Unlock()
 			err = rr.replayAndInstall(sock)
 			if err == nil {
 				rr.log.Info("resilient recorder: reconnected", "attempts", attempts+1)
@@ -376,7 +382,6 @@ func (rr *ResilientRecorder) replayAndInstall(sock *SocketRecorder) error {
 		if sp == nil {
 			// Nothing (left) to replay: go live.
 			rr.sock = sock
-			rr.reconnects++
 			rr.reconnecting = false
 			rr.mu.Unlock()
 			return nil
@@ -410,13 +415,17 @@ func (rr *ResilientRecorder) replayFile(path string, wrote uint64, sock *SocketR
 		os.Remove(path)
 		return nil
 	}
+	// The recovered events stay counted on disk until the send below has
+	// moved them to delivered (or back to a spill) under one lock, so a
+	// Stats snapshot taken mid-replay — Close does not wait for the
+	// reconnect loop — still balances.
 	recovered := uint64(len(events))
-	rr.mu.Lock()
-	rr.onDisk -= min64(rr.onDisk, wrote)
 	if wrote > recovered {
+		rr.mu.Lock()
+		rr.onDisk -= min64(rr.onDisk, wrote-recovered)
 		rr.dropped += wrote - recovered
+		rr.mu.Unlock()
 	}
-	rr.mu.Unlock()
 
 	// Replay in BatchSize chunks — the same granularity as live traffic —
 	// not one giant MaxBatch frame. A replay frame larger than the link
@@ -440,6 +449,7 @@ func (rr *ResilientRecorder) replayFile(path string, wrote uint64, sock *SocketR
 		sent += n
 	}
 	rr.mu.Lock()
+	rr.onDisk -= min64(rr.onDisk, recovered)
 	rr.delivered += uint64(sent)
 	rr.replayed += uint64(sent)
 	if sendErr != nil {

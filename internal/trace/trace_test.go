@@ -439,6 +439,7 @@ func TestSocketCollectorRoundTrip(t *testing.T) {
 	if err := rec.Close(); err != nil {
 		t.Fatalf("closing producer: %v", err)
 	}
+	srv.WaitStreams(1) // Close would cut a stream still in the listen backlog
 	if err := srv.Close(); err != nil {
 		t.Fatalf("closing server: %v", err)
 	}
