@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check build vet test race bench bench-obs bench-hotpath bench-columnar bench-contend bench-sample bench-floor inline-guard smoke-obs chaos fuzz-smoke clean
+.PHONY: check build vet fmt-check test race bench bench-obs bench-hotpath bench-columnar bench-contend bench-sample bench-floor inline-guard smoke-obs chaos fuzz-smoke clean
 
-## check: everything CI runs — build, vet, full tests, race tests on the
+## check: everything CI runs — build, vet, gofmt, full tests, race tests on the
 ## concurrent packages, the golden reports and the lane and hot-path
 ## differentials under the race detector, the hot-path acceptance gate, the
 ## live /metrics + /statusz smoke, and a short fuzz pass over the salvaging
@@ -10,6 +10,7 @@ GO ?= go
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
+	$(MAKE) fmt-check
 	$(GO) test ./...
 	$(GO) test -race ./internal/obs/... ./internal/trace/... ./internal/core/... ./internal/par/... ./internal/sample/... ./cmd/dsspy/
 	$(GO) test -race -run 'Golden|Streaming|HotPath|Columnar|Contend|Contention|Sample' .
@@ -28,6 +29,13 @@ build:
 vet:
 	$(GO) vet ./...
 
+## fmt-check: fails listing every Go file gofmt would rewrite (the
+## benchmark's build directory is skipped).
+fmt-check:
+	@out=$$(gofmt -l . | grep -v '^\.bench_build/'); \
+	if [ -n "$$out" ]; then echo "fmt-check: gofmt -l flags:"; echo "$$out"; exit 1; fi; \
+	echo "fmt-check: gofmt clean"
+
 test:
 	$(GO) test ./...
 
@@ -38,10 +46,11 @@ race:
 
 ## bench: the sharded-collection and streaming-pipeline benchmarks from
 ## EXPERIMENTS.md (the live-heap-MB metric must stay flat when the event
-## count doubles from 1M to 2M), plus the overload-policy producer-latency
-## comparison.
+## count doubles from 1M to 2M), the overload-policy producer-latency
+## comparison, and the daemon's tenant read (merge and render of a full
+## closed-window ring plus the open window).
 bench:
-	$(GO) test -run xxx -bench 'Collect1M|Pipeline[12]MStreamed|Overload' -benchmem -benchtime 5x -count 5 .
+	$(GO) test -run xxx -bench 'Collect1M|Pipeline[12]MStreamed|Overload|DaemonTenantReport' -benchmem -benchtime 5x -count 5 . ./internal/core/
 
 ## bench-obs: the observability-plane overhead pair — producer-side Record
 ## cost with the plane off vs fully on (self-tracer, queue-depth sampling,
@@ -61,10 +70,11 @@ bench-hotpath:
 	$(GO) test ./internal/trace/ -run xxx -bench 'HotPath|GoidLookup|MergeKWay1M|MergeGlobalSort1M' -benchmem -benchtime 2x -count 1
 
 ## bench-columnar: the columnar engine's acceptance gates and benchmarks.
-## Gates (DSSPY_COLUMNAR_GATE=1): streaming fold throughput over column
-## batches must be ≥2× the []Event path on a phase-structured 2M-event
-## workload, and a full v3-log columnar replay must allocate ≤1/3 the
-## bytes/event of the inflating load-and-feed path. The zero-alloc decode
+## Gates (DSSPY_COLUMNAR_GATE=1): Feed — the []Event ingress, a scatter onto
+## a scratch column batch ahead of the columnar fold — must cost ≤1.5× the
+## FeedColumns fold on a phase-structured 2M-event workload, and a full
+## v3-log columnar replay must allocate ≤1/3 the bytes/event of the
+## inflating load-and-feed path. The zero-alloc decode
 ## assertion (TestReadColumnsZeroAlloc) runs unconditionally in `make test`.
 ## Benchmarks: columnar vs []Event replay and fold, and the batch-run k-way
 ## merge vs the event-slice merge at 1M events.

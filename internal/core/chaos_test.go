@@ -112,8 +112,8 @@ func TestChaosMidFrameCut(t *testing.T) {
 		Dial: faultnet.FlakyDialer(func() (net.Conn, error) {
 			return net.Dial("tcp", cs.Addr().String())
 		}, 0, faultnet.Options{FailAfterBytes: 900}),
-		SpillDir:  t.TempDir(),
-		BatchSize: 50,
+		SpillDir:    t.TempDir(),
+		BatchSize:   50,
 		BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond,
 		Hello: &trace.Hello{Tenant: "alpha"},
 	})
@@ -160,8 +160,8 @@ func TestChaosCorruptFrames(t *testing.T) {
 		Dial: faultnet.FlakyDialer(func() (net.Conn, error) {
 			return net.Dial("tcp", cs.Addr().String())
 		}, 0, faultnet.Options{CorruptEveryN: 3}),
-		SpillDir:  t.TempDir(),
-		BatchSize: 50,
+		SpillDir:    t.TempDir(),
+		BatchSize:   50,
 		BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond,
 		WriteTimeout: 500 * time.Millisecond,
 		Hello:        &trace.Hello{Tenant: "alpha"},
@@ -288,8 +288,8 @@ func TestChaosSpillDiskFull(t *testing.T) {
 		Network: "tcp", Addr: "127.0.0.1:1", // nothing listens here
 		SpillDir:    notADir,
 		BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond,
-		MaxRetries:  2,
-		Hello:       &trace.Hello{Tenant: "alpha"},
+		MaxRetries: 2,
+		Hello:      &trace.Hello{Tenant: "alpha"},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -278,14 +278,17 @@ func (r *Report) SearchSpace() SearchSpace {
 		}
 	}
 	flagged := make(map[trace.InstanceID]bool)
-	for _, u := range r.UseCases() {
-		ss.Referred++
-		switch u.Instance.Kind {
-		case trace.KindList, trace.KindArray, trace.KindLinkedList, trace.KindSortedList:
-			// Only linear instances are part of the paper's list/array
-			// search space; contention findings on dictionaries don't
-			// shrink (or inflate) it.
-			flagged[u.Instance.ID] = true
+	for _, ir := range r.Instances {
+		for k := range ir.UseCases {
+			u := &ir.UseCases[k]
+			ss.Referred++
+			switch u.Instance.Kind {
+			case trace.KindList, trace.KindArray, trace.KindLinkedList, trace.KindSortedList:
+				// Only linear instances are part of the paper's list/array
+				// search space; contention findings on dictionaries don't
+				// shrink (or inflate) it.
+				flagged[u.Instance.ID] = true
+			}
 		}
 	}
 	ss.Flagged = len(flagged)
@@ -334,37 +337,18 @@ func (r *Report) InstancesWithUseCases() []trace.Instance {
 // case with the class/method, position, data structure and use-case name,
 // followed by the recommended action.
 func (r *Report) Write(w io.Writer) error {
-	ucs := r.UseCases()
-	if len(ucs) == 0 {
-		_, err := fmt.Fprintln(w, "No use cases detected.")
-		return err
-	}
-	for i, u := range ucs {
-		site := u.Instance.Site
-		if _, err := fmt.Fprintf(w,
-			"Use Case %d\n  Function:       %s\n  Position:       %s:%d\n  Data structure: %s%s\n  Use Case:       %s\n  Evidence:       %s\n  Recommendation: %s\n",
-			i+1,
-			orUnknown(site.Function),
-			filepath.Base(orUnknown(site.File)), site.Line,
-			u.Instance.TypeName, labelSuffix(u.Instance.Label),
-			u.Kind,
-			u.Evidence,
-			u.Recommendation,
-		); err != nil {
-			return err
-		}
-		// Only lossy streams print a confidence line: a full-fidelity
-		// detection is exact, and its block stays byte-identical.
-		if u.Bound > 0 {
-			if _, err := fmt.Fprintf(w,
-				"  Confidence:     %.1f%% (sampling error bound %.4f)\n",
-				100*u.Confidence(), u.Bound); err != nil {
+	n := 0
+	for _, ir := range r.Instances {
+		for k := range ir.UseCases {
+			n++
+			if err := writeUseCase(w, n, &ir.UseCases[k]); err != nil {
 				return err
 			}
 		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
+	}
+	if n == 0 {
+		_, err := fmt.Fprintln(w, "No use cases detected.")
+		return err
 	}
 	for _, ir := range r.Instances {
 		if ir.Shared.Contended() {
@@ -388,6 +372,34 @@ func (r *Report) Write(w io.Writer) error {
 	ss := r.SearchSpace()
 	_, err := fmt.Fprintf(w, "Search space: %d of %d list/array instances remain (reduction %.2f%%).\n",
 		ss.Flagged, ss.Total, 100*ss.Reduction())
+	return err
+}
+
+// writeUseCase renders use case number i as one Table V block.
+func writeUseCase(w io.Writer, i int, u *usecase.UseCase) error {
+	site := u.Instance.Site
+	if _, err := fmt.Fprintf(w,
+		"Use Case %d\n  Function:       %s\n  Position:       %s:%d\n  Data structure: %s%s\n  Use Case:       %s\n  Evidence:       %s\n  Recommendation: %s\n",
+		i,
+		orUnknown(site.Function),
+		filepath.Base(orUnknown(site.File)), site.Line,
+		u.Instance.TypeName, labelSuffix(u.Instance.Label),
+		u.Kind,
+		u.Evidence,
+		u.Recommendation,
+	); err != nil {
+		return err
+	}
+	// Only lossy streams print a confidence line: a full-fidelity detection
+	// is exact, and its block stays byte-identical.
+	if u.Bound > 0 {
+		if _, err := fmt.Fprintf(w,
+			"  Confidence:     %.1f%% (sampling error bound %.4f)\n",
+			100*u.Confidence(), u.Bound); err != nil {
+			return err
+		}
+	}
+	_, err := fmt.Fprintln(w)
 	return err
 }
 

@@ -6,6 +6,8 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -162,15 +164,11 @@ func TestDaemonCheckpointRestore(t *testing.T) {
 
 	first := core.New().NewDaemon(core.DaemonConfig{CheckpointDir: dir, WindowEvents: 300})
 	feed := func(dm *core.Daemon, tenant string, p corpus.DynamicProgram) {
-		rec := trace.NewMemRecorder()
-		s := trace.NewSessionWith(trace.Options{Recorder: rec, CaptureSites: true})
-		for _, b := range p.Mix.Behaviors(p.Name) {
-			b(s)
-		}
+		s, events := recordProgram(p)
 		for _, inst := range s.Instances() {
 			dm.TenantInstance(tenant, inst)
 		}
-		dm.TenantEvents(tenant, rec.Events())
+		dm.TenantEvents(tenant, events)
 	}
 	feed(first, "alpha", progs[3])
 	feed(first, "beta", progs[9])
@@ -241,4 +239,164 @@ func TestDaemonCheckpointIsIdempotent(t *testing.T) {
 	if got := reportBytes(t, restored.TenantReport("alpha")); !bytes.Equal(got, want) {
 		t.Fatal("restore after double checkpoint diverged")
 	}
+}
+
+// recordProgram runs a corpus program against a memory recorder and returns
+// its session and its events in sequence order.
+func recordProgram(p corpus.DynamicProgram) (*trace.Session, []trace.Event) {
+	rec := trace.NewMemRecorder()
+	s := trace.NewSessionWith(trace.Options{Recorder: rec, CaptureSites: true})
+	for _, b := range p.Mix.Behaviors(p.Name) {
+		b(s)
+	}
+	return s, rec.Events()
+}
+
+// stripOrigins clears every origin stamp, so reports windowed under
+// different names compare on content alone.
+func stripOrigins(rep *core.Report) *core.Report {
+	rep.Origin = ""
+	for _, ir := range rep.Instances {
+		ir.Origin = ""
+	}
+	rep.RegisteredFrom = nil
+	return rep
+}
+
+// TestDaemonTenantEventsReusedBuffer: a producer connection hands the daemon
+// one buffer it overwrites after every call, so nothing the daemon folds may
+// alias the caller's events. The tenant view, across windows that do not
+// divide the stream, must equal per-window FeedColumns references over the
+// same chunks.
+func TestDaemonTenantEventsReusedBuffer(t *testing.T) {
+	const chunk = 1024
+	const window = 1500 // rotates after every second chunk, mid-instance
+	s, events := recordProgram(corpusPrograms()[19])
+	if len(events) < 3*window {
+		t.Fatalf("program yields %d events, want at least %d", len(events), 3*window)
+	}
+	if len(events)%window == 0 {
+		t.Fatalf("window %d divides the %d-event stream", window, len(events))
+	}
+
+	dm := core.New().NewDaemon(core.DaemonConfig{WindowEvents: window, MaxWindows: len(events)/window + 2})
+	for _, inst := range s.Instances() {
+		dm.TenantInstance("alpha", inst)
+	}
+	var refs []*core.Report
+	ref := core.New().NewStreamAnalyzer(0)
+	ref.Attach(s)
+	live := 0
+	closeRef := func() {
+		rep := ref.Close()
+		rep.Origin = fmt.Sprintf("ref#%d", len(refs))
+		refs = append(refs, rep)
+	}
+
+	buf := make([]trace.Event, chunk)
+	for lo := 0; lo < len(events); lo += chunk {
+		n := copy(buf, events[lo:min(lo+chunk, len(events))])
+		dm.TenantEvents("alpha", buf[:n])
+		for i := range buf {
+			buf[i] = trace.Event{Seq: ^uint64(0), Instance: 1, Op: trace.OpDelete, Index: -1, Thread: 99}
+		}
+
+		var cb trace.ColumnBatch
+		cb.AppendEvents(events[lo : lo+n])
+		ref.FeedColumns(&cb)
+		if live += n; live >= window {
+			closeRef()
+			ref = core.New().NewStreamAnalyzer(0)
+			ref.Attach(s)
+			live = 0
+		}
+	}
+	if live > 0 {
+		closeRef()
+	}
+	if len(refs) < 3 {
+		t.Fatalf("stream closed %d windows, want several", len(refs))
+	}
+
+	want, _ := core.MergeReports(refs...)
+	got := dm.TenantReport("alpha")
+	if !bytes.Equal(reportBytes(t, stripOrigins(got)), reportBytes(t, stripOrigins(want))) {
+		t.Fatal("tenant view over a reused caller buffer != per-window FeedColumns reference")
+	}
+}
+
+// TestFeedConcurrentCallers: Feed shares one scratch batch across callers,
+// so concurrent feeds of disjoint instance sets (run under -race) must fold
+// exactly what a sequential feed folds.
+func TestFeedConcurrentCallers(t *testing.T) {
+	s, events := recordProgram(corpusPrograms()[5])
+	var parts [2][]trace.Event
+	for _, e := range events {
+		parts[e.Instance%2] = append(parts[e.Instance%2], e)
+	}
+	if len(parts[0]) == 0 || len(parts[1]) == 0 {
+		t.Fatal("program does not touch both instance sets")
+	}
+
+	seq := core.New().NewStreamAnalyzer(4)
+	seq.Attach(s)
+	seq.Feed(events...)
+	want := reportBytes(t, seq.Close())
+
+	conc := core.New().NewStreamAnalyzer(4)
+	conc.Attach(s)
+	var wg sync.WaitGroup
+	for _, part := range parts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for lo := 0; lo < len(part); lo += 100 {
+				conc.Feed(part[lo:min(lo+100, len(part))]...)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := reportBytes(t, conc.Close()); !bytes.Equal(got, want) {
+		t.Fatal("concurrent Feed of disjoint instances != sequential Feed")
+	}
+}
+
+// BenchmarkDaemonTenantReport measures one tenant read at the daemon's steady
+// state: a full ring of eight closed windows plus the open window, each over
+// the same 330-instance corpus stream (daemon-fleet's tenant shape). "merge"
+// is TenantReport — snapshot plus MergeReports — and "write" renders the
+// merged view.
+func BenchmarkDaemonTenantReport(b *testing.B) {
+	mix := corpus.Mix{
+		LI: 40, IQ: 40, FS: 10, FLR: 40, SAIDual: 20, LIFLR: 20,
+		RegularOnly: 40, Irregular: 40,
+		CM: 20, MQ: 20, RMT: 20, PRW: 20,
+	}
+	s, events := recordProgram(corpus.DynamicProgram{Name: "fleet", Mix: mix})
+	dm := core.New().NewDaemon(core.DaemonConfig{WindowEvents: len(events), MaxWindows: 8})
+	for _, inst := range s.Instances() {
+		dm.TenantInstance("t0", inst)
+	}
+	for w := 0; w < 8; w++ {
+		dm.TenantEvents("t0", events)
+	}
+	dm.TenantEvents("t0", events[:len(events)/2])
+
+	b.Run("merge", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			dm.TenantReport("t0")
+		}
+	})
+	rep := dm.TenantReport("t0")
+	b.Run("write", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf bytes.Buffer
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			if err := rep.Write(&buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

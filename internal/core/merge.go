@@ -59,10 +59,21 @@ func MergeReports(reports ...*Report) (*Report, MergeStats) {
 	ms := MergeStats{Reports: len(reports)}
 
 	type row struct {
-		ir  *InstanceResult
-		enc []byte // snapshot encoding, the conflict tiebreak and equality witness
+		ir *InstanceResult
+		// enc is the snapshot encoding, the conflict tiebreak and equality
+		// witness. It is computed only once a second row hits the same key:
+		// rows with distinct identities (every daemon window, every process)
+		// never need one.
+		enc []byte
 	}
-	instances := make(map[mergeKey]row)
+	rows, regs := 0, 0
+	for _, rep := range reports {
+		if rep != nil {
+			rows += len(rep.Instances)
+			regs += len(rep.Registered)
+		}
+	}
+	instances := make(map[mergeKey]row, rows)
 	// Per-key sampling provenance, accumulated independently of winner
 	// selection: the maximum detection bound across every input row, and a
 	// deterministic representative sampling record (see betterSampling).
@@ -70,9 +81,9 @@ func MergeReports(reports ...*Report) (*Report, MergeStats) {
 	sampled := make(map[mergeKey]*sample.InstanceSampling)
 	type regRow struct {
 		inst trace.Instance
-		enc  []byte
+		enc  []byte // lazy, like row.enc
 	}
-	registry := make(map[mergeKey]regRow)
+	registry := make(map[mergeKey]regRow, regs)
 
 	for _, rep := range reports {
 		if rep == nil {
@@ -93,20 +104,24 @@ func MergeReports(reports ...*Report) (*Report, MergeStats) {
 			if cp.Sampling != nil && betterSampling(cp.Sampling, sampled[key]) {
 				sampled[key] = cp.Sampling
 			}
-			enc := encodeRow(&cp)
 			have, ok := instances[key]
 			if !ok {
-				instances[key] = row{ir: &cp, enc: enc}
+				instances[key] = row{ir: &cp}
 				continue
 			}
+			if have.enc == nil {
+				have.enc = encodeRow(have.ir)
+			}
+			enc := encodeRow(&cp)
 			if bytes.Equal(have.enc, enc) {
 				ms.Duplicates++
-				continue
+			} else {
+				ms.Conflicts++
+				if betterRow(&cp, enc, have.ir, have.enc) {
+					have = row{ir: &cp, enc: enc}
+				}
 			}
-			ms.Conflicts++
-			if betterRow(&cp, enc, have.ir, have.enc) {
-				instances[key] = row{ir: &cp, enc: enc}
-			}
+			instances[key] = have
 		}
 		for i, inst := range rep.Registered {
 			origin := rep.Origin
@@ -114,16 +129,22 @@ func MergeReports(reports ...*Report) (*Report, MergeStats) {
 				origin = rep.RegisteredFrom[i]
 			}
 			key := mergeKey{origin, inst.ID}
-			enc, _ := json.Marshal(inst)
 			have, ok := registry[key]
-			if !ok || bytes.Compare(enc, have.enc) > 0 {
-				if ok && !bytes.Equal(enc, have.enc) {
-					ms.Conflicts++
-				}
-				registry[key] = regRow{inst: inst, enc: enc}
-			} else if ok && !bytes.Equal(enc, have.enc) {
-				ms.Conflicts++
+			if !ok {
+				registry[key] = regRow{inst: inst}
+				continue
 			}
+			if have.enc == nil {
+				have.enc, _ = json.Marshal(have.inst)
+			}
+			enc, _ := json.Marshal(inst)
+			if !bytes.Equal(enc, have.enc) {
+				ms.Conflicts++
+				if bytes.Compare(enc, have.enc) > 0 {
+					have = regRow{inst: inst, enc: enc}
+				}
+			}
+			registry[key] = have
 		}
 	}
 

@@ -15,6 +15,7 @@ import (
 
 	"dsspy/internal/core"
 	"dsspy/internal/corpus"
+	"dsspy/internal/trace"
 )
 
 // reportBytes is the byte-identity witness: the human rendering plus the
@@ -114,6 +115,11 @@ func TestMergeIdempotentOverCorpus(t *testing.T) {
 	if stats.Conflicts != 0 {
 		t.Fatalf("duplicate inputs produced %d conflicts, want 0", stats.Conflicts)
 	}
+	// Every row arrives exactly twice, so each merged row folds exactly one
+	// duplicate.
+	if stats.Duplicates != len(twice.Instances) {
+		t.Fatalf("duplicates = %d, want one per merged row (%d)", stats.Duplicates, len(twice.Instances))
+	}
 	// Merging the merged view with itself is also a fixpoint.
 	again, _ := core.MergeReports(once, once)
 	if !bytes.Equal(reportBytes(t, once), reportBytes(t, again)) {
@@ -195,12 +201,34 @@ func TestMergeConflictDeterministic(t *testing.T) {
 	a.Origin = "same"
 	b.Origin = "same"
 	ab, abStats := core.MergeReports(a, b)
-	ba, _ := core.MergeReports(b, a)
+	ba, baStats := core.MergeReports(b, a)
 	if !bytes.Equal(reportBytes(t, ab), reportBytes(t, ba)) {
 		t.Fatal("conflict resolution depends on merge order")
 	}
+	if abStats != baStats {
+		t.Fatalf("merge stats depend on merge order: %+v vs %+v", abStats, baStats)
+	}
 	if abStats.Conflicts == 0 && abStats.Duplicates == 0 {
 		t.Fatal("expected colliding identities between two programs sharing an origin")
+	}
+
+	// One more registry row under the same key on both sides, with different
+	// content: exactly one more conflict, whichever side comes first.
+	const extra = trace.InstanceID(1 << 30)
+	a.Registered = append(append([]trace.Instance(nil), a.Registered...),
+		trace.Instance{ID: extra, Kind: trace.KindList, TypeName: "List[int]"})
+	b.Registered = append(append([]trace.Instance(nil), b.Registered...),
+		trace.Instance{ID: extra, Kind: trace.KindArray, TypeName: "int[]"})
+	ab, abReg := core.MergeReports(a, b)
+	ba, baReg := core.MergeReports(b, a)
+	if abReg != baReg {
+		t.Fatalf("merge stats depend on merge order: %+v vs %+v", abReg, baReg)
+	}
+	if abReg.Conflicts != abStats.Conflicts+1 {
+		t.Fatalf("conflicts = %d after one conflicting registry row, want %d", abReg.Conflicts, abStats.Conflicts+1)
+	}
+	if !bytes.Equal(reportBytes(t, ab), reportBytes(t, ba)) {
+		t.Fatal("registry conflict resolution depends on merge order")
 	}
 }
 

@@ -91,10 +91,11 @@ func newInstanceStream(d *DSspy, id trace.InstanceID) *instanceStream {
 
 // feedBatch folds events [i, j) of a column batch — one instance's span —
 // through every reducer, walking columns instead of Event structs. This is
-// the streaming hot path; feed is the per-event compatibility driver, and
-// both fold identically: every reducer is either order-insensitive or
-// consumes its sub-stream (per-thread runs, global runs) in the same order
-// either way, which the fuzz differential verifies.
+// the only fold: FeedShard, FeedColumns and Feed (after scattering struct
+// events onto columns) all land here. It folds identically to the reducers'
+// per-event methods — every reducer is either order-insensitive or consumes
+// its sub-stream (per-thread runs, global runs) in the same order either
+// way — which the fuzz differential verifies.
 func (st *instanceStream) feedBatch(d *DSspy, b *trace.ColumnBatch, i, j int) {
 	st.n += j - i
 	for _, s := range b.Seq[i:j] {
@@ -136,42 +137,6 @@ func (st *instanceStream) feedBatch(d *DSspy, b *trace.ColumnBatch, i, j int) {
 		for _, idx := range b.Index[i:j] {
 			sp.sketch.Fold(idx)
 		}
-		sp.tick(st, d)
-	}
-}
-
-// feed folds one event through every reducer.
-func (st *instanceStream) feed(d *DSspy, e trace.Event) {
-	st.n++
-	if e.Seq < st.prevSeq {
-		st.ooo++
-	} else {
-		st.prevSeq = e.Seq
-	}
-	st.stats.Fold(e)
-	st.ct.Fold(e)
-	st.uc.Event(e)
-
-	det := st.perThread[e.Thread]
-	if det == nil {
-		det = pattern.NewStreamDetector(d.cfg.Pattern, true)
-		st.perThread[e.Thread] = det
-	}
-	if c, ok := det.Feed(e); ok && c.Type != pattern.None {
-		st.uc.Pattern(pattern.Pattern{Type: c.Type, Run: c.Run})
-	}
-
-	if c, ok := st.global.Feed(e); ok && st.runSeg == nil {
-		st.uc.Run(c.Run)
-	}
-	if st.runSeg != nil {
-		if r, ok := st.runSeg.Feed(e); ok {
-			st.uc.Run(r)
-		}
-	}
-
-	if sp := st.smp; sp != nil {
-		sp.sketch.Fold(e.Index)
 		sp.tick(st, d)
 	}
 }
@@ -293,8 +258,9 @@ type streamShard struct {
 
 // StreamAnalyzer computes reports incrementally from a live event stream. It
 // plugs into the sharded collector's drain path (Collector / FeedShard), or
-// consumes replayed streams via Feed. Snapshot returns a consistent report at
-// any time; Close flushes everything and returns the final report.
+// consumes replayed streams via FeedColumns or Feed. Snapshot returns a
+// consistent report at any time; Close flushes everything and returns the
+// final report.
 //
 // Callers draining through a collector must close the collector first, so
 // every delivered event has been folded before Close builds the report.
@@ -307,6 +273,11 @@ type StreamAnalyzer struct {
 	// gating the session; the analyzer closes its feedback loop
 	// (sampling.go) and stamps finalized rows with bounds.
 	ctrl *sample.Controller
+
+	// feedMu guards scratch, the column batch Feed scatters struct events
+	// onto before folding them.
+	feedMu  sync.Mutex
+	scratch trace.ColumnBatch
 
 	snapMu    sync.Mutex
 	snapshots int
@@ -424,43 +395,27 @@ func (a *StreamAnalyzer) FeedColumns(b *trace.ColumnBatch) {
 	}
 }
 
-// Feed folds struct events from any source, routing each to its instance's
-// shard — the per-event compatibility driver over the same reducers the
-// columnar path folds into. Events must arrive in per-thread program order;
-// sequence-sorted replay streams satisfy that.
-func (a *StreamAnalyzer) Feed(events ...trace.Event) {
-	for i := 0; i < len(events); {
-		// Group the run of consecutive events sharing a shard so the lock is
-		// taken once per run, not once per event.
-		shard := int(events[i].Instance) % len(a.shards)
-		j := i + 1
-		for j < len(events) && int(events[j].Instance)%len(a.shards) == shard {
-			j++
-		}
-		a.feedEvents(shard, events[i:j])
-		i = j
-	}
-}
+// feedChunk bounds the scratch batch Feed scatters onto, so a long event
+// slice (a replayed log) is folded in cache-sized pieces instead of being
+// copied whole into a batch the analyzer would keep for its lifetime.
+const feedChunk = 4096
 
-// feedEvents folds a struct batch event-at-a-time — the compatibility
-// driver behind Feed, kept so pre-v3 logs and ad-hoc event slices exercise
-// the identical reducer state transitions the columnar path takes.
-func (a *StreamAnalyzer) feedEvents(shard int, batch []trace.Event) {
-	sh := a.shards[shard]
-	sh.mu.Lock()
-	for _, e := range batch {
-		st := sh.byInst[e.Instance]
-		if st == nil {
-			st = newInstanceStream(a.d, e.Instance)
-			if a.ctrl != nil {
-				st.smp = newSampleState(a.ctrl, a.session)
-			}
-			sh.byInst[e.Instance] = st
-		}
-		st.feed(a.d, e)
+// Feed folds struct events from any source: it scatters them onto the
+// analyzer's scratch column batch, a chunk at a time, and folds each chunk
+// through FeedColumns — the one fold. Reducers never retain a batch, so the
+// scratch is reused across calls (the collector's ShardSink contract);
+// feedMu serializes concurrent callers over it. Events must arrive in
+// per-thread program order; sequence-sorted replay streams satisfy that.
+func (a *StreamAnalyzer) Feed(events ...trace.Event) {
+	a.feedMu.Lock()
+	defer a.feedMu.Unlock()
+	for len(events) > 0 {
+		n := min(len(events), feedChunk)
+		a.scratch.Reset()
+		a.scratch.AppendEvents(events[:n])
+		a.FeedColumns(&a.scratch)
+		events = events[n:]
 	}
-	sh.folded += uint64(len(batch))
-	sh.mu.Unlock()
 }
 
 // Snapshot builds a consistent report over everything folded so far without

@@ -515,13 +515,13 @@ func (rr *ResilientRecorder) finish(sess *Session) error {
 // The invariant Recorded == Delivered + Dropped + OnDisk + Buffered holds at
 // every snapshot; after Close, Buffered is zero.
 type ResilientStats struct {
-	Recorded  uint64 // events handed to Record
-	Delivered uint64 // events written to a collector connection (incl. Replayed)
-	Replayed  uint64 // delivered events that took the spill detour
-	Spilled   uint64 // events ever written to the spill WAL
-	OnDisk    uint64 // events currently parked in spill files
-	Dropped   uint64 // events given up on: no spill, WAL damage, after Close
-	Buffered  uint64 // events in the in-flight batch right now
+	Recorded   uint64 // events handed to Record
+	Delivered  uint64 // events written to a collector connection (incl. Replayed)
+	Replayed   uint64 // delivered events that took the spill detour
+	Spilled    uint64 // events ever written to the spill WAL
+	OnDisk     uint64 // events currently parked in spill files
+	Dropped    uint64 // events given up on: no spill, WAL damage, after Close
+	Buffered   uint64 // events in the in-flight batch right now
 	Reconnects uint64
 	// SpillPath is the most recent spill file; after Close with OnDisk > 0
 	// it names the WAL to recover post-mortem.

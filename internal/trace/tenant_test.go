@@ -92,9 +92,9 @@ type fakeClock struct {
 	now time.Time
 }
 
-func (c *fakeClock) Now() time.Time            { return c.now }
-func (c *fakeClock) Advance(d time.Duration)   { c.now = c.now.Add(d) }
-func (c *fakeClock) Sleep(d time.Duration)     { c.Advance(d) }
+func (c *fakeClock) Now() time.Time          { return c.now }
+func (c *fakeClock) Advance(d time.Duration) { c.now = c.now.Add(d) }
+func (c *fakeClock) Sleep(d time.Duration)   { c.Advance(d) }
 
 func conservedOrFatal(t *testing.T, ts TenantStats) {
 	t.Helper()

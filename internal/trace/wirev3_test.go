@@ -243,11 +243,11 @@ func TestV3DecoderRejectsMalformedPayloads(t *testing.T) {
 		"trailing-bytes": append(bytes.Clone(good), 0x00, 0x01),
 		// count=2 then a run of length 3 in the Instance column.
 		"run-overflow": func() []byte {
-			b := binary.AppendUvarint(nil, 2)  // count
-			b = binary.AppendUvarint(b, 7)     // seq[0]
-			b = binary.AppendUvarint(b, 2)     // seq delta
-			b = binary.AppendUvarint(b, 3)     // instance run length > count
-			b = binary.AppendUvarint(b, 1)     // instance value
+			b := binary.AppendUvarint(nil, 2) // count
+			b = binary.AppendUvarint(b, 7)    // seq[0]
+			b = binary.AppendUvarint(b, 2)    // seq delta
+			b = binary.AppendUvarint(b, 3)    // instance run length > count
+			b = binary.AppendUvarint(b, 1)    // instance value
 			return b
 		}(),
 		"zero-run": func() []byte {
