@@ -26,16 +26,14 @@ import (
 //
 // Ordering contract: a shard's drain goroutine delivers each producer
 // goroutine's events in program order, so per-thread figures are always
-// exact. That holds on both collector lanes: Session.Emit assigns the
-// sequence number and hands the event to the collector synchronously, and a
-// Session.Bind producer flushes its batches in program order onto the batch
-// lane (whole batches arrive at the sink intact, since both lanes feed the
-// same drain goroutine). The global per-instance interleaving equals
-// sequence order whenever same-instance access is serialized — which the
-// unsynchronized containers require anyway — and violations are counted in
-// StreamingStats.OutOfOrder rather than silently misfolded. A producer that
-// mixes Emit and Bind on the same instance mid-run gets an unspecified
-// interleaving between the two lanes; stay on one per goroutine.
+// exact. Session.Emit assigns the sequence number and hands the event to the
+// collector synchronously, a Session.Bind producer stamps and hands over its
+// flushes in program order, and each shard has one channel, so whatever one
+// goroutine sends — single events and flushes mixed — reaches the sink in
+// Seq order. The global per-instance interleaving equals sequence order
+// whenever same-instance access is serialized — which the unsynchronized
+// containers require anyway — and violations are counted in
+// StreamingStats.OutOfOrder rather than silently misfolded.
 
 // instanceStream is the complete analysis state of one instance: stats
 // reducer, per-thread pattern detectors, the global detector the regularity

@@ -35,7 +35,7 @@ type Collector interface {
 // ever silently lost.
 type CollectorStats struct {
 	Shards    int           // number of shards
-	Buffer    int           // per-shard channel capacity
+	Buffer    int           // per-shard buffer in events (buf/DefaultBatchSize channel slots)
 	Policy    string        // overload policy: block, drop, or sample:N
 	Events    uint64        // total events recorded (delivered + dropped)
 	Dropped   uint64        // events not stored: overload drops + after-close drops

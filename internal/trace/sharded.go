@@ -22,20 +22,28 @@ import (
 // shared channel, and all events of one instance land in exactly one shard,
 // so a streaming sink folds each instance shard-locally.
 //
-// Producers call Record; Close flushes every shard and stops the drain
-// goroutines. Events merges the shards back into one Seq-ordered stream for
-// callers that need the flat post-mortem view (session logs, replay).
+// Producers call Record for one event or RecordBatch for one flush; either
+// way each shard it touches receives one message on its one channel, so a
+// goroutine's events reach each shard in the order it sent them. Close
+// flushes every shard and stops the drain goroutines. Events merges the
+// shards back into one Seq-ordered stream for callers that need the flat
+// post-mortem view (session logs, replay).
 
-// DefaultAsyncBuffer is the default per-shard channel capacity. Large enough
-// that bursts (tight instrumented loops) rarely block the producer, small
-// enough not to dominate memory.
+// DefaultAsyncBuffer is the default per-shard buffer, in events. A shard's
+// channel holds buf/DefaultBatchSize slots (at least 2), each carrying one
+// producer flush's share for the shard or one single event, so the buffer
+// is buf events when producers batch. Large enough that bursts (tight
+// instrumented loops) rarely block the producer, small enough not to
+// dominate memory.
 const DefaultAsyncBuffer = 1 << 16
 
 // OverloadPolicy decides what happens when a producer finds its shard's
-// buffer full. Whatever the choice, every event is accounted for:
-// delivered events land in the store, everything else increments the drop
-// counters in CollectorStats, so delivered + dropped == recorded always
-// holds.
+// buffer full — all buf/DefaultBatchSize slots taken, each holding one
+// batch or one event. The policy applies per slot: a flush's share for one
+// shard is blocked on, dropped or sampled as a unit. Whatever the choice,
+// every event is accounted for: delivered events land in the store,
+// everything else increments the drop counters in CollectorStats, so
+// delivered + dropped == recorded always holds.
 type OverloadPolicy struct {
 	kind uint8
 	n    uint64
@@ -54,12 +62,12 @@ const (
 func Block() OverloadPolicy { return OverloadPolicy{kind: overloadBlock} }
 
 // DropNewest returns the bounded-latency policy: a producer hitting a full
-// buffer drops the event (counted) instead of blocking. Producer block time
-// is zero by construction; profiles may have gaps.
+// buffer drops the slot's events (counted) instead of blocking. Producer
+// block time is zero by construction; profiles may have gaps.
 func DropNewest() OverloadPolicy { return OverloadPolicy{kind: overloadDrop} }
 
 // Sample returns the degraded-fidelity policy: when the buffer is full, one
-// in n overflow events is delivered (blocking for it) and the rest are
+// in n overflowing slots is delivered (blocking for it) and the rest are
 // dropped and counted. n <= 1 behaves like Block.
 func Sample(n int) OverloadPolicy {
 	if n <= 1 {
@@ -129,26 +137,44 @@ type ShardedCollector struct {
 // never retain the batch or any of its column slices.
 type ShardSink func(shard int, batch *ColumnBatch)
 
-// shardBatchPool recycles the column batches that carry producer batches
-// across the shard boundary: RecordBatch scatters the caller's batch into a
-// pooled ColumnBatch (the caller reuses its slice immediately — this scatter
-// is the one AoS→SoA pivot on the hot path, paid once per batch on the
-// producer side), and the drain goroutine returns the batch after moving its
-// columns.
+// shardBatchPool recycles the column batches that carry producer flushes
+// across the shard boundary: RecordBatch scatters the caller's batch into
+// one pooled ColumnBatch per shard it touches (the caller reuses its slice
+// immediately — this scatter is the one AoS→SoA pivot on the hot path, paid
+// once per flush on the producer side), and the drain goroutine returns the
+// batch after moving its columns.
 var shardBatchPool = sync.Pool{New: func() any { return new(ColumnBatch) }}
 
-// shard is one partition: a buffered channel drained by a dedicated
+// slot is one message on a shard's channel: a pooled column batch carrying
+// one producer flush's share for the shard, or — when b is nil — the single
+// event e, carried by value so per-event Record pays no pool traffic.
+type slot struct {
+	b *ColumnBatch
+	e Event
+}
+
+// len returns the number of events the slot carries.
+func (s slot) len() int {
+	if s.b == nil {
+		return 1
+	}
+	return s.b.Len()
+}
+
+// release returns a refused slot's batch to the pool.
+func (s slot) release() {
+	if s.b != nil {
+		shardBatchPool.Put(s.b)
+	}
+}
+
+// shard is one partition: a buffered channel of slots drained by a dedicated
 // goroutine into a shard-local store, plus the observability counters the
-// pipeline stats report.
+// pipeline stats report. There is one channel per shard, so everything one
+// goroutine sends to a shard — single events and batches alike — reaches the
+// drain in send order.
 type shard struct {
-	ch chan Event
-	// chb is the batch lane: whole producer batches travel as one channel
-	// send, amortizing the per-event send cost by the batch size. Both lanes
-	// feed the same drain goroutine, so sink serialization is preserved;
-	// ordering *between* the lanes is select order, so a producer that needs
-	// a deterministic interleave must stay on one lane (which Producer and
-	// Session.Emit each do). Batches travel in columnar form end to end.
-	chb  chan *ColumnBatch
+	ch   chan slot
 	done chan struct{}
 
 	// id, sink and retain configure the drain destination: with a sink the
@@ -174,7 +200,7 @@ type shard struct {
 	closeMu sync.RWMutex
 	closed  bool
 
-	// cols is the shard-local store, held columnar: batch-lane events land
+	// cols is the shard-local store, held columnar: batched events land
 	// here with six column copies and are never inflated to Event structs
 	// unless a post-mortem consumer asks for them.
 	mu   sync.Mutex
@@ -186,6 +212,10 @@ type shard struct {
 	overflow      atomic.Uint64
 	highWater     atomic.Int64
 	blockNS       atomic.Int64
+	// inflight counts the events sitting in the channel: producers add a
+	// slot's events after sending it, the drain subtracts them on receipt,
+	// so it never exceeds what the channel really holds.
+	inflight atomic.Int64
 	// columnar counts events that crossed the shard boundary in columnar
 	// batches — each is an Event inflation the drain never performed.
 	columnar atomic.Uint64
@@ -193,8 +223,9 @@ type shard struct {
 
 func newShard(id, buf int, sink ShardSink, retain bool, tracer *atomic.Pointer[obs.Tracer], hist *obs.Histogram) *shard {
 	sh := &shard{
-		ch:     make(chan Event, buf),
-		chb:    make(chan *ColumnBatch, max(2, buf/DefaultBatchSize)),
+		// buf events of full producer flushes; at least two slots, so a
+		// producer can queue one while the drain works on another.
+		ch:     make(chan slot, max(2, buf/DefaultBatchSize)),
 		done:   make(chan struct{}),
 		id:     id,
 		sink:   sink,
@@ -206,11 +237,8 @@ func newShard(id, buf int, sink ShardSink, retain bool, tracer *atomic.Pointer[o
 	return sh
 }
 
-// queued approximates the number of events waiting in both lanes (batches in
-// flight are counted at the nominal batch size).
-func (sh *shard) queued() int64 {
-	return int64(len(sh.ch)) + int64(len(sh.chb))*DefaultBatchSize
-}
+// queued returns the number of events waiting in the shard's channel.
+func (sh *shard) queued() int64 { return max(0, sh.inflight.Load()) }
 
 // markHighWater raises the queue high-water mark to q if it grew.
 func (sh *shard) markHighWater(q int64) {
@@ -222,144 +250,87 @@ func (sh *shard) markHighWater(q int64) {
 	}
 }
 
-// record enqueues e, tracking producer block time and the queue high-water
-// mark. The fast path is a single non-blocking send attempt; only when the
-// buffer is full does the overload policy decide between taking a timestamp
-// and blocking, dropping, or sampling.
-func (sh *shard) record(e Event, pol OverloadPolicy) {
-	sh.closeMu.RLock()
-	defer sh.closeMu.RUnlock()
-	sh.count.Add(1)
-	if sh.closed {
-		sh.droppedClosed.Add(1)
-		return
-	}
-	select {
-	case sh.ch <- e:
-	default:
-		switch pol.kind {
-		case overloadDrop:
-			sh.dropped.Add(1)
-			return
-		case overloadSample:
-			if sh.overflow.Add(1)%pol.n != 0 {
-				sh.dropped.Add(1)
-				return
-			}
-			fallthrough
-		default:
-			start := time.Now()
-			sh.ch <- e
-			sh.blockNS.Add(int64(time.Since(start)))
-		}
-	}
-	if q := sh.queued(); q > sh.highWater.Load() {
-		sh.markHighWater(q)
-	}
-}
-
-// recordBatch enqueues a whole producer batch on the batch lane: one pooled
-// columnar scatter and one channel send for the entire batch. Accounting
-// matches record event-for-event — delivered + dropped == recorded still
-// holds — with the overload policy applied to the batch as a unit (Sample
-// delivers one in n overflowing batches).
-func (sh *shard) recordBatch(batch []Event, pol OverloadPolicy) {
-	n := uint64(len(batch))
-	if n == 0 {
-		return
-	}
+// send enqueues a slot, tracking producer block time and the queue
+// high-water mark. The fast path is a single non-blocking send attempt; only
+// when the channel is full does the overload policy decide between taking a
+// timestamp and blocking, dropping, or sampling — applied to the slot as a
+// unit (Sample delivers one in n overflowing slots). Accounting is per event
+// either way: delivered + dropped == recorded.
+func (sh *shard) send(s slot, pol OverloadPolicy) {
+	n := uint64(s.len())
 	sh.closeMu.RLock()
 	defer sh.closeMu.RUnlock()
 	sh.count.Add(n)
 	if sh.closed {
 		sh.droppedClosed.Add(n)
+		s.release()
 		return
 	}
-	bp := shardBatchPool.Get().(*ColumnBatch)
-	bp.Reset()
-	bp.AppendEvents(batch)
 	select {
-	case sh.chb <- bp:
+	case sh.ch <- s:
 	default:
 		switch pol.kind {
 		case overloadDrop:
 			sh.dropped.Add(n)
-			shardBatchPool.Put(bp)
+			s.release()
 			return
 		case overloadSample:
 			if sh.overflow.Add(1)%pol.n != 0 {
 				sh.dropped.Add(n)
-				shardBatchPool.Put(bp)
+				s.release()
 				return
 			}
 			fallthrough
 		default:
 			start := time.Now()
-			sh.chb <- bp
+			sh.ch <- s
 			sh.blockNS.Add(int64(time.Since(start)))
 		}
 	}
-	if q := sh.queued(); q > sh.highWater.Load() {
+	if q := sh.inflight.Add(int64(n)); q > sh.highWater.Load() {
 		sh.markHighWater(q)
 	}
 }
 
-// drain moves events from both lanes into the shard-local store and/or the
-// sink. Each wakeup gathers everything already queued — single events from
-// ch, whole columnar batches from chb — into one working column batch, so
-// the store mutex is taken and the sink is called once per burst rather than
-// once per event. Batch-lane events stay columnar end to end: six column
-// copies into the working batch, six into the store, never an Event struct.
-// Exits when both lanes are closed and empty.
+// take moves one received slot onto the drain's working batch.
+func (sh *shard) take(work *ColumnBatch, s slot) {
+	if s.b == nil {
+		work.Append(s.e)
+		sh.inflight.Add(-1)
+		return
+	}
+	n := s.b.Len()
+	work.AppendRange(s.b, 0, n)
+	sh.inflight.Add(-int64(n))
+	sh.columnar.Add(uint64(n))
+	shardBatchPool.Put(s.b)
+}
+
+// drain moves events from the channel into the shard-local store and/or the
+// sink. Each wakeup gathers every slot already queued into one working
+// column batch, so the store mutex is taken and the sink is called once per
+// burst rather than once per slot. Batched events stay columnar end to end:
+// six column copies into the working batch, six into the store, never an
+// Event struct. Exits when the channel is closed and empty.
 func (sh *shard) drain() {
-	ch, chb := sh.ch, sh.chb
 	var work ColumnBatch
-	for ch != nil || chb != nil {
+	for s := range sh.ch {
 		work.Reset()
-		// Block for the first arrival on either lane.
-		select {
-		case e, ok := <-ch:
-			if !ok {
-				ch = nil
-				continue
-			}
-			work.Append(e)
-		case bp, ok := <-chb:
-			if !ok {
-				chb = nil
-				continue
-			}
-			work.AppendRange(bp, 0, bp.Len())
-			sh.columnar.Add(uint64(bp.Len()))
-			shardBatchPool.Put(bp)
-		}
-		// Gather the rest of the burst without blocking. A lane that closes
-		// mid-gather goes nil; with both lanes nil the select hits default.
+		sh.take(&work, s)
+		// Gather the rest of the burst without blocking.
 	gather:
 		for {
 			select {
-			case e, ok := <-ch:
+			case s, ok := <-sh.ch:
 				if !ok {
-					ch = nil
-					continue
+					break gather
 				}
-				work.Append(e)
-			case bp, ok := <-chb:
-				if !ok {
-					chb = nil
-					continue
-				}
-				work.AppendRange(bp, 0, bp.Len())
-				sh.columnar.Add(uint64(bp.Len()))
-				shardBatchPool.Put(bp)
+				sh.take(&work, s)
 			default:
 				break gather
 			}
 		}
 		n := work.Len()
-		if n == 0 {
-			continue
-		}
 		sh.hist.ObserveValue(int64(n))
 		t := sh.tracer.Load()
 		sp := t.Begin("drain", "collector")
@@ -387,13 +358,12 @@ func (sh *shard) snapshot() []Event {
 }
 
 // seal marks the shard closed for producers (late Records count as dropped)
-// and closes both lanes so the drain goroutine can finish.
+// and closes the channel so the drain goroutine can finish.
 func (sh *shard) seal() {
 	sh.closeMu.Lock()
 	sh.closed = true
 	sh.closeMu.Unlock()
 	close(sh.ch)
-	close(sh.chb)
 }
 
 // NewShardedCollector starts a collector with n shards (0 means GOMAXPROCS)
@@ -403,8 +373,8 @@ func NewShardedCollector(n int) *ShardedCollector {
 }
 
 // NewShardedCollectorSize starts a collector with n shards (0 means
-// GOMAXPROCS) whose channels each hold up to buf events, using the lossless
-// Block overload policy.
+// GOMAXPROCS) whose buffers each hold up to buf events (buf/DefaultBatchSize
+// slots, see DefaultAsyncBuffer), using the lossless Block overload policy.
 func NewShardedCollectorSize(n, buf int) *ShardedCollector {
 	return NewShardedCollectorOpts(n, buf, Block())
 }
@@ -464,27 +434,56 @@ func (c *ShardedCollector) EnableQueueSampling(interval time.Duration) {
 // is counted as dropped (Stats().DroppedAfterClose), mirroring the socket
 // recorder's no-crash guarantee.
 func (c *ShardedCollector) Record(e Event) {
-	c.shards[int(e.Instance)%len(c.shards)].record(e, c.policy)
+	c.shards[int(e.Instance)%len(c.shards)].send(slot{e: e}, c.policy)
 }
 
-// RecordBatch enqueues a producer batch, splitting it into runs of
-// consecutive events owned by the same shard so each run costs one pooled
-// copy and one channel send. The caller's slice is not retained. Overload
-// and after-close semantics match Record, applied per run.
+// scatterGroup is the number of shards one RecordBatch pass scatters into.
+// The pass keeps its per-shard batches in a stack array of this size, so a
+// flush allocates nothing; collectors with more shards take one pass per
+// group of shards.
+const scatterGroup = 16
+
+// shardBatch takes a cleared batch from the pool with room for n events.
+func shardBatch(n int) *ColumnBatch {
+	bp := shardBatchPool.Get().(*ColumnBatch)
+	bp.Reset()
+	bp.Grow(n)
+	return bp
+}
+
+// RecordBatch enqueues a producer batch: it scatters the batch into at most
+// one pooled column batch per shard and sends each non-empty one as a single
+// slot, so a flush costs one channel send per shard it touches however its
+// instances interleave. The caller's slice is not retained. Overload and
+// after-close semantics match Record, applied per slot.
 func (c *ShardedCollector) RecordBatch(batch []Event) {
-	n := len(c.shards)
-	if n == 1 {
-		c.shards[0].recordBatch(batch, c.policy)
+	if len(batch) == 0 {
 		return
 	}
-	for i := 0; i < len(batch); {
-		s := int(batch[i].Instance) % n
-		j := i + 1
-		for j < len(batch) && int(batch[j].Instance)%n == s {
-			j++
+	n := len(c.shards)
+	if n == 1 {
+		bp := shardBatch(len(batch))
+		bp.AppendEvents(batch)
+		c.shards[0].send(slot{b: bp}, c.policy)
+		return
+	}
+	for lo := 0; lo < n; lo += scatterGroup {
+		var group [scatterGroup]*ColumnBatch
+		for i := range batch {
+			s := int(batch[i].Instance)%n - lo
+			if uint(s) >= scatterGroup {
+				continue
+			}
+			if group[s] == nil {
+				group[s] = shardBatch(len(batch))
+			}
+			group[s].Append(batch[i])
 		}
-		c.shards[s].recordBatch(batch[i:j], c.policy)
-		i = j
+		for s := range group {
+			if bp := group[s]; bp != nil {
+				c.shards[lo+s].send(slot{b: bp}, c.policy)
+			}
+		}
 	}
 }
 
@@ -688,7 +687,7 @@ func (c *ShardedCollector) WriteMetrics(w *obs.PromWriter) {
 			"Cumulative producer time blocked on a full shard buffer.",
 			float64(sh.blockNS.Load())/1e9, "shard", shard)
 		w.Gauge("dsspy_collector_queue_len",
-			"Current shard queue length (events + in-flight batches).",
+			"Current shard queue length (events in the shard channel).",
 			float64(sh.queued()), "shard", shard)
 		w.Gauge("dsspy_collector_queue_high_water",
 			"Max shard queue length observed.", float64(sh.highWater.Load()), "shard", shard)

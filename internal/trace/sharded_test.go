@@ -32,6 +32,39 @@ func TestShardedCollectorPartitionsByInstance(t *testing.T) {
 	}
 }
 
+// TestRecordBatchPartitionsAcrossScatterGroups covers collectors wider than
+// one scatter pass: every event of a flush must still land in the shard that
+// owns its instance, in flush order.
+func TestRecordBatchPartitionsAcrossScatterGroups(t *testing.T) {
+	const shards = scatterGroup + 4
+	c := NewShardedCollector(shards)
+	batch := make([]Event, DefaultBatchSize)
+	const flushes = 50
+	for f := 0; f < flushes; f++ {
+		for i := range batch {
+			seq := uint64(f*len(batch) + i + 1)
+			batch[i] = Event{Seq: seq, Instance: InstanceID(seq * 7 % (2 * shards)), Op: OpRead}
+		}
+		c.RecordBatch(batch)
+	}
+	c.Close()
+	total := 0
+	for si, sh := range c.shards {
+		total += sh.cols.Len()
+		for i, id := range sh.cols.Instance {
+			if int(id)%shards != si {
+				t.Fatalf("instance %d landed in shard %d", id, si)
+			}
+			if i > 0 && sh.cols.Seq[i] <= sh.cols.Seq[i-1] {
+				t.Fatalf("shard %d holds seq %d after %d", si, sh.cols.Seq[i], sh.cols.Seq[i-1])
+			}
+		}
+	}
+	if total != flushes*DefaultBatchSize {
+		t.Fatalf("shards hold %d events, want %d", total, flushes*DefaultBatchSize)
+	}
+}
+
 func TestShardedCollectorEventsMergedAndSorted(t *testing.T) {
 	c := NewShardedCollectorSize(3, 16)
 	s := NewSessionWith(Options{Recorder: c})
@@ -169,4 +202,89 @@ func TestAsyncCollectorStats(t *testing.T) {
 	if cs.Shards != 1 || cs.Events != 100 {
 		t.Fatalf("stats = %d shards, %d events; want 1 shard, 100 events", cs.Shards, cs.Events)
 	}
+}
+
+// interleavedBatch fills batch with events whose instances alternate between
+// 1 and 2 — owned by different shards of a 2-shard collector — the
+// instance-interleaving shape of the Table IV programs (Mandelbrot reads two
+// arrays in lock step).
+func interleavedBatch(batch []Event, base uint64) {
+	for i := range batch {
+		batch[i] = Event{Seq: base + uint64(i) + 1, Instance: InstanceID(1 + i%2), Op: OpRead, Index: i, Size: len(batch)}
+	}
+}
+
+// TestRecordBatchScattersWholeShardSlots is the regression test for batch
+// shredding: a flush that alternates instances across two shards must reach
+// each shard as one slot, not as a run per instance switch. A Bind producer
+// flushes 64-event batches, 32 per shard, and every sink batch must be a
+// whole number of those per-shard halves.
+func TestRecordBatchScattersWholeShardSlots(t *testing.T) {
+	var mu sync.Mutex
+	var sizes []int
+	c := NewStreamingShardedCollector(2, DefaultAsyncBuffer, Block(), false, func(_ int, b *ColumnBatch) {
+		mu.Lock()
+		sizes = append(sizes, b.Len())
+		mu.Unlock()
+	})
+	s := NewSessionWith(Options{Recorder: c})
+	ids := [2]InstanceID{s.Register(KindList, "List[int]", "", 0), s.Register(KindList, "List[int]", "", 0)}
+	if int(ids[0])%2 == int(ids[1])%2 {
+		t.Fatalf("instances %d and %d share a shard", ids[0], ids[1])
+	}
+	p := s.Bind()
+	const flushes = 200
+	for i := 0; i < flushes*DefaultBatchSize; i++ {
+		p.Emit(ids[i%2], OpRead, i, i)
+	}
+	p.Close()
+	c.Close()
+
+	total := 0
+	for _, n := range sizes {
+		if n%(DefaultBatchSize/2) != 0 {
+			t.Fatalf("sink batch of %d events: a producer flush was split below its per-shard slot (sizes %v)", n, sizes)
+		}
+		total += n
+	}
+	if total != flushes*DefaultBatchSize {
+		t.Fatalf("sink saw %d events, want %d", total, flushes*DefaultBatchSize)
+	}
+}
+
+// TestRecordBatchZeroAlloc guards the scatter: once the batch pool is warm,
+// handing a flush that spans every shard to the collector allocates nothing.
+// Two slots per shard bound the batches in flight, so the warm-up fills the
+// pool with every batch the steady state ever holds at once.
+func TestRecordBatchZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	c := NewStreamingShardedCollector(2, 2*DefaultBatchSize, Block(), false, func(int, *ColumnBatch) {})
+	defer c.Close()
+	batch := make([]Event, DefaultBatchSize)
+	interleavedBatch(batch, 0)
+	for i := 0; i < 100; i++ {
+		c.RecordBatch(batch)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { c.RecordBatch(batch) }); allocs != 0 {
+		t.Fatalf("steady-state RecordBatch allocates %.1f times per flush, want 0", allocs)
+	}
+}
+
+// BenchmarkRecordBatchInterleaved measures the producer-to-sink hand-off of
+// 64-event flushes whose instances alternate across a 2-shard collector, the
+// Mandelbrot shape. The timed region includes Close, so every event has
+// crossed the shard boundary and reached the (no-op) sink.
+func BenchmarkRecordBatchInterleaved(b *testing.B) {
+	c := NewStreamingShardedCollector(2, DefaultAsyncBuffer, Block(), false, func(int, *ColumnBatch) {})
+	batch := make([]Event, DefaultBatchSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		interleavedBatch(batch, uint64(i)*DefaultBatchSize)
+		c.RecordBatch(batch)
+	}
+	c.Close()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*DefaultBatchSize), "ns/event")
 }
