@@ -265,11 +265,13 @@ func TestColumnarLogRoundTrip(t *testing.T) {
 }
 
 // columnarGateWorkload builds n events shaped like real producer output:
-// batches of one instance at a time, constant thread, and phase-structured
-// accesses (64-event forward traversals alternating insert/read/write — the
-// shape the paper's workloads produce), so run segmentation sees realistic
-// long runs rather than degenerate per-event churn.
-func columnarGateWorkload(n int) *trace.ColumnBatch {
+// batches of one instance at a time and phase-structured accesses (64-event
+// forward traversals alternating insert/read/write — the shape the paper's
+// workloads produce), so run segmentation sees realistic long runs rather
+// than degenerate per-event churn. threads = 1 writes everything from one
+// thread; with more, each instance's phases go round-robin to that many
+// threads, so every instance span is multi-threaded from its first event.
+func columnarGateWorkload(n, threads int) *trace.ColumnBatch {
 	cb := &trace.ColumnBatch{}
 	cb.Grow(n)
 	const span = 4096
@@ -294,7 +296,7 @@ func columnarGateWorkload(n int) *trace.ColumnBatch {
 			Op:       op,
 			Index:    pos,
 			Size:     phase,
-			Thread:   1,
+			Thread:   trace.ThreadID(1 + (i/phase)%threads),
 		})
 	}
 	return cb
@@ -319,7 +321,7 @@ func TestColumnarFoldThroughputGate(t *testing.T) {
 		t.Skip("throughput gate needs a quiet machine; run via `make bench-columnar` (DSSPY_COLUMNAR_GATE=1)")
 	}
 	const n = 2 << 20
-	cb := columnarGateWorkload(n)
+	cb := columnarGateWorkload(n, 1)
 	events := cb.Events(nil)
 
 	timeOne := func(fold func(sa *core.StreamAnalyzer)) time.Duration {
@@ -355,7 +357,7 @@ func TestColumnarReplayAllocGate(t *testing.T) {
 		t.Skip("allocation gate runs via `make bench-columnar` (DSSPY_COLUMNAR_GATE=1)")
 	}
 	const n = 1 << 20
-	cb := columnarGateWorkload(n)
+	cb := columnarGateWorkload(n, 1)
 	path := filepath.Join(t.TempDir(), "gate.dslog")
 	if err := trace.SaveSessionColumns(path, gateSession(t), cb); err != nil {
 		t.Fatal(err)
@@ -405,7 +407,7 @@ func TestColumnarReplayAllocGate(t *testing.T) {
 // BenchmarkColumnarReplay measures the full v3-log-to-report columnar path.
 func BenchmarkColumnarReplay(b *testing.B) {
 	const n = 1 << 18
-	cb := columnarGateWorkload(n)
+	cb := columnarGateWorkload(n, 1)
 	path := filepath.Join(b.TempDir(), "bench.dslog")
 	if err := trace.SaveSessionColumns(path, gateSession(b), cb); err != nil {
 		b.Fatal(err)
@@ -431,7 +433,7 @@ func BenchmarkColumnarReplay(b *testing.B) {
 // load []Event and fold it through Feed's scatter adapter.
 func BenchmarkEventReplay(b *testing.B) {
 	const n = 1 << 18
-	cb := columnarGateWorkload(n)
+	cb := columnarGateWorkload(n, 1)
 	path := filepath.Join(b.TempDir(), "bench.dslog")
 	if err := trace.SaveSessionColumns(path, gateSession(b), cb); err != nil {
 		b.Fatal(err)
@@ -452,18 +454,25 @@ func BenchmarkEventReplay(b *testing.B) {
 }
 
 // BenchmarkColumnarFold measures the reducer fold alone (no decode) over
-// producer-shaped batches.
+// producer-shaped batches. threads=1 is the common single-thread instance;
+// threads=2 makes every instance multi-threaded, so it prices the global
+// detector the regularity check needs there.
 func BenchmarkColumnarFold(b *testing.B) {
 	const n = 1 << 20
-	cb := columnarGateWorkload(n)
-	b.SetBytes(n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sa := core.New().NewStreamAnalyzer(0)
-		sa.Attach(gateSession(b))
-		sa.FeedColumns(cb)
-		sa.Close()
+	for _, threads := range []int{1, 2} {
+		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
+			cb := columnarGateWorkload(n, threads)
+			b.SetBytes(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sa := core.New().NewStreamAnalyzer(0)
+				sa.Attach(gateSession(b))
+				sa.FeedColumns(cb)
+				sa.Close()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/event")
+		})
 	}
 }
 
@@ -471,7 +480,7 @@ func BenchmarkColumnarFold(b *testing.B) {
 // same fold behind Feed's scatter onto a scratch batch.
 func BenchmarkEventFold(b *testing.B) {
 	const n = 1 << 20
-	cb := columnarGateWorkload(n)
+	cb := columnarGateWorkload(n, 1)
 	events := cb.Events(nil)
 	b.SetBytes(n)
 	b.ReportAllocs()

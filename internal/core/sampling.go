@@ -79,7 +79,7 @@ func (sp *sampleState) fingerprint(st *instanceStream, d *DSspy) uint64 {
 		inst, _ = sp.sess.Instance(st.id)
 	}
 	fp := uint64(st.uc.KindsMask(inst, stats, ct))
-	if pattern.RegularityFrom(st.global.Summary(), stats, d.cfg.Regularity) {
+	if pattern.RegularityFrom(st.regularitySummary(), stats, d.cfg.Regularity) {
 		fp |= 1 << 16
 	}
 	if contended {

@@ -39,6 +39,11 @@ import (
 // reducer, per-thread pattern detectors, the global detector the regularity
 // check reads, the default-options run stream the use-case layer consumes,
 // and the use-case reducer itself. It is confined to one shard; no locks.
+//
+// Every event is segmented once per view that needs it, and a one-thread
+// instance needs one: its only thread's stream is the interleaved stream, so
+// the sole per-thread detector stands in for the global one until a second
+// thread arrives (feedBatch, promote).
 type instanceStream struct {
 	id trace.InstanceID
 
@@ -50,14 +55,22 @@ type instanceStream struct {
 	// ct folds the cross-thread contention figures (episodes, phases, the
 	// happens-before window sketch). Scalar state plus one inline window:
 	// single-threaded instances never allocate for it.
-	ct        profile.StreamContention
+	ct profile.StreamContention
+	// perThread holds one pattern detector per thread — the paper judges
+	// successive accesses within one thread. Its closed runs feed the
+	// use-case patterns; while global is nil, the one entry's closed runs
+	// are also the use-case run stream (unless runSeg produces it).
 	perThread map[trace.ThreadID]*pattern.StreamDetector
 	// global segments the interleaved per-instance stream with the
-	// configured options — what the regularity check summarizes.
+	// configured options — what the regularity check summarizes. It is nil
+	// while the instance has seen one thread; the first span bringing a
+	// second thread promotes it (promote); regularitySummary reads whichever
+	// detector stands for the interleaved stream.
 	global *pattern.StreamDetector
 	// runSeg produces the default-options run stream for the use-case layer.
 	// It is nil when the configured segmentation already is default-options;
-	// then global's closed runs are reused instead of segmenting twice.
+	// then the interleaved detector's closed runs are reused instead of
+	// segmenting twice.
 	runSeg *profile.StreamSegmenter
 	uc     *usecase.Stream
 	// smp, when the analyzer has a sampling controller, closes the
@@ -74,7 +87,6 @@ func newInstanceStream(d *DSspy, id trace.InstanceID) *instanceStream {
 	st := &instanceStream{
 		id:        id,
 		perThread: make(map[trace.ThreadID]*pattern.StreamDetector, 1),
-		global:    pattern.NewStreamDetector(d.cfg.Pattern, false),
 		uc:        usecase.NewStream(d.cfg.Thresholds),
 	}
 	seg := d.cfg.Pattern.Segment
@@ -107,6 +119,12 @@ func (st *instanceStream) feedBatch(d *DSspy, b *trace.ColumnBatch, i, j int) {
 	st.ct.FoldBatch(b, i, j)
 	st.uc.FoldBatch(b, i, j)
 
+	// Promotion is decided for the whole span before any detector folds it,
+	// so the global detector starts from the state just before the span.
+	if st.global == nil && !st.soloSpan(b, i, j) {
+		st.promote(d)
+	}
+	soloRuns := st.global == nil && st.runSeg == nil
 	for k := i; k < j; {
 		e := b.ThreadRun(k, j)
 		det := st.perThread[b.Thread[k]]
@@ -114,21 +132,26 @@ func (st *instanceStream) feedBatch(d *DSspy, b *trace.ColumnBatch, i, j int) {
 			det = pattern.NewStreamDetector(d.cfg.Pattern, true)
 			st.perThread[b.Thread[k]] = det
 		}
-		det.FeedBatch(b, k, e, func(c pattern.Closed) {
-			if c.Type != pattern.None {
-				st.uc.Pattern(pattern.Pattern{Type: c.Type, Run: c.Run})
+		det.FeedRuns(b, k, e, func(r *profile.Run, t pattern.Type) {
+			if t != pattern.None {
+				st.uc.Pattern(t, r)
+			}
+			if soloRuns {
+				st.uc.Run(r)
 			}
 		})
 		k = e
 	}
 
-	st.global.FeedBatch(b, i, j, func(c pattern.Closed) {
-		if st.runSeg == nil {
-			st.uc.Run(c.Run)
-		}
-	})
+	if st.global != nil {
+		st.global.FeedRuns(b, i, j, func(r *profile.Run, _ pattern.Type) {
+			if st.runSeg == nil {
+				st.uc.Run(r)
+			}
+		})
+	}
 	if st.runSeg != nil {
-		st.runSeg.FeedBatch(b, i, j, func(r profile.Run) { st.uc.Run(r) })
+		st.runSeg.FeedRuns(b, i, j, st.uc.Run)
 	}
 
 	if sp := st.smp; sp != nil {
@@ -139,7 +162,49 @@ func (st *instanceStream) feedBatch(d *DSspy, b *trace.ColumnBatch, i, j int) {
 	}
 }
 
-// openRuns counts the runs currently held open across all segmenters.
+// soloSpan reports whether the non-empty span [i, j) keeps the instance
+// single-threaded: one thread wrote all of it, and that thread is the one
+// (if any) seen before.
+func (st *instanceStream) soloSpan(b *trace.ColumnBatch, i, j int) bool {
+	if b.ThreadRun(i, j) < j {
+		return false
+	}
+	_, seen := st.perThread[b.Thread[i]]
+	return seen || len(st.perThread) == 0
+}
+
+// promote starts the global detector when a second thread arrives. Until
+// then the sole per-thread detector has segmented the interleaved stream
+// itself — same events, same options, same ordinals — so a copy of it
+// without the pattern list is exactly the state a global detector would
+// hold. An instance whose first span is already multi-threaded starts from a
+// fresh detector.
+func (st *instanceStream) promote(d *DSspy) {
+	for _, det := range st.perThread { // at most one entry
+		st.global = det.CloneAs(false)
+		return
+	}
+	st.global = pattern.NewStreamDetector(d.cfg.Pattern, false)
+}
+
+// regularitySummary is the summary of the interleaved per-instance stream,
+// which the regularity check reads: global's, or that of the sole per-thread
+// detector standing in for it.
+func (st *instanceStream) regularitySummary() *pattern.Summary {
+	det := st.global
+	if det == nil {
+		for _, solo := range st.perThread { // at most one entry
+			det = solo
+		}
+	}
+	if det == nil {
+		return &pattern.Summary{}
+	}
+	return det.Summary()
+}
+
+// openRuns counts the runs currently held open across all segmenters. A
+// one-thread instance holds one: its per-thread run is the global one.
 func (st *instanceStream) openRuns() int {
 	n := 0
 	for _, det := range st.perThread {
@@ -147,7 +212,7 @@ func (st *instanceStream) openRuns() int {
 			n++
 		}
 	}
-	if st.global.Open() {
+	if st.global != nil && st.global.Open() {
 		n++
 	}
 	if st.runSeg != nil && st.runSeg.Open() {
@@ -167,12 +232,14 @@ func (st *instanceStream) clone() *instanceStream {
 		stats:     *st.stats.Clone(),
 		ct:        *st.ct.Clone(),
 		perThread: make(map[trace.ThreadID]*pattern.StreamDetector, len(st.perThread)),
-		global:    st.global.Clone(),
 		uc:        st.uc.Clone(),
 		agg:       st.agg,
 	}
 	for tid, det := range st.perThread {
 		out.perThread[tid] = det.Clone()
+	}
+	if st.global != nil {
+		out.global = st.global.Clone()
 	}
 	if st.runSeg != nil {
 		out.runSeg = st.runSeg.Clone()
@@ -193,21 +260,29 @@ func (st *instanceStream) finalize(d *DSspy, s *trace.Session) *InstanceResult {
 		tids = append(tids, tid)
 	}
 	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
+	soloRuns := st.global == nil && st.runSeg == nil
 	sum := &pattern.Summary{}
 	for _, tid := range tids {
 		det := st.perThread[tid]
-		if c, ok := det.Finish(); ok && c.Type != pattern.None {
-			st.uc.Pattern(pattern.Pattern{Type: c.Type, Run: c.Run})
+		if c, ok := det.Finish(); ok {
+			if c.Type != pattern.None {
+				st.uc.Pattern(c.Type, &c.Run)
+			}
+			if soloRuns {
+				st.uc.Run(&c.Run)
+			}
 		}
 		sum.Merge(det.Summary())
 	}
 
-	if c, ok := st.global.Finish(); ok && st.runSeg == nil {
-		st.uc.Run(c.Run)
+	if st.global != nil {
+		if c, ok := st.global.Finish(); ok && st.runSeg == nil {
+			st.uc.Run(&c.Run)
+		}
 	}
 	if st.runSeg != nil {
 		if r, ok := st.runSeg.Finish(); ok {
-			st.uc.Run(r)
+			st.uc.Run(&r)
 		}
 	}
 
@@ -234,7 +309,7 @@ func (st *instanceStream) finalize(d *DSspy, s *trace.Session) *InstanceResult {
 		Profile:    p,
 		Summary:    sum,
 		UseCases:   st.uc.Finish(inst, stats, ct),
-		Regular:    pattern.RegularityFrom(st.global.Summary(), stats, d.cfg.Regularity),
+		Regular:    pattern.RegularityFrom(st.regularitySummary(), stats, d.cfg.Regularity),
 		Shared:     profile.SharedAccessOf(p),
 		Contention: ct,
 	}

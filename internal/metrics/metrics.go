@@ -156,10 +156,15 @@ func (ov *OverheadStats) Write(w io.Writer) error {
 // stream has been folded, how much reducer state is live, and what snapshots
 // cost. The streaming analyzer fills it at Snapshot/Close.
 type StreamingStats struct {
-	Shards     int    // analyzer shards (== collector shards when attached)
-	Folded     uint64 // events folded into reducers so far
-	Instances  int    // live per-instance reducers
-	OpenRuns   int    // runs currently held open across all reducers
+	Shards    int    // analyzer shards (== collector shards when attached)
+	Folded    uint64 // events folded into reducers so far
+	Instances int    // live per-instance reducers
+	// OpenRuns counts the runs currently held open across all segmenters:
+	// one per thread of each instance, plus one for the instance's global
+	// (interleaved) stream once a second thread has touched it — a
+	// one-thread instance's run is its global run — plus one for the
+	// default-options run stream when the configured segmentation differs.
+	OpenRuns   int
 	OutOfOrder uint64 // events that arrived with a lower Seq than a prior
 	// event of the same instance; nonzero means unsynchronized concurrent
 	// access to one instance, and order-sensitive figures may differ from a

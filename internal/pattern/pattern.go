@@ -106,7 +106,7 @@ func DetectWith(p *profile.Profile, cfg Config) []Pattern {
 }
 
 // Classify maps one run onto a pattern type, or None.
-func Classify(r profile.Run) Type {
+func Classify(r *profile.Run) Type {
 	switch r.Op {
 	case trace.OpRead:
 		switch r.Direction {
@@ -160,17 +160,19 @@ type Summary struct {
 	Bound float64 `json:",omitempty"`
 }
 
-// add folds one pattern's aggregates in; the single implementation shared by
-// the batch drivers and the streaming detector. It does not append to
-// Patterns — retention is the detector's choice.
-func (s *Summary) add(pat Pattern) {
-	s.ByType[pat.Type]++
-	s.EventsIn[pat.Type] += pat.Len()
-	if pat.Type == ReadForward || pat.Type == ReadBackward {
+// add folds the aggregates of one pattern of type t over run r in; the
+// single implementation shared by the batch drivers and the streaming
+// detector. It does not append to Patterns — retention is the detector's
+// choice.
+func (s *Summary) add(t Type, r *profile.Run) {
+	n := r.Len()
+	s.ByType[t]++
+	s.EventsIn[t] += n
+	if t == ReadForward || t == ReadBackward {
 		s.SequentialReads++
 	}
-	if pat.Len() > s.LongestPattern {
-		s.LongestPattern = pat.Len()
+	if n > s.LongestPattern {
+		s.LongestPattern = n
 	}
 }
 
@@ -178,8 +180,9 @@ func (s *Summary) add(pat Pattern) {
 // StreamDetector, folding the profile's cached run list.
 func Summarize(p *profile.Profile, cfg Config) *Summary {
 	d := NewStreamDetector(cfg, true)
-	for _, run := range p.RunsWith(cfg.Segment) {
-		d.FoldRun(run)
+	runs := p.RunsWith(cfg.Segment)
+	for i := range runs {
+		d.classify(&runs[i])
 	}
 	return d.Summary()
 }

@@ -228,11 +228,11 @@ func TestHasRegularity(t *testing.T) {
 
 func TestClassifyNonPositionalRuns(t *testing.T) {
 	r := profile.Run{Op: trace.OpSort, Direction: profile.DirNone}
-	if Classify(r) != None {
+	if Classify(&r) != None {
 		t.Error("Sort run classified as a pattern")
 	}
 	r = profile.Run{Op: trace.OpRead, Direction: profile.DirStationary}
-	if Classify(r) != None {
+	if Classify(&r) != None {
 		t.Error("stationary read classified as directional pattern")
 	}
 }

@@ -4,6 +4,11 @@
 // state between events is the open run plus O(patterns) aggregates. The batch
 // entry points (DetectWith, Summarize) are thin drivers over the same fold,
 // keeping exactly one implementation of the paper's classification semantics.
+//
+// Closed runs are lent by pointer (FeedRuns, and the segmenter's borrow
+// contract behind it): a run is copied only where it is retained, into a
+// keeping detector's pattern list. The value forms — Feed, FeedBatch with a
+// Closed callback and Finish — are adapters over the same fold.
 package pattern
 
 import (
@@ -11,9 +16,10 @@ import (
 	"dsspy/internal/trace"
 )
 
-// Closed is what Feed emits when an event closes a run: the run itself plus
-// its classification (None when the run is below MinLen or matches no type).
-// Streaming use-case detectors consume closed runs without retaining events.
+// Closed is what the value-form adapters (Feed, FeedBatch, Finish) return
+// when a run closes: a copy of the run plus its classification (None when
+// the run is below MinLen or matches no type). FeedRuns lends the same pair
+// without the copy.
 type Closed struct {
 	Run  profile.Run
 	Type Type
@@ -51,31 +57,37 @@ func (d *StreamDetector) Feed(e trace.Event) (Closed, bool) {
 	if !ok {
 		return Closed{}, false
 	}
-	return d.FoldRun(r), true
+	return Closed{Run: r, Type: d.classify(&r)}, true
 }
 
-// FeedBatch folds events [i, j) of a column batch, invoking emit for every
-// closed run with its classification — the batch form of Feed, driven by the
-// segmenter's column walk.
+// FeedRuns folds events [i, j) of a column batch, lending every closed run
+// and its classification to emit. The run pointer follows the segmenter's
+// borrow contract: it is valid only during the callback.
+func (d *StreamDetector) FeedRuns(b *trace.ColumnBatch, i, j int, emit func(*profile.Run, Type)) {
+	d.seg.FeedRuns(b, i, j, func(r *profile.Run) { emit(r, d.classify(r)) })
+}
+
+// FeedBatch is FeedRuns for callers that want each closed run by value.
 func (d *StreamDetector) FeedBatch(b *trace.ColumnBatch, i, j int, emit func(Closed)) {
-	d.seg.FeedBatch(b, i, j, func(r profile.Run) { emit(d.FoldRun(r)) })
+	d.FeedRuns(b, i, j, func(r *profile.Run, t Type) { emit(Closed{Run: *r, Type: t}) })
 }
 
-// FoldRun classifies one closed run and folds it into the summary. Exposed so
-// batch drivers can reuse an already-segmented run list.
-func (d *StreamDetector) FoldRun(r profile.Run) Closed {
-	c := Closed{Run: r}
-	if r.Len() >= d.cfg.MinLen {
-		c.Type = Classify(r)
+// classify classifies one closed run and folds it into the summary: the
+// single implementation behind FeedRuns, the value adapters and Summarize's
+// walk over an already-segmented run list. The run is copied only when the
+// detector keeps its pattern list.
+func (d *StreamDetector) classify(r *profile.Run) Type {
+	if r.Len() < d.cfg.MinLen {
+		return None
 	}
-	if c.Type != None {
-		pat := Pattern{Type: c.Type, Run: r}
-		d.sum.add(pat)
+	t := Classify(r)
+	if t != None {
+		d.sum.add(t, r)
 		if d.keep {
-			d.sum.Patterns = append(d.sum.Patterns, pat)
+			d.sum.Patterns = append(d.sum.Patterns, Pattern{Type: t, Run: *r})
 		}
 	}
-	return c
+	return t
 }
 
 // Finish flushes the still-open run, if any, classifying and folding it. The
@@ -86,7 +98,7 @@ func (d *StreamDetector) Finish() (Closed, bool) {
 	if !ok {
 		return Closed{}, false
 	}
-	return d.FoldRun(r), true
+	return Closed{Run: r, Type: d.classify(&r)}, true
 }
 
 // Open reports whether a run is currently held open.
@@ -100,9 +112,18 @@ func (d *StreamDetector) Summary() *Summary {
 }
 
 // Clone returns an independent copy, used by snapshot-at-any-time readers.
-func (d *StreamDetector) Clone() *StreamDetector {
-	out := &StreamDetector{cfg: d.cfg, seg: d.seg.Clone(), sum: d.sum, keep: d.keep}
-	out.sum.Patterns = append([]Pattern(nil), d.sum.Patterns...)
+func (d *StreamDetector) Clone() *StreamDetector { return d.CloneAs(d.keep) }
+
+// CloneAs returns an independent copy that keeps its pattern list from now
+// on only if keepPatterns is set; without it the copy starts with none. A
+// non-keeping copy of a detector is exactly the detector a caller would hold
+// had it fed the same events with keepPatterns unset.
+func (d *StreamDetector) CloneAs(keepPatterns bool) *StreamDetector {
+	out := &StreamDetector{cfg: d.cfg, seg: d.seg.Clone(), sum: d.sum, keep: keepPatterns}
+	out.sum.Patterns = nil
+	if keepPatterns {
+		out.sum.Patterns = append([]Pattern(nil), d.sum.Patterns...)
+	}
 	return out
 }
 

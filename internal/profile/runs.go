@@ -70,11 +70,11 @@ type Run struct {
 }
 
 // Len returns the number of events in the run.
-func (r Run) Len() int { return r.End - r.Start + 1 }
+func (r *Run) Len() int { return r.End - r.Start + 1 }
 
 // Coverage returns the fraction of the structure the run touched: distinct
 // position span divided by the largest size seen during the run.
-func (r Run) Coverage() float64 {
+func (r *Run) Coverage() float64 {
 	if r.MaxSeenSize <= 0 || r.FirstIndex < 0 {
 		return 0
 	}
@@ -161,17 +161,5 @@ func stepDirection(step int, opts SegmentOptions) Direction {
 		return DirBackward
 	default:
 		return DirNone
-	}
-}
-
-// isBack reports whether the event targets the current back end of the
-// structure. For deletions the size has already shrunk, so the old back is
-// at the new size.
-func isBack(e trace.Event) bool {
-	switch e.Op {
-	case trace.OpDelete:
-		return e.Index >= e.Size
-	default:
-		return e.Size > 0 && e.Index >= e.Size-1
 	}
 }

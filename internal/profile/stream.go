@@ -156,13 +156,15 @@ func (ss *StreamStats) Clone() *StreamStats {
 // StreamSegmenter is run segmentation as a state machine: Feed returns the
 // run an event closes (if any), Finish flushes the still-open run. Start/End
 // are ordinals in feed order, so feeding a profile's events reproduces the
-// batch segmentation of runs.go index for index.
+// batch segmentation of runs.go index for index. The machine only ever reads
+// the previous event's index, so that is all it keeps of it: Feed and the
+// columnar FeedRuns share one state and may be mixed freely.
 type StreamSegmenter struct {
-	opts SegmentOptions
-	open bool
-	run  Run
-	prev trace.Event
-	next int // ordinal assigned to the next event
+	opts    SegmentOptions
+	open    bool
+	run     Run
+	prevIdx int // Index of the last event folded
+	next    int // ordinal assigned to the next event
 }
 
 // NewStreamSegmenter returns a segmenter with the given options.
@@ -176,95 +178,91 @@ func NewStreamSegmenter(opts SegmentOptions) *StreamSegmenter {
 // Feed folds one event. When the event cannot extend the open run, that run
 // is returned closed and the event starts a new one.
 func (g *StreamSegmenter) Feed(e trace.Event) (closed Run, ok bool) {
-	if g.open {
-		if extendsRun(&g.run, g.prev, e, g.opts) {
-			absorbRun(&g.run, g.prev, e)
-			g.run.End = g.next
-			g.prev = e
-			g.next++
-			return Run{}, false
-		}
-		closed, ok = g.run, true
-	}
-	g.run = startRunAt(e, g.next)
-	g.prev = e
-	g.open = true
-	g.next++
+	g.step(e.Op, e.Index, e.Size, func(r *Run) { closed, ok = *r, true })
 	return closed, ok
 }
 
-// FeedBatch folds events [i, j) of a column batch, invoking emit for every
-// run a fold closes. It is the native columnar form of Feed: the state
-// machine only ever reads the previous event's index, so the loop walks the
-// Op/Index/Size columns with a scalar prev instead of gathering and copying
-// 48-byte Event structs per fold. The fuzz differential
-// (FuzzColumnarFoldDifferential) holds the two forms equal.
-func (g *StreamSegmenter) FeedBatch(b *trace.ColumnBatch, i, j int, emit func(Run)) {
-	if i >= j {
-		return
+// FeedRuns folds events [i, j) of a column batch, lending every run a fold
+// closes to emit. It is the native columnar form of Feed, walking the
+// Op/Index/Size columns instead of gathering Event structs.
+//
+// Borrow contract: the *Run is the segmenter's own open-run slot, valid only
+// during the callback — the next event overwrites it. A callee that keeps
+// the run must copy it. The fuzz differential (FuzzColumnarFoldDifferential)
+// holds FeedRuns and Feed equal.
+func (g *StreamSegmenter) FeedRuns(b *trace.ColumnBatch, i, j int, emit func(*Run)) {
+	ops, idxs, sizes := b.Op[i:j], b.Index[i:j], b.Size[i:j]
+	for k := range ops {
+		g.step(ops[k], idxs[k], sizes[k], emit)
 	}
-	ops, idxs, sizes := b.Op, b.Index, b.Size
-	r := &g.run
-	prevIdx := g.prev.Index
-	for k := i; k < j; k++ {
-		op, idx, size := ops[k], idxs[k], sizes[k]
-		if g.open && extendsCols(r, g.opts, prevIdx, op, idx, size) {
-			absorbCols(r, prevIdx, idx, size)
-			r.End = g.next
-		} else {
-			if g.open {
-				emit(*r)
-			}
-			*r = startRunColsAt(op, idx, size, g.next)
-			g.open = true
-		}
-		prevIdx = idx
-		g.next++
-	}
-	// One gather per batch keeps g.prev exact for a later per-event Feed.
-	g.prev = b.At(j - 1)
 }
 
-// isBackCols is isBack over scalars.
-func isBackCols(op trace.Op, idx, size int) bool {
+// FeedBatch is FeedRuns for callers that want each closed run by value.
+func (g *StreamSegmenter) FeedBatch(b *trace.ColumnBatch, i, j int, emit func(Run)) {
+	g.FeedRuns(b, i, j, func(r *Run) { emit(*r) })
+}
+
+// step folds one event given as scalars: the single implementation of the
+// state machine behind Feed and FeedRuns.
+func (g *StreamSegmenter) step(op trace.Op, idx, size int, emit func(*Run)) {
+	r := &g.run
+	if g.open && extendsRun(r, g.opts, g.prevIdx, op, idx, size) {
+		absorbRun(r, g.prevIdx, idx, size)
+		r.End = g.next
+	} else {
+		if g.open {
+			emit(r)
+		}
+		startRunAt(r, op, idx, size, g.next)
+		g.open = true
+	}
+	g.prevIdx = idx
+	g.next++
+}
+
+// isBack reports whether an access targets the current back end of the
+// structure. For deletions the size has already shrunk, so the old back is
+// at the new size.
+func isBack(op trace.Op, idx, size int) bool {
 	if op == trace.OpDelete {
 		return idx >= size
 	}
 	return size > 0 && idx >= size-1
 }
 
-// startRunColsAt is startRunAt over scalars.
-func startRunColsAt(op trace.Op, idx, size, i int) Run {
-	r := Run{
-		Op:          op,
-		Start:       i,
-		End:         i,
-		FirstIndex:  idx,
-		LastIndex:   idx,
-		MinIndex:    idx,
-		MaxIndex:    idx,
-		MaxSeenSize: size,
-	}
+// startRunAt begins, in place, a run whose first event has ordinal i. It
+// clears the slot and sets fields one by one: assigning a composite literal
+// would build the 80-byte run on the stack and copy it per closed run.
+func startRunAt(r *Run, op trace.Op, idx, size, i int) {
+	*r = Run{}
+	r.Op = op
+	r.Start, r.End = i, i
+	r.FirstIndex, r.LastIndex, r.MinIndex, r.MaxIndex = idx, idx, idx, idx
+	r.MaxSeenSize = size
 	if idx >= 0 {
 		r.AllFront = idx == 0
-		r.AllBack = isBackCols(op, idx, size)
+		r.AllBack = isBack(op, idx, size)
 		r.StrictlyUp = true
 		r.StrictlyDown = true
 	}
-	return r
 }
 
-// extendsCols is extendsRun over scalars (prev contributes only its index).
-func extendsCols(r *Run, opts SegmentOptions, prevIdx int, op trace.Op, idx, size int) bool {
+// extendsRun reports whether an access (preceded by one at prevIdx) can
+// continue the run.
+func extendsRun(r *Run, opts SegmentOptions, prevIdx int, op trace.Op, idx, size int) bool {
 	if op != r.Op {
 		return false
 	}
+	// Whole-structure operations merge unconditionally.
 	if idx < 0 || prevIdx < 0 {
 		return idx < 0 && prevIdx < 0
 	}
+	// Insert/Delete streams extend while they stay consistent with at least
+	// one end or strict direction, so a front-deletion phase and a following
+	// back-deletion phase become two runs, each classifiable.
 	if op == trace.OpInsert || op == trace.OpDelete {
 		return (r.AllFront && idx == 0) ||
-			(r.AllBack && isBackCols(op, idx, size)) ||
+			(r.AllBack && isBack(op, idx, size)) ||
 			(r.StrictlyUp && idx == prevIdx+1) ||
 			(r.StrictlyDown && idx == prevIdx-1)
 	}
@@ -282,8 +280,8 @@ func extendsCols(r *Run, opts SegmentOptions, prevIdx int, op trace.Op, idx, siz
 	}
 }
 
-// absorbCols is absorbRun over scalars.
-func absorbCols(r *Run, prevIdx, idx, size int) {
+// absorbRun folds an access (preceded by one at prevIdx) into the run.
+func absorbRun(r *Run, prevIdx, idx, size int) {
 	if idx >= 0 {
 		if r.Direction == DirNone && prevIdx >= 0 {
 			switch {
@@ -303,7 +301,7 @@ func absorbCols(r *Run, prevIdx, idx, size int) {
 			r.MaxIndex = idx
 		}
 		r.AllFront = r.AllFront && idx == 0
-		r.AllBack = r.AllBack && isBackCols(r.Op, idx, size)
+		r.AllBack = r.AllBack && isBack(r.Op, idx, size)
 		if prevIdx >= 0 {
 			r.StrictlyUp = r.StrictlyUp && idx == prevIdx+1
 			r.StrictlyDown = r.StrictlyDown && idx == prevIdx-1
@@ -331,92 +329,6 @@ func (g *StreamSegmenter) Open() bool { return g.open }
 func (g *StreamSegmenter) Clone() *StreamSegmenter {
 	out := *g
 	return &out
-}
-
-// startRunAt begins a run whose first event e has ordinal i.
-func startRunAt(e trace.Event, i int) Run {
-	r := Run{
-		Op:          e.Op,
-		Start:       i,
-		End:         i,
-		FirstIndex:  e.Index,
-		LastIndex:   e.Index,
-		MinIndex:    e.Index,
-		MaxIndex:    e.Index,
-		MaxSeenSize: e.Size,
-	}
-	if e.Index >= 0 {
-		r.AllFront = e.Index == 0
-		r.AllBack = isBack(e)
-		r.StrictlyUp = true
-		r.StrictlyDown = true
-	}
-	return r
-}
-
-// extendsRun reports whether event e (preceded by prev) can continue the run.
-func extendsRun(r *Run, prev, e trace.Event, opts SegmentOptions) bool {
-	if e.Op != r.Op {
-		return false
-	}
-	// Whole-structure operations merge unconditionally.
-	if e.Index < 0 || prev.Index < 0 {
-		return e.Index < 0 && prev.Index < 0
-	}
-	// Insert/Delete streams extend while they stay consistent with at least
-	// one end or strict direction, so a front-deletion phase and a following
-	// back-deletion phase become two runs, each classifiable.
-	if e.Op == trace.OpInsert || e.Op == trace.OpDelete {
-		return (r.AllFront && e.Index == 0) ||
-			(r.AllBack && isBack(e)) ||
-			(r.StrictlyUp && e.Index == prev.Index+1) ||
-			(r.StrictlyDown && e.Index == prev.Index-1)
-	}
-	step := e.Index - prev.Index
-	dir := stepDirection(step, opts)
-	if dir == DirNone {
-		return false
-	}
-	switch r.Direction {
-	case DirNone:
-		return true // second event fixes the direction
-	case DirStationary:
-		return dir == DirStationary
-	default:
-		return dir == r.Direction || (dir == DirStationary && opts.AllowRepeat)
-	}
-}
-
-// absorbRun folds event e (preceded by prev) into the run.
-func absorbRun(r *Run, prev, e trace.Event) {
-	if e.Index >= 0 {
-		if r.Direction == DirNone && prev.Index >= 0 {
-			switch {
-			case e.Index > prev.Index:
-				r.Direction = DirForward
-			case e.Index < prev.Index:
-				r.Direction = DirBackward
-			default:
-				r.Direction = DirStationary
-			}
-		}
-		r.LastIndex = e.Index
-		if e.Index < r.MinIndex {
-			r.MinIndex = e.Index
-		}
-		if e.Index > r.MaxIndex {
-			r.MaxIndex = e.Index
-		}
-		r.AllFront = r.AllFront && e.Index == 0
-		r.AllBack = r.AllBack && isBack(e)
-		if prev.Index >= 0 {
-			r.StrictlyUp = r.StrictlyUp && e.Index == prev.Index+1
-			r.StrictlyDown = r.StrictlyDown && e.Index == prev.Index-1
-		}
-	}
-	if e.Size > r.MaxSeenSize {
-		r.MaxSeenSize = e.Size
-	}
 }
 
 // NewStreamed returns an event-free profile standing in for n streamed

@@ -55,7 +55,7 @@ func foldSeedLogBytes(tb testing.TB) []byte {
 
 // FuzzColumnarFoldDifferential is the end-to-end obligation of the columnar
 // engine: for any decodable stream, folding the column batches directly
-// (FoldBatch/FeedBatch) must leave every streaming reducer in exactly the
+// (FoldBatch/FeedBatch/FeedRuns) must leave every streaming reducer in exactly the
 // state that inflating to []Event and folding per event leaves it in. The
 // report-level differential suite checks this for the 39 corpus workloads;
 // the fuzzer checks it for adversarial column shapes.
@@ -115,6 +115,22 @@ func FuzzColumnarFoldDifferential(f *testing.F) {
 		}
 		if !reflect.DeepEqual(runsCol, runsEv) {
 			t.Fatalf("StreamSegmenter diverged:\n batch: %+v\n event: %+v", runsCol, runsEv)
+		}
+		// Both forms share one state: a columnar first half continued per
+		// event must segment exactly like either form alone.
+		segMix := profile.NewStreamSegmenter(profile.DefaultSegmentOptions())
+		var runsMix []profile.Run
+		segMix.FeedRuns(&cb, 0, n/2, func(r *profile.Run) { runsMix = append(runsMix, *r) })
+		for _, e := range events[n/2:] {
+			if r, ok := segMix.Feed(e); ok {
+				runsMix = append(runsMix, r)
+			}
+		}
+		if r, ok := segMix.Finish(); ok {
+			runsMix = append(runsMix, r)
+		}
+		if !reflect.DeepEqual(runsMix, runsEv) {
+			t.Fatalf("StreamSegmenter mixed forms diverged:\n mixed: %+v\n event: %+v", runsMix, runsEv)
 		}
 
 		// pattern.StreamDetector: closed classifications and final summary.

@@ -169,8 +169,9 @@ func (u *Stream) FoldBatch(b *trace.ColumnBatch, i, j int) {
 
 // Run folds one closed run of the instance's global (default-options)
 // segmentation, in stream order — Sort-After-Insert needs run adjacency and
-// Write-Without-Read needs the terminal run.
-func (u *Stream) Run(r profile.Run) {
+// Write-Without-Read needs the terminal run. The run is read, never kept, so
+// a segmenter's borrowed run may be passed straight through.
+func (u *Stream) Run(r *profile.Run) {
 	if r.Op == trace.OpInsert {
 		u.saiInsertEvents += r.Len()
 	}
@@ -187,11 +188,12 @@ func (u *Stream) Run(r profile.Run) {
 	}
 }
 
-// Pattern folds one detected pattern (from the per-thread summaries, any
-// order; the aggregates are sums and maxes).
-func (u *Stream) Pattern(pat pattern.Pattern) {
-	n := pat.Len()
-	switch pat.Type {
+// Pattern folds one detected pattern of type t over run r (from the
+// per-thread detectors, any order; the aggregates are sums and maxes). Like
+// Run it only reads r, so a borrowed run may be passed.
+func (u *Stream) Pattern(t pattern.Type, r *profile.Run) {
+	n := r.Len()
+	switch t {
 	case pattern.InsertFront, pattern.InsertBack:
 		u.liInsEvents += n
 		if n > u.liInsLongest {
@@ -204,7 +206,7 @@ func (u *Stream) Pattern(pat pattern.Pattern) {
 		}
 	case pattern.ReadForward, pattern.ReadBackward:
 		u.fsDirReadEvents += n
-		if pat.Coverage() >= u.th.FLRMinCoverage {
+		if r.Coverage() >= u.th.FLRMinCoverage {
 			u.flrLongReads++
 		}
 	}

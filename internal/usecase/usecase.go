@@ -304,11 +304,12 @@ func DetectWithSummary(p *profile.Profile, sum *pattern.Summary, th Thresholds) 
 	for _, e := range p.Events {
 		u.Event(e)
 	}
-	for _, r := range p.Runs() {
-		u.Run(r)
+	runs := p.Runs()
+	for i := range runs {
+		u.Run(&runs[i])
 	}
-	for _, pat := range sum.Patterns {
-		u.Pattern(pat)
+	for i := range sum.Patterns {
+		u.Pattern(sum.Patterns[i].Type, &sum.Patterns[i].Run)
 	}
 	// The cross-thread summary is only consulted for multi-thread profiles,
 	// so single-threaded profiles never pay the contention fold.
