@@ -64,11 +64,12 @@ bench-obs:
 ## (DSSPY_HOTPATH_GATE=1 enables the wall-clock half), and the v3 columnar
 ## wire format must spend ≤1/3 the bytes/event of v2 on a corpus-like stream.
 ## Benchmarks: Emit-vs-Bind ns/event, the collector hand-off of flushes whose
-## instances alternate across shards, the goroutine-id fast path, and the
+## instances alternate across shards — producer columns handed over whole
+## and the []Event adapter's scatter — the goroutine-id fast path, and the
 ## k-way merge vs the global sort at 1M events.
 bench-hotpath:
 	DSSPY_HOTPATH_GATE=1 $(GO) test ./internal/trace/ -run 'TestHotPathLatencyGate|TestV3BytesPerEventGate' -v -count 1
-	$(GO) test ./internal/trace/ -run xxx -bench 'HotPath|RecordBatchInterleaved|GoidLookup|MergeKWay1M|MergeGlobalSort1M' -benchmem -benchtime 2x -count 1
+	$(GO) test ./internal/trace/ -run xxx -bench 'HotPath|ProducerFlushInterleaved|RecordBatchInterleaved|GoidLookup|MergeKWay1M|MergeGlobalSort1M' -benchmem -benchtime 2x -count 1
 
 ## bench-columnar: the columnar engine's acceptance gates and benchmarks.
 ## Gates (DSSPY_COLUMNAR_GATE=1): Feed — the []Event ingress, a scatter onto

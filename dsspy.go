@@ -52,14 +52,14 @@ type Event = trace.Event
 // Recorder consumes access events.
 type Recorder = trace.Recorder
 
-// BatchRecorder is the optional bulk interface of the hot path: recorders
-// that accept whole producer batches in one call. All collectors in this
-// package implement it.
+// BatchRecorder is the optional []Event bulk interface: recorders that
+// accept whole batches in one call. All collectors in this package
+// implement it.
 type BatchRecorder = trace.BatchRecorder
 
 // Producer is a goroutine-local batched emission handle obtained from
-// Session.Bind: the goroutine id is captured once and events accumulate in a
-// pooled fixed-size batch, so the per-event hot-path cost (id capture,
+// Session.Bind: the goroutine id is captured once and events accumulate in
+// pooled column batches, so the per-event hot-path cost (id capture,
 // atomic sequencing, collector handoff) is amortized by the batch size.
 // Reports are byte-identical to per-event Emit. A Producer must stay on the
 // goroutine that created it; call Close (or Flush) before synchronizing

@@ -1,6 +1,9 @@
 package trace
 
-import "sort"
+import (
+	"sort"
+	"sync"
+)
 
 // ColumnBatch is a struct-of-arrays event batch: six parallel columns, one
 // per Event field, all the same length. It is the in-memory twin of the v3
@@ -13,10 +16,10 @@ import "sort"
 // len(Seq) == len(Instance) == … always holds. Columns are exported for the
 // reducers' column walks; treat them as read-only unless you own the batch.
 //
-// Ownership follows the slice it wraps: a ColumnBatch handed to a ShardSink
-// or emitted by a drain goroutine is reused after the call returns — fold or
-// copy, never retain (the same contract BatchRecorder imposes on []Event
-// batches).
+// Ownership: a ColumnBatch handed to a ShardSink is reused after the call
+// returns — fold or copy, never retain (the same contract BatchRecorder
+// imposes on []Event batches). One handed to RecordColumns is the callee's
+// (ColumnRecorder).
 type ColumnBatch struct {
 	Seq      []uint64
 	Instance []InstanceID
@@ -27,9 +30,26 @@ type ColumnBatch struct {
 }
 
 // minColumnCap is the smallest non-zero column capacity Grow allocates; it
-// matches DefaultBatchSize so pooled producer shuttles are right-sized from
+// matches DefaultBatchSize so pooled producer batches are right-sized from
 // the first use.
 const minColumnCap = DefaultBatchSize
+
+// columnPool recycles the column batches that carry events across the shard
+// boundary. A producer takes one per shard it writes to and hands it over at
+// Flush (ColumnRecorder); RecordBatch scatters a []Event flush into them;
+// the drain goroutine returns each after the sink and store are done.
+var columnPool = sync.Pool{New: func() any { return new(ColumnBatch) }}
+
+// pooledColumns takes a cleared batch from the pool with room for n events.
+func pooledColumns(n int) *ColumnBatch {
+	b := columnPool.Get().(*ColumnBatch)
+	b.Reset()
+	b.Grow(n)
+	return b
+}
+
+// releaseColumns returns a batch nobody references any more to the pool.
+func releaseColumns(b *ColumnBatch) { columnPool.Put(b) }
 
 // Len returns the number of events in the batch.
 func (b *ColumnBatch) Len() int { return len(b.Seq) }
@@ -224,9 +244,10 @@ func (c *columnsBySeq) Swap(i, j int) {
 	c.Size[i], c.Size[j] = c.Size[j], c.Size[i]
 }
 
-// truncate cuts all columns back to n events; decode error paths use it to
-// undo a partial append.
-func (b *ColumnBatch) truncate(n int) {
+// setLen sets every column's length to n, which must be within capacity:
+// decode error paths cut a partial append back with it, and producers open
+// their pre-sized columns for indexed stores.
+func (b *ColumnBatch) setLen(n int) {
 	b.Seq = b.Seq[:n]
 	b.Instance = b.Instance[:n]
 	b.Op = b.Op[:n]

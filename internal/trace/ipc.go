@@ -31,13 +31,14 @@ import (
 // ServerStats.
 
 // SocketRecorder forwards events over a network connection using the wire
-// format. Events are buffered and flushed in batches; Close flushes the tail
-// and writes the end-of-stream marker.
+// format. Events are buffered in columns and flushed in batches, encoded
+// straight from the buffer; Close flushes the tail and writes the
+// end-of-stream marker.
 type SocketRecorder struct {
 	mu   sync.Mutex
 	sw   *StreamWriter
 	conn net.Conn
-	buf  []Event
+	buf  ColumnBatch
 	err  error
 
 	writeTimeout time.Duration
@@ -67,11 +68,9 @@ func NewSocketRecorder(conn net.Conn) (*SocketRecorder, error) {
 		conn.Close()
 		return nil, err
 	}
-	return &SocketRecorder{
-		sw:   sw,
-		conn: conn,
-		buf:  make([]Event, 0, DefaultSocketBatch),
-	}, nil
+	s := &SocketRecorder{sw: sw, conn: conn}
+	s.buf.Grow(DefaultSocketBatch)
+	return s, nil
 }
 
 // SetWriteTimeout bounds each flush: a write that cannot complete within d
@@ -95,8 +94,8 @@ func (s *SocketRecorder) Record(e Event) {
 		s.dropped++
 		return
 	}
-	s.buf = append(s.buf, e)
-	if len(s.buf) >= DefaultSocketBatch {
+	s.buf.Append(e)
+	if s.buf.Len() >= DefaultSocketBatch {
 		s.flushLocked()
 	}
 }
@@ -111,8 +110,30 @@ func (s *SocketRecorder) RecordBatch(batch []Event) {
 		s.dropped += uint64(len(batch))
 		return
 	}
-	s.buf = append(s.buf, batch...)
-	if len(s.buf) >= DefaultSocketBatch {
+	s.buf.AppendEvents(batch)
+	if s.buf.Len() >= DefaultSocketBatch {
+		s.flushLocked()
+	}
+}
+
+// ColumnShards reports one shard: a producer hands its whole flush over as
+// one program-order column batch.
+func (s *SocketRecorder) ColumnShards() int { return 1 }
+
+// RecordColumns buffers a producer's column batch with six column copies
+// and returns it to the pool; error and accounting semantics match Record.
+func (s *SocketRecorder) RecordColumns(_ int, b *ColumnBatch) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	defer releaseColumns(b)
+	n := b.Len()
+	s.recorded += uint64(n)
+	if s.err != nil || s.conn == nil {
+		s.dropped += uint64(n)
+		return
+	}
+	s.buf.AppendRange(b, 0, n)
+	if s.buf.Len() >= DefaultSocketBatch {
 		s.flushLocked()
 	}
 }
@@ -146,11 +167,11 @@ func (s *SocketRecorder) RecordAggregate(rec AggRecord) {
 }
 
 func (s *SocketRecorder) flushLocked() {
-	n := len(s.buf)
+	n := s.buf.Len()
 	if n == 0 {
 		return
 	}
-	if err := s.writeBatchLocked(s.buf); err != nil {
+	if err := s.writeLocked(nil, &s.buf); err != nil {
 		if s.err == nil {
 			s.err = err
 		}
@@ -158,18 +179,25 @@ func (s *SocketRecorder) flushLocked() {
 	} else {
 		s.delivered += uint64(n)
 	}
-	s.buf = s.buf[:0]
+	s.buf.Reset()
 }
 
-// writeBatchLocked ships one batch under the write deadline. It flushes the
-// stream writer so a transport failure surfaces on the batch that hit it,
-// not batches later.
-func (s *SocketRecorder) writeBatchLocked(events []Event) error {
+// writeLocked ships one batch — the column buffer, or a caller's []Event
+// when cols is nil — under the write deadline. It flushes the stream writer
+// so a transport failure surfaces on the batch that hit it, not batches
+// later.
+func (s *SocketRecorder) writeLocked(events []Event, cols *ColumnBatch) error {
 	if s.writeTimeout > 0 {
 		s.conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
 		defer s.conn.SetWriteDeadline(time.Time{})
 	}
-	if err := s.sw.WriteBatch(events); err != nil {
+	var err error
+	if cols != nil {
+		err = s.sw.WriteColumns(cols)
+	} else {
+		err = s.sw.WriteBatch(events)
+	}
+	if err != nil {
 		return err
 	}
 	return s.sw.Flush()
@@ -187,7 +215,7 @@ func (s *SocketRecorder) sendBatch(events []Event) error {
 	if s.conn == nil {
 		return errors.New("trace: socket recorder closed")
 	}
-	if err := s.writeBatchLocked(events); err != nil {
+	if err := s.writeLocked(events, nil); err != nil {
 		s.err = err
 		return err
 	}

@@ -166,3 +166,56 @@ func TestShardSinkBatchReuse(t *testing.T) {
 		t.Log("note: retained batch still shows the first delivery; reuse not observed this run")
 	}
 }
+
+// keepingColumns is a ColumnRecorder that keeps every batch it is handed,
+// with a deep copy taken at hand-off to compare against later.
+type keepingColumns struct {
+	kept  []*ColumnBatch
+	snaps []ColumnBatch
+}
+
+func (k *keepingColumns) Record(Event)        { panic("keepingColumns: Record") }
+func (k *keepingColumns) RecordBatch([]Event) { panic("keepingColumns: RecordBatch") }
+func (k *keepingColumns) ColumnShards() int   { return 2 }
+func (k *keepingColumns) RecordColumns(_ int, b *ColumnBatch) {
+	var snap ColumnBatch
+	snap.AppendRange(b, 0, b.Len())
+	k.kept = append(k.kept, b)
+	k.snaps = append(k.snaps, snap)
+}
+
+// TestColumnRecorderOwnership enforces the ColumnRecorder contract from the
+// producer's side: a batch handed over through RecordColumns belongs to the
+// callee, so a recorder that keeps every batch must find each one unchanged
+// after the producer has gone on to emit 10 more flushes.
+func TestColumnRecorderOwnership(t *testing.T) {
+	rec := &keepingColumns{}
+	s := NewSessionWith(Options{Recorder: rec})
+	p := s.Bind()
+	emit := func(flushes int) {
+		for i := 0; i < flushes*DefaultBatchSize; i++ {
+			p.Emit(InstanceID(1+i%3), Op(1+i%4), i, -i)
+		}
+	}
+	emit(1)
+	handed := len(rec.kept)
+	if handed != 2 {
+		t.Fatalf("first flush handed over %d batches, want 2 (one per shard)", handed)
+	}
+	emit(10)
+	p.Close()
+	for i, b := range rec.kept {
+		want := &rec.snaps[i]
+		if b.Len() != want.Len() {
+			t.Fatalf("batch %d: length %d after later flushes, %d at hand-off", i, b.Len(), want.Len())
+		}
+		for j := 0; j < b.Len(); j++ {
+			if b.At(j) != want.At(j) {
+				t.Fatalf("batch %d event %d: %+v after later flushes, %+v at hand-off", i, j, b.At(j), want.At(j))
+			}
+		}
+	}
+	if got := len(rec.kept); got != 2*11 {
+		t.Fatalf("%d batches handed over, want %d", got, 2*11)
+	}
+}

@@ -1,38 +1,37 @@
 package trace
 
 import (
-	"sync"
 	"time"
 
 	"dsspy/internal/obs"
 )
 
 // DefaultBatchSize is the capacity of a producer-local batch. 64 events
-// (2.4 KiB) amortizes the per-delivery costs — the session's atomic sequence
-// allocation, the recorder dispatch, the shard lock or channel send — by
-// ~64× while keeping the latency between an access and its visibility in a
-// streaming snapshot in the microsecond range for active producers.
+// (2.1 KiB of columns) amortizes the per-delivery costs — the session's atomic
+// sequence allocation, the recorder dispatch, the shard lock or channel
+// send — by ~64× while keeping the latency between an access and its
+// visibility in a streaming snapshot in the microsecond range for active
+// producers.
 const DefaultBatchSize = 64
 
-// batchPool recycles producer batches so steady-state emission allocates
-// nothing. Only DefaultBatchSize-capacity slices are pooled; custom-size
-// producers own their buffer.
-var batchPool = sync.Pool{
-	New: func() any {
-		b := make([]Event, 0, DefaultBatchSize)
-		return &b
-	},
-}
-
 // Producer is a goroutine-local emission handle: the batched counterpart to
-// Session.Emit. Bind captures the goroutine id once, and Emit appends into a
-// producer-local batch with no atomics, no locks, and no runtime.Stack —
+// Session.Emit. Bind captures the goroutine id once, and Emit writes into
+// producer-local columns with no atomics, no locks, and no runtime.Stack —
 // those costs are paid once per batch at flush time instead of once per
 // event.
 //
-// Sequence numbers are assigned at flush: one atomic add reserves a
-// contiguous block of the session counter and the batch is stamped in
-// program order, so the merged, Seq-ordered event stream is identical to
+// The buffer is one pooled ColumnBatch per shard of the session's recorder
+// (ColumnRecorder): each event is six indexed stores into the batch of the
+// shard that owns its instance, and Flush hands every non-empty batch to
+// the recorder by ownership, so the columns a Producer writes are the ones
+// the collector's sink folds. A recorder without the column form counts as
+// one shard; its program-order batch is inflated at Flush into a reused
+// []Event and delivered through RecordAll.
+//
+// Sequence numbers are assigned at flush: while buffered, an event's Seq
+// column holds its program-order offset within the flush, and one atomic add
+// reserves a contiguous block of the session counter that Flush adds to
+// every offset, so the merged, Seq-ordered event stream is identical to
 // what per-event Emit produces. The only observable difference is ordering
 // *between* producers: events buffered in a batch become visible to the
 // recorder (and get their Seqs) only when the batch flushes, so cross-
@@ -43,13 +42,23 @@ var batchPool = sync.Pool{
 //
 // A Producer is NOT safe for concurrent use and must stay on the goroutine
 // that called Bind (the cached thread id is that goroutine's). Close flushes
-// the remainder and recycles the buffer; a closed Producer must not be used
+// the remainder and recycles the buffers; a closed Producer must not be used
 // again.
 type Producer struct {
 	s      *Session
 	thread ThreadID
-	buf    []Event
-	pooled bool
+
+	// cr is the recorder's column form, nil when it has none. cols holds
+	// one batch per shard (nil until the shard's first event after a
+	// hand-off), each opened to size events; fill counts the events
+	// written to each, and n those buffered across all of them.
+	cr   ColumnRecorder
+	cols []*ColumnBatch
+	fill []int
+	n    int
+	size int
+	// evs is the reused inflation buffer for a recorder without cr.
+	evs []Event
 
 	// Gate credit cache (see Session.Gate), one slot per instance so
 	// workloads that interleave instances keep their grants instead of
@@ -79,36 +88,38 @@ type gateCredit struct {
 // Bind returns a Producer for the calling goroutine with the default batch
 // size. If the session captures thread ids, the goroutine id is resolved
 // here, once — every event emitted through the handle carries it for free.
-func (s *Session) Bind() *Producer {
-	bp := batchPool.Get().(*[]Event)
-	p := &Producer{s: s, gate: s.gate, buf: (*bp)[:0], pooled: true}
-	if s.captureThreads {
-		p.thread = CurrentThreadID()
-	}
-	return p
-}
+func (s *Session) Bind() *Producer { return s.BindSize(DefaultBatchSize) }
 
 // BindSize is Bind with an explicit batch capacity (events per flush).
 // size <= 0 uses DefaultBatchSize; size == 1 degenerates to per-event
 // delivery (useful in differential tests). Reports are byte-identical for
 // any size.
 func (s *Session) BindSize(size int) *Producer {
-	if size <= 0 || size == DefaultBatchSize {
-		return s.Bind()
-	}
-	p := &Producer{s: s, gate: s.gate, buf: make([]Event, 0, size)}
+	var thr ThreadID
 	if s.captureThreads {
-		p.thread = CurrentThreadID()
+		thr = CurrentThreadID()
 	}
-	return p
+	return s.bind(thr, size)
 }
 
 // BindAs is Bind with a caller-supplied thread id (the batched counterpart
 // to Session.EmitAs): no goroutine-id capture at all, for workloads that
 // thread worker identity through explicitly.
-func (s *Session) BindAs(thread ThreadID) *Producer {
-	bp := batchPool.Get().(*[]Event)
-	return &Producer{s: s, gate: s.gate, thread: thread, buf: (*bp)[:0], pooled: true}
+func (s *Session) BindAs(thread ThreadID) *Producer { return s.bind(thread, DefaultBatchSize) }
+
+func (s *Session) bind(thread ThreadID, size int) *Producer {
+	if size <= 0 {
+		size = DefaultBatchSize
+	}
+	p := &Producer{s: s, gate: s.gate, thread: thread, size: size}
+	shards := 1
+	if k := columnShards(s.rec); k > 0 {
+		p.cr = s.rec.(ColumnRecorder)
+		shards = k
+	}
+	p.cols = make([]*ColumnBatch, shards)
+	p.fill = make([]int, shards)
+	return p
 }
 
 // BindDefault binds a producer like Bind and additionally routes every
@@ -135,20 +146,38 @@ func (p *Producer) Emit(id InstanceID, op Op, index, size int) {
 	p.append(id, op, index, size)
 }
 
-// append adds one already-admitted event to the batch, flushing when it
-// fills. It is the delivery half of Emit, and the entry point for container
-// handles (handle.go), whose events carry their own gate verdict.
+// append adds one already-admitted event to the batch of its shard,
+// flushing when the producer's buffer fills. It is the delivery half of
+// Emit, and the entry point for container handles (handle.go), whose events
+// carry their own gate verdict.
 func (p *Producer) append(id InstanceID, op Op, index, size int) {
-	p.buf = append(p.buf, Event{
-		Instance: id,
-		Op:       op,
-		Index:    index,
-		Size:     size,
-		Thread:   p.thread,
-	})
-	if len(p.buf) == cap(p.buf) {
+	sh := int(uint(id) % uint(len(p.cols)))
+	b := p.cols[sh]
+	if b == nil {
+		b = p.open(sh)
+	}
+	k := p.fill[sh]
+	b.Seq[k] = uint64(p.n)
+	b.Instance[k] = id
+	b.Op[k] = op
+	b.Thread[k] = p.thread
+	b.Index[k] = index
+	b.Size[k] = size
+	p.fill[sh] = k + 1
+	p.n++
+	if p.n == p.size {
 		p.Flush()
 	}
+}
+
+// open takes a pooled batch for shard sh with its columns opened to the
+// flush size, so append writes by index: however the events fall across
+// shards, no shard gets more than a flush.
+func (p *Producer) open(sh int) *ColumnBatch {
+	b := pooledColumns(p.size)
+	b.setLen(p.size)
+	p.cols[sh] = b
+	return b
 }
 
 // admit burns one event of the instance's gate credit, refreshing the grant
@@ -222,32 +251,53 @@ func (p *Producer) settleGate() {
 }
 
 // Flush stamps the buffered events with a contiguous block of session
-// sequence numbers and delivers them to the recorder as one batch. It is a
-// no-op on an empty batch. Call it before synchronizing with another
-// goroutine that reads the recorder (or rely on Close).
+// sequence numbers and delivers them to the recorder: each non-empty shard
+// batch is handed over whole through RecordColumns, or — for a recorder
+// without the column form — the one program-order batch is inflated into a
+// []Event for RecordAll. It is a no-op on an empty buffer. Call it before
+// synchronizing with another goroutine that reads the recorder (or rely on
+// Close).
 func (p *Producer) Flush() {
 	if p.gate != nil {
 		// Settle gate accounting at every sync point, even when the
-		// batch is empty — a fully-dropped period leaves the buffer
-		// untouched while drop counts accumulate.
+		// buffer is empty — a fully-dropped period leaves it untouched
+		// while drop counts accumulate.
 		p.settleGate()
 	}
-	n := len(p.buf)
+	n := p.n
 	if n == 0 {
 		return
 	}
 	start := time.Now()
-	base := p.s.seq.Add(uint64(n)) - uint64(n)
-	for i := range p.buf {
-		p.buf[i].Seq = base + uint64(i) + 1
+	base := p.s.seq.Add(uint64(n)) - uint64(n) + 1
+	if p.cr == nil {
+		b := p.cols[0]
+		p.evs = b.AppendTo(p.evs[:0], 0, n)
+		for i := range p.evs {
+			p.evs[i].Seq += base
+		}
+		RecordAll(p.s.rec, p.evs)
+		p.fill[0] = 0
+	} else {
+		for sh, k := range p.fill {
+			if k == 0 {
+				continue
+			}
+			b := p.cols[sh]
+			b.setLen(k)
+			for i := range b.Seq {
+				b.Seq[i] += base
+			}
+			p.cols[sh], p.fill[sh] = nil, 0
+			p.cr.RecordColumns(sh, b)
+		}
 	}
-	RecordAll(p.s.rec, p.buf)
+	p.n = 0
 	p.s.observeFlush(n, time.Since(start))
-	p.buf = p.buf[:0]
 }
 
 // Pending returns the number of buffered, not yet flushed events.
-func (p *Producer) Pending() int { return len(p.buf) }
+func (p *Producer) Pending() int { return p.n }
 
 // Thread returns the thread id the producer stamps on its events.
 func (p *Producer) Thread() ThreadID { return p.thread }
@@ -255,7 +305,7 @@ func (p *Producer) Thread() ThreadID { return p.thread }
 // Session returns the session the producer emits into.
 func (p *Producer) Session() *Session { return p.s }
 
-// Close flushes the remaining events and recycles the batch buffer. If the
+// Close flushes the remaining events and recycles the buffers. If the
 // producer was routing Session.Emit (BindDefault), the routing is detached.
 // The Producer must not be used afterwards.
 func (p *Producer) Close() {
@@ -263,12 +313,13 @@ func (p *Producer) Close() {
 	if p.s.bound == p {
 		p.s.bound = nil
 	}
-	if p.pooled {
-		buf := p.buf[:0]
-		batchPool.Put(&buf)
+	for sh, b := range p.cols {
+		if b != nil {
+			releaseColumns(b)
+			p.cols[sh] = nil
+		}
 	}
-	p.buf = nil
-	p.pooled = false
+	p.evs = nil
 }
 
 // observeFlush feeds the session's batching-effectiveness histograms:

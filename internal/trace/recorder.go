@@ -20,9 +20,10 @@ type EventSource interface {
 	Events() []Event
 }
 
-// BatchRecorder is the optional bulk interface of the hot path: recorders
-// that can take a whole producer batch in one call implement it so the
-// per-event lock, channel, and dispatch costs amortize over the batch.
+// BatchRecorder is the optional []Event bulk interface: recorders that can
+// take a whole batch in one call implement it so the per-event lock,
+// channel, and dispatch costs amortize over the batch. A Producer uses it
+// for recorders without the column form (ColumnRecorder).
 //
 // Ownership contract: RecordBatch must be safe for concurrent use and must
 // NOT retain the slice (or any sub-slice of it) after returning — the caller
@@ -36,6 +37,50 @@ type EventSource interface {
 // after every RecordAll to enforce this on each implementation.
 type BatchRecorder interface {
 	RecordBatch([]Event)
+}
+
+// ColumnRecorder is the zero-copy form of the hot path: a Producer that
+// finds it on its session's recorder writes kept events straight into one
+// pooled ColumnBatch per shard and hands each over whole at Flush, so no
+// []Event buffer, scatter or drain copy sits between the container and the
+// fold.
+//
+// ColumnShards returns the number of shards the recorder partitions by; the
+// producer sends every event of instance id in the batch for shard
+// int(id) % ColumnShards(). It must not change over the recorder's
+// lifetime. A wrapper whose inner recorder has no column form returns 0,
+// and the producer falls back to RecordAll.
+//
+// Ownership contract: RecordColumns must be safe for concurrent use, and the
+// callee owns b after the call — it may keep it, hand it to another
+// goroutine, or drop it; recorders in this package return it to the batch
+// pool once done. The caller never touches b again. Within b, events are in
+// program order with Seq already stamped.
+type ColumnRecorder interface {
+	ColumnShards() int
+	RecordColumns(shard int, b *ColumnBatch)
+}
+
+// columnShards returns the number of shards rec takes column batches for, or
+// 0 when rec has no column form.
+func columnShards(rec Recorder) int {
+	if cr, ok := rec.(ColumnRecorder); ok {
+		return cr.ColumnShards()
+	}
+	return 0
+}
+
+// recordColumns hands b to rec, through its column form when it has one and
+// inflated through RecordAll otherwise; either way b belongs to the callee.
+// Wrappers forward with it so a nested recorder without the column form
+// still gets every event.
+func recordColumns(rec Recorder, shard int, b *ColumnBatch) {
+	if cr, ok := rec.(ColumnRecorder); ok && cr.ColumnShards() > 0 {
+		cr.RecordColumns(shard, b)
+		return
+	}
+	RecordAll(rec, b.Events(nil))
+	releaseColumns(b)
 }
 
 // RecordAll delivers a batch through rec, using RecordBatch when the
@@ -134,6 +179,13 @@ func (NullRecorder) Record(Event) {}
 // RecordBatch discards the batch.
 func (NullRecorder) RecordBatch([]Event) {}
 
+// ColumnShards reports one shard: a producer hands its whole flush over as
+// one column batch.
+func (NullRecorder) ColumnShards() int { return 1 }
+
+// RecordColumns discards the batch, returning it to the pool.
+func (NullRecorder) RecordColumns(_ int, b *ColumnBatch) { releaseColumns(b) }
+
 // CountingRecorder counts events per access type without storing them.
 // It is useful for cheap sanity checks and for the overhead ablation.
 type CountingRecorder struct {
@@ -157,6 +209,27 @@ func (c *CountingRecorder) RecordBatch(batch []Event) {
 			c.counts[e.Op].Add(1)
 		}
 	}
+}
+
+// ColumnShards reports one shard: a producer hands its whole flush over as
+// one column batch.
+func (c *CountingRecorder) ColumnShards() int { return 1 }
+
+// RecordColumns counts the batch's Op column, one atomic add per access
+// type present, and returns the batch to the pool.
+func (c *CountingRecorder) RecordColumns(_ int, b *ColumnBatch) {
+	var n [numOps]uint64
+	for _, op := range b.Op {
+		if op < numOps {
+			n[op]++
+		}
+	}
+	for op, k := range n {
+		if k != 0 {
+			c.counts[op].Add(k)
+		}
+	}
+	releaseColumns(b)
 }
 
 // Count returns the number of events recorded with access type op.

@@ -22,12 +22,14 @@ import (
 // shared channel, and all events of one instance land in exactly one shard,
 // so a streaming sink folds each instance shard-locally.
 //
-// Producers call Record for one event or RecordBatch for one flush; either
-// way each shard it touches receives one message on its one channel, so a
-// goroutine's events reach each shard in the order it sent them. Close
-// flushes every shard and stops the drain goroutines. Events merges the
-// shards back into one Seq-ordered stream for callers that need the flat
-// post-mortem view (session logs, replay).
+// Producers call Record for one event, or hand one flush over as a column
+// batch per shard (RecordColumns, from a Producer) or as a []Event
+// (RecordBatch, the adapter for wrappers); either way each shard it touches
+// receives one message on its one channel, so a goroutine's events reach
+// each shard in the order it sent them. Close flushes every shard and stops
+// the drain goroutines. Events merges the shards back into one Seq-ordered
+// stream for callers that need the flat post-mortem view (session logs,
+// replay).
 
 // DefaultAsyncBuffer is the default per-shard buffer, in events. A shard's
 // channel holds buf/DefaultBatchSize slots (at least 2), each carrying one
@@ -111,7 +113,7 @@ type ShardedCollector struct {
 	buf    int
 	policy OverloadPolicy
 
-	// tracer (optional, via SetTracer) records one span per drain batch;
+	// tracer (optional, via SetTracer) records one span per sink delivery;
 	// sampler (optional, via EnableQueueSampling) observes per-shard queue
 	// depths into histograms. Both are inert when unset.
 	tracer  atomic.Pointer[obs.Tracer]
@@ -137,14 +139,6 @@ type ShardedCollector struct {
 // never retain the batch or any of its column slices.
 type ShardSink func(shard int, batch *ColumnBatch)
 
-// shardBatchPool recycles the column batches that carry producer flushes
-// across the shard boundary: RecordBatch scatters the caller's batch into
-// one pooled ColumnBatch per shard it touches (the caller reuses its slice
-// immediately — this scatter is the one AoS→SoA pivot on the hot path, paid
-// once per flush on the producer side), and the drain goroutine returns the
-// batch after moving its columns.
-var shardBatchPool = sync.Pool{New: func() any { return new(ColumnBatch) }}
-
 // slot is one message on a shard's channel: a pooled column batch carrying
 // one producer flush's share for the shard, or — when b is nil — the single
 // event e, carried by value so per-event Record pays no pool traffic.
@@ -164,7 +158,7 @@ func (s slot) len() int {
 // release returns a refused slot's batch to the pool.
 func (s slot) release() {
 	if s.b != nil {
-		shardBatchPool.Put(s.b)
+		releaseColumns(s.b)
 	}
 }
 
@@ -292,31 +286,57 @@ func (sh *shard) send(s slot, pol OverloadPolicy) {
 	}
 }
 
-// take moves one received slot onto the drain's working batch.
+// take handles one received slot. A single event joins the pooled working
+// batch; a batch slot first delivers whatever single events were gathered
+// before it — they were sent first — and is then delivered as it came and
+// returned to the pool, so the sink sees the shard's FIFO order with no copy
+// of the producer's columns.
 func (sh *shard) take(work *ColumnBatch, s slot) {
 	if s.b == nil {
 		work.Append(s.e)
 		sh.inflight.Add(-1)
 		return
 	}
+	if work.Len() > 0 {
+		sh.deliver(work)
+		work.Reset()
+	}
 	n := s.b.Len()
-	work.AppendRange(s.b, 0, n)
 	sh.inflight.Add(-int64(n))
 	sh.columnar.Add(uint64(n))
-	shardBatchPool.Put(s.b)
+	sh.deliver(s.b)
+	releaseColumns(s.b)
+}
+
+// deliver hands one batch to the shard-local store and/or the sink.
+func (sh *shard) deliver(b *ColumnBatch) {
+	n := b.Len()
+	sh.hist.ObserveValue(int64(n))
+	t := sh.tracer.Load()
+	sp := t.Begin("drain", "collector")
+	if sh.sink == nil || sh.retain {
+		sh.mu.Lock()
+		sh.cols.AppendRange(b, 0, n)
+		sh.mu.Unlock()
+	}
+	if sh.sink != nil {
+		sh.sink(sh.id, b)
+	}
+	if t != nil {
+		sp.End("shard", strconv.Itoa(sh.id), "events", strconv.Itoa(n))
+	}
 }
 
 // drain moves events from the channel into the shard-local store and/or the
-// sink. Each wakeup gathers every slot already queued into one working
-// column batch, so the store mutex is taken and the sink is called once per
-// burst rather than once per slot. Batched events stay columnar end to end:
-// six column copies into the working batch, six into the store, never an
-// Event struct. Exits when the channel is closed and empty.
+// sink. Batch slots — producer flushes — are delivered one sink call each,
+// straight from the columns the producer wrote. Single-event slots are
+// gathered, for as long as more are already queued, into one working batch
+// taken from the column pool, so a burst of per-event Records costs one
+// sink call. Exits when the channel is closed and empty.
 func (sh *shard) drain() {
-	var work ColumnBatch
+	work := pooledColumns(0)
 	for s := range sh.ch {
-		work.Reset()
-		sh.take(&work, s)
+		sh.take(work, s)
 		// Gather the rest of the burst without blocking.
 	gather:
 		for {
@@ -325,27 +345,17 @@ func (sh *shard) drain() {
 				if !ok {
 					break gather
 				}
-				sh.take(&work, s)
+				sh.take(work, s)
 			default:
 				break gather
 			}
 		}
-		n := work.Len()
-		sh.hist.ObserveValue(int64(n))
-		t := sh.tracer.Load()
-		sp := t.Begin("drain", "collector")
-		if sh.sink == nil || sh.retain {
-			sh.mu.Lock()
-			sh.cols.AppendRange(&work, 0, n)
-			sh.mu.Unlock()
-		}
-		if sh.sink != nil {
-			sh.sink(sh.id, &work)
-		}
-		if t != nil {
-			sp.End("shard", strconv.Itoa(sh.id), "events", strconv.Itoa(n))
+		if work.Len() > 0 {
+			sh.deliver(work)
+			work.Reset()
 		}
 	}
+	releaseColumns(work)
 	close(sh.done)
 }
 
@@ -407,7 +417,7 @@ func NewStreamingShardedCollector(n, buf int, policy OverloadPolicy, retain bool
 	return c
 }
 
-// SetTracer attaches a span tracer: every drain batch becomes one "drain"
+// SetTracer attaches a span tracer: every sink delivery becomes one "drain"
 // span (shard and batch size as args). Safe to call on a live collector;
 // nil detaches.
 func (c *ShardedCollector) SetTracer(t *obs.Tracer) { c.tracer.Store(t) }
@@ -437,32 +447,43 @@ func (c *ShardedCollector) Record(e Event) {
 	c.shards[int(e.Instance)%len(c.shards)].send(slot{e: e}, c.policy)
 }
 
+// ColumnShards reports the shard count, so a Producer writes each event
+// straight into the column batch of the shard that owns its instance.
+func (c *ShardedCollector) ColumnShards() int { return len(c.shards) }
+
+// RecordColumns enqueues a producer's column batch for one shard as a single
+// slot and takes ownership of it: the drain hands it to the sink and store
+// and returns it to the pool. Every event in b must belong to shard (its
+// instance modulo NumShards). Overload and after-close semantics match
+// Record, applied to the slot.
+func (c *ShardedCollector) RecordColumns(shard int, b *ColumnBatch) {
+	if b.Len() == 0 {
+		releaseColumns(b)
+		return
+	}
+	c.shards[shard].send(slot{b: b}, c.policy)
+}
+
 // scatterGroup is the number of shards one RecordBatch pass scatters into.
 // The pass keeps its per-shard batches in a stack array of this size, so a
 // flush allocates nothing; collectors with more shards take one pass per
 // group of shards.
 const scatterGroup = 16
 
-// shardBatch takes a cleared batch from the pool with room for n events.
-func shardBatch(n int) *ColumnBatch {
-	bp := shardBatchPool.Get().(*ColumnBatch)
-	bp.Reset()
-	bp.Grow(n)
-	return bp
-}
-
-// RecordBatch enqueues a producer batch: it scatters the batch into at most
-// one pooled column batch per shard and sends each non-empty one as a single
-// slot, so a flush costs one channel send per shard it touches however its
-// instances interleave. The caller's slice is not retained. Overload and
-// after-close semantics match Record, applied per slot.
+// RecordBatch enqueues a []Event batch — the adapter for recorders that wrap
+// the collector without the column form (Tee, Filter, bench timers). It
+// scatters the batch into at most one pooled column batch per shard and
+// sends each non-empty one as a single slot, so a flush costs one channel
+// send per shard it touches however its instances interleave. The caller's
+// slice is not retained. Overload and after-close semantics match Record,
+// applied per slot.
 func (c *ShardedCollector) RecordBatch(batch []Event) {
 	if len(batch) == 0 {
 		return
 	}
 	n := len(c.shards)
 	if n == 1 {
-		bp := shardBatch(len(batch))
+		bp := pooledColumns(len(batch))
 		bp.AppendEvents(batch)
 		c.shards[0].send(slot{b: bp}, c.policy)
 		return
@@ -475,7 +496,7 @@ func (c *ShardedCollector) RecordBatch(batch []Event) {
 				continue
 			}
 			if group[s] == nil {
-				group[s] = shardBatch(len(batch))
+				group[s] = pooledColumns(len(batch))
 			}
 			group[s].Append(batch[i])
 		}
@@ -703,7 +724,7 @@ func (c *ShardedCollector) WriteMetrics(w *obs.PromWriter) {
 		avoided += sh.columnar.Load()
 	}
 	w.Histogram("dsspy_columnar_drain_batch_events",
-		"Events per drain burst, moved to the store/sink as one column batch.",
+		"Events per sink delivery: one producer flush's share for the shard, or a gathered burst of single events.",
 		c.drainHist.Snapshot(), 1)
 	w.Counter("dsspy_columnar_inflations_avoided_total",
 		"Events that crossed the shard boundary in columnar batches and were never inflated to Event structs.",

@@ -214,41 +214,55 @@ func interleavedBatch(batch []Event, base uint64) {
 	}
 }
 
+// batchOnly shows a collector to producers through the []Event interfaces
+// alone, so they take the RecordBatch adapter.
+type batchOnly struct{ c *ShardedCollector }
+
+func (r batchOnly) Record(e Event)        { r.c.Record(e) }
+func (r batchOnly) RecordBatch(b []Event) { r.c.RecordBatch(b) }
+
 // TestRecordBatchScattersWholeShardSlots is the regression test for batch
 // shredding: a flush that alternates instances across two shards must reach
 // each shard as one slot, not as a run per instance switch. A Bind producer
 // flushes 64-event batches, 32 per shard, and every sink batch must be a
-// whole number of those per-shard halves.
+// whole number of those per-shard halves — through the producer's column
+// hand-off and through the RecordBatch adapter alike.
 func TestRecordBatchScattersWholeShardSlots(t *testing.T) {
-	var mu sync.Mutex
-	var sizes []int
-	c := NewStreamingShardedCollector(2, DefaultAsyncBuffer, Block(), false, func(_ int, b *ColumnBatch) {
-		mu.Lock()
-		sizes = append(sizes, b.Len())
-		mu.Unlock()
-	})
-	s := NewSessionWith(Options{Recorder: c})
-	ids := [2]InstanceID{s.Register(KindList, "List[int]", "", 0), s.Register(KindList, "List[int]", "", 0)}
-	if int(ids[0])%2 == int(ids[1])%2 {
-		t.Fatalf("instances %d and %d share a shard", ids[0], ids[1])
-	}
-	p := s.Bind()
-	const flushes = 200
-	for i := 0; i < flushes*DefaultBatchSize; i++ {
-		p.Emit(ids[i%2], OpRead, i, i)
-	}
-	p.Close()
-	c.Close()
-
-	total := 0
-	for _, n := range sizes {
-		if n%(DefaultBatchSize/2) != 0 {
-			t.Fatalf("sink batch of %d events: a producer flush was split below its per-shard slot (sizes %v)", n, sizes)
+	for _, adapter := range []bool{false, true} {
+		var mu sync.Mutex
+		var sizes []int
+		c := NewStreamingShardedCollector(2, DefaultAsyncBuffer, Block(), false, func(_ int, b *ColumnBatch) {
+			mu.Lock()
+			sizes = append(sizes, b.Len())
+			mu.Unlock()
+		})
+		var rec Recorder = c
+		if adapter {
+			rec = batchOnly{c}
 		}
-		total += n
-	}
-	if total != flushes*DefaultBatchSize {
-		t.Fatalf("sink saw %d events, want %d", total, flushes*DefaultBatchSize)
+		s := NewSessionWith(Options{Recorder: rec})
+		ids := [2]InstanceID{s.Register(KindList, "List[int]", "", 0), s.Register(KindList, "List[int]", "", 0)}
+		if int(ids[0])%2 == int(ids[1])%2 {
+			t.Fatalf("instances %d and %d share a shard", ids[0], ids[1])
+		}
+		p := s.Bind()
+		const flushes = 200
+		for i := 0; i < flushes*DefaultBatchSize; i++ {
+			p.Emit(ids[i%2], OpRead, i, i)
+		}
+		p.Close()
+		c.Close()
+
+		total := 0
+		for _, n := range sizes {
+			if n%(DefaultBatchSize/2) != 0 {
+				t.Fatalf("adapter=%t: sink batch of %d events: a producer flush was split below its per-shard slot (sizes %v)", adapter, n, sizes)
+			}
+			total += n
+		}
+		if total != flushes*DefaultBatchSize {
+			t.Fatalf("adapter=%t: sink saw %d events, want %d", adapter, total, flushes*DefaultBatchSize)
+		}
 	}
 }
 
@@ -270,6 +284,56 @@ func TestRecordBatchZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, func() { c.RecordBatch(batch) }); allocs != 0 {
 		t.Fatalf("steady-state RecordBatch allocates %.1f times per flush, want 0", allocs)
 	}
+}
+
+// TestProducerColumnsZeroAlloc guards the column hand-off: once the batch
+// pool is warm, 64 Emits that alternate instances across a 2-shard
+// collector plus the Flush that hands both shard batches over allocate
+// nothing — the producer writes into pooled columns, the drain delivers
+// them to the sink and returns them to the pool.
+func TestProducerColumnsZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	c := NewStreamingShardedCollector(2, 2*DefaultBatchSize, Block(), false, func(int, *ColumnBatch) {})
+	defer c.Close()
+	s := NewSessionWith(Options{Recorder: c})
+	p := s.Bind()
+	defer p.Close()
+	flush := func() {
+		for i := 0; i < DefaultBatchSize; i++ {
+			p.Emit(InstanceID(1+i%2), OpRead, i, DefaultBatchSize)
+		}
+		p.Flush()
+	}
+	for i := 0; i < 100; i++ {
+		flush()
+	}
+	if allocs := testing.AllocsPerRun(1000, flush); allocs != 0 {
+		t.Fatalf("steady-state Emit+Flush allocates %.1f times per flush, want 0", allocs)
+	}
+}
+
+// BenchmarkProducerFlushInterleaved measures the whole producer-to-sink path
+// of the column hand-off: a Bind producer emits events whose instances
+// alternate across a 2-shard collector, the Mandelbrot shape, and each
+// 64-event flush hands one column batch per shard to the (no-op) sink. The
+// timed region includes Close, so every event has reached the sink. Compare
+// BenchmarkRecordBatchInterleaved, which prices only the []Event adapter.
+func BenchmarkProducerFlushInterleaved(b *testing.B) {
+	c := NewStreamingShardedCollector(2, DefaultAsyncBuffer, Block(), false, func(int, *ColumnBatch) {})
+	s := NewSessionWith(Options{Recorder: c})
+	p := s.Bind()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < DefaultBatchSize; j++ {
+			p.Emit(InstanceID(1+j%2), OpRead, j, DefaultBatchSize)
+		}
+	}
+	p.Close()
+	c.Close()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*DefaultBatchSize), "ns/event")
 }
 
 // BenchmarkRecordBatchInterleaved measures the producer-to-sink hand-off of

@@ -71,6 +71,27 @@ func (t *TimedRecorder) RecordBatch(batch []Event) {
 	t.hist.Observe(time.Since(start) / time.Duration(n))
 }
 
+// ColumnShards forwards the wrapped recorder's column form, so producers
+// writing through a TimedRecorder hand their columns over without a copy;
+// 0 when the wrapped recorder has none.
+func (t *TimedRecorder) ColumnShards() int { return columnShards(t.rec) }
+
+// RecordColumns forwards one producer column batch, clocked like
+// RecordBatch: the whole hand-off is timed when the sample counter fires
+// inside the batch, and its amortized per-event cost lands in the same
+// histogram. The batch passes to the wrapped recorder.
+func (t *TimedRecorder) RecordColumns(shard int, b *ColumnBatch) {
+	n := uint64(b.Len())
+	c := t.n.Add(n)
+	if c/t.every == (c-n)/t.every {
+		recordColumns(t.rec, shard, b)
+		return
+	}
+	start := time.Now()
+	recordColumns(t.rec, shard, b)
+	t.hist.Observe(time.Since(start) / time.Duration(n))
+}
+
 // Count returns the number of events seen (per-event Record calls plus the
 // events inside batched deliveries).
 func (t *TimedRecorder) Count() uint64 { return t.n.Load() }

@@ -3,9 +3,11 @@ package trace
 import (
 	"bytes"
 	"io"
+	"net"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestOpString(t *testing.T) {
@@ -496,5 +498,80 @@ func TestSessionString(t *testing.T) {
 	s.Register(KindList, "List[int]", "", 0)
 	if got := s.String(); got == "" {
 		t.Error("empty String()")
+	}
+}
+
+// captureConn is a net.Conn that keeps every byte written to it; the socket
+// recorder uses no other method than Write, SetWriteDeadline and Close.
+type captureConn struct {
+	net.Conn
+	buf bytes.Buffer
+}
+
+func (c *captureConn) Write(p []byte) (int, error)      { return c.buf.Write(p) }
+func (c *captureConn) SetWriteDeadline(time.Time) error { return nil }
+func (c *captureConn) Close() error                     { return nil }
+
+// TestSocketRecorderFramesByteIdentical pins the column buffer's wire
+// output: the same event stream — handed over per event, as []Event batches
+// and as producer column batches — must put exactly the bytes on the wire
+// that a []Event buffer flushed at the same points puts there: a frame
+// write once 1024 events are buffered, the tail and end marker at Close.
+func TestSocketRecorderFramesByteIdentical(t *testing.T) {
+	var events []Event
+	for i := 0; i < 5000; i++ {
+		events = append(events, Event{Seq: uint64(i + 1), Instance: InstanceID(1 + i/40%5), Op: Op(1 + i%3), Thread: ThreadID(i / 700), Index: i % 97, Size: 97})
+	}
+	conn := &captureConn{}
+	sock, err := NewSocketRecorder(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	sw, err := NewStreamWriter(&want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pending []Event
+	for lo, step := 0, 0; lo < len(events); step++ {
+		hi := min(len(events), lo+[]int{1, 300, 64, 2000, 7}[step%5])
+		switch step % 3 {
+		case 0:
+			for _, e := range events[lo:hi] {
+				sock.Record(e)
+			}
+		case 1:
+			sock.RecordBatch(events[lo:hi])
+		default:
+			b := pooledColumns(hi - lo)
+			b.AppendEvents(events[lo:hi])
+			sock.RecordColumns(0, b)
+		}
+		// The reference flushes where the old []Event buffer did.
+		for _, e := range events[lo:hi] {
+			pending = append(pending, e)
+			if step%3 == 0 && len(pending) >= DefaultSocketBatch {
+				sw.WriteBatch(pending)
+				pending = pending[:0]
+			}
+		}
+		if step%3 != 0 && len(pending) >= DefaultSocketBatch {
+			sw.WriteBatch(pending)
+			pending = pending[:0]
+		}
+		lo = hi
+	}
+	if err := sock.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sw.WriteBatch(pending)
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := sock.Stats(); st.Recorded != uint64(len(events)) || st.Delivered != uint64(len(events)) {
+		t.Fatalf("stats = %+v, want %d recorded and delivered", st, len(events))
+	}
+	if !bytes.Equal(conn.buf.Bytes(), want.Bytes()) {
+		t.Fatalf("socket wrote %d bytes, a []Event buffer flushed at the same points writes %d; streams differ", conn.buf.Len(), want.Len())
 	}
 }

@@ -178,7 +178,7 @@ func (c *columnarCursor) uvarint() (uint64, error) {
 func decodeColumnarInto(b *ColumnBatch, payload []byte) error {
 	base := b.Len()
 	if err := decodeColumnarAppend(b, payload); err != nil {
-		b.truncate(base)
+		b.setLen(base)
 		return err
 	}
 	return nil
