@@ -65,11 +65,10 @@ bench-obs:
 ## wire format must spend ≤1/3 the bytes/event of v2 on a corpus-like stream.
 ## Benchmarks: Emit-vs-Bind ns/event, the collector hand-off of flushes whose
 ## instances alternate across shards — producer columns handed over whole
-## and the []Event adapter's scatter — the goroutine-id fast path, and the
-## k-way merge vs the global sort at 1M events.
+## and the []Event adapter's scatter — and the goroutine-id fast path.
 bench-hotpath:
 	DSSPY_HOTPATH_GATE=1 $(GO) test ./internal/trace/ -run 'TestHotPathLatencyGate|TestV3BytesPerEventGate' -v -count 1
-	$(GO) test ./internal/trace/ -run xxx -bench 'HotPath|ProducerFlushInterleaved|RecordBatchInterleaved|GoidLookup|MergeKWay1M|MergeGlobalSort1M' -benchmem -benchtime 2x -count 1
+	$(GO) test ./internal/trace/ -run xxx -bench 'HotPath|ProducerFlushInterleaved|RecordBatchInterleaved|GoidLookup' -benchmem -benchtime 2x -count 1
 
 ## bench-columnar: the columnar engine's acceptance gates and benchmarks.
 ## Gates (DSSPY_COLUMNAR_GATE=1): Feed — the []Event ingress, a scatter onto
@@ -78,12 +77,12 @@ bench-hotpath:
 ## v3-log columnar replay must allocate ≤1/3 the bytes/event of the
 ## inflating load-and-feed path. The zero-alloc decode
 ## assertion (TestReadColumnsZeroAlloc) runs unconditionally in `make test`.
-## Benchmarks: columnar vs []Event replay and fold, and the batch-run k-way
-## merge vs the event-slice merge at 1M events.
+## Benchmarks: columnar vs []Event replay and fold, the batch-run k-way merge
+## at 1M events, and the zero-copy v3 read.
 bench-columnar:
 	DSSPY_COLUMNAR_GATE=1 $(GO) test . -run 'TestColumnarFoldThroughputGate|TestColumnarReplayAllocGate' -v -count 1
 	$(GO) test . -run xxx -bench 'ColumnarReplay|EventReplay|ColumnarFold|EventFold' -benchmem -benchtime 2x -count 1
-	$(GO) test ./internal/trace/ -run xxx -bench 'MergeColumns1M|MergeKWay1M|ReadColumns' -benchmem -benchtime 2x -count 1
+	$(GO) test ./internal/trace/ -run xxx -bench 'MergeColumns1M|ReadColumns' -benchmem -benchtime 2x -count 1
 
 ## bench-contend: the concurrency-aware analysis acceptance gates. The
 ## contention reducer must cost <5% of the end-to-end single-threaded

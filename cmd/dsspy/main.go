@@ -271,20 +271,20 @@ func main() {
 			plainWall = time.Since(t0)
 		}
 		if o.logPath != "" {
+			// The collector already merged into columns; -collect's local
+			// copy is scattered once. Either way the log is encoded to v3
+			// frames straight from columns.
+			var cb *trace.ColumnBatch
 			if scol != nil {
-				// The collector already merged into columns; encode them to v3
-				// frames directly without inflating an []Event copy.
-				cb := scol.MergedColumns()
-				if err := trace.SaveSessionColumns(o.logPath, s, cb); err != nil {
-					fatal(err)
-				}
-				fmt.Printf("session log written to %s (%d events) — re-analyze with -replay\n\n", o.logPath, cb.Len())
+				cb = scol.MergedColumns()
 			} else {
-				if err := trace.SaveSessionLog(o.logPath, s, evs); err != nil {
-					fatal(err)
-				}
-				fmt.Printf("session log written to %s (%d events) — re-analyze with -replay\n\n", o.logPath, len(evs))
+				cb = &trace.ColumnBatch{}
+				cb.AppendEvents(evs)
 			}
+			if err := trace.SaveSessionColumns(o.logPath, s, cb); err != nil {
+				fatal(err)
+			}
+			fmt.Printf("session log written to %s (%d events) — re-analyze with -replay\n\n", o.logPath, cb.Len())
 		}
 	}
 
@@ -461,7 +461,9 @@ func runListen(analyzer *core.DSspy, o *options, tracer *obs.Tracer, srv *obs.Se
 	evs := cs.Events()
 	fmt.Printf("received %d events\n\n", len(evs))
 	if o.logPath != "" {
-		if err := trace.SaveSessionLog(o.logPath, s, evs); err != nil {
+		var cb trace.ColumnBatch
+		cb.AppendEvents(evs)
+		if err := trace.SaveSessionColumns(o.logPath, s, &cb); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("session log written to %s — re-analyze with -replay\n\n", o.logPath)

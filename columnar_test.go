@@ -44,9 +44,7 @@ func TestColumnarReplayDifferentialCorpus(t *testing.T) {
 			batch := NewReportBytes(t, core.New().Analyze(s, events))
 
 			path := filepath.Join(dir, p.Name+".dslog")
-			if err := trace.SaveSessionLog(path, s, events); err != nil {
-				t.Fatal(err)
-			}
+			saveEvents(t, path, s, events)
 			rs, cols, err := trace.LoadSessionColumns(path)
 			if err != nil {
 				t.Fatal(err)
@@ -87,9 +85,7 @@ func TestColumnarReplaySnapshotMidRun(t *testing.T) {
 	events := mem.Events()
 
 	path := filepath.Join(t.TempDir(), "snap.dslog")
-	if err := trace.SaveSessionLog(path, s, events); err != nil {
-		t.Fatal(err)
-	}
+	saveEvents(t, path, s, events)
 	rs, cols, err := trace.LoadSessionColumns(path)
 	if err != nil {
 		t.Fatal(err)
@@ -126,8 +122,7 @@ func TestColumnarReplaySnapshotMidRun(t *testing.T) {
 
 // TestColumnarRecoverDamagedLog chops the tail off a concurrent workload's v3
 // log and replays the salvage through RecoverSessionColumns + FeedColumns:
-// the report must match Analyze of the events the struct-based salvager
-// recovers from the same file.
+// the report must match Analyze (the Feed lane) of the same salvaged events.
 func TestColumnarRecoverDamagedLog(t *testing.T) {
 	mem := trace.NewMemRecorder()
 	s := trace.NewSessionWith(trace.Options{Recorder: mem, CaptureSites: true})
@@ -151,9 +146,7 @@ func TestColumnarRecoverDamagedLog(t *testing.T) {
 	wg.Wait()
 
 	path := filepath.Join(t.TempDir(), "crashed.dslog")
-	if err := dsspy.SaveSession(path, s, mem.Events()); err != nil {
-		t.Fatal(err)
-	}
+	saveEvents(t, path, s, mem.Events())
 	whole, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -162,30 +155,18 @@ func TestColumnarRecoverDamagedLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rs, revs, rec, err := dsspy.RecoverSession(path)
+	cs, cols, rec, err := dsspy.RecoverSessionColumns(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec == nil || rec.Clean() {
 		t.Fatalf("damaged log must yield an unclean diagnostic, got %v", rec)
 	}
-	batch := NewReportBytes(t, core.New().Analyze(rs, revs))
-
-	cs, cols, crec, err := dsspy.RecoverSessionColumns(path)
-	if err != nil {
-		t.Fatal(err)
+	revs := inflateRuns(cols)
+	if len(revs) != rec.Events {
+		t.Fatalf("columnar salvage returned %d events, diagnostic says %d", len(revs), rec.Events)
 	}
-	if crec.Events != rec.Events || crec.SkippedFrames != rec.SkippedFrames ||
-		crec.Truncated != rec.Truncated || crec.Instances != rec.Instances {
-		t.Fatalf("columnar salvage accounting diverged: %+v vs %+v", crec, rec)
-	}
-	n := 0
-	for _, b := range cols {
-		n += b.Len()
-	}
-	if n != len(revs) {
-		t.Fatalf("columnar salvage recovered %d events, struct salvage %d", n, len(revs))
-	}
+	batch := NewReportBytes(t, core.New().Analyze(cs, revs))
 	sa := core.New().NewStreamAnalyzer(0)
 	sa.Attach(cs)
 	for _, b := range cols {
@@ -198,10 +179,10 @@ func TestColumnarRecoverDamagedLog(t *testing.T) {
 	}
 }
 
-// TestColumnarLogRoundTrip covers the CLI's -log fast path: a streaming
-// collector retains columns, MergedColumns is saved with SaveSessionColumns,
-// and the log both byte-matches SaveSessionLog over the inflated events and
-// replays to an identical report.
+// TestColumnarLogRoundTrip covers the CLI's -log paths: a streaming collector
+// retains columns, MergedColumns is saved with SaveSessionColumns, and the
+// log both byte-matches the -collect path's save (the inflated events
+// scattered once, then saved) and replays to an identical report.
 func TestColumnarLogRoundTrip(t *testing.T) {
 	sa := core.New().NewStreamAnalyzer(4)
 	scol := sa.Collector(512, trace.Block(), true)
@@ -232,9 +213,7 @@ func TestColumnarLogRoundTrip(t *testing.T) {
 	if err := trace.SaveSessionColumns(colPath, s, cb); err != nil {
 		t.Fatal(err)
 	}
-	if err := trace.SaveSessionLog(evPath, s, cb.Events(nil)); err != nil {
-		t.Fatal(err)
-	}
+	saveEvents(t, evPath, s, cb.Events(nil))
 	colBytes, err := os.ReadFile(colPath)
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +223,7 @@ func TestColumnarLogRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(colBytes, evBytes) {
-		t.Fatal("SaveSessionColumns and SaveSessionLog produced different log bytes for the same events")
+		t.Fatal("saving merged columns and saving scattered events produced different log bytes")
 	}
 
 	rs, cols, err := dsspy.ReplaySessionColumns(colPath)
@@ -348,10 +327,45 @@ func TestColumnarFoldThroughputGate(t *testing.T) {
 	}
 }
 
+// saveEvents writes events as a session log: scattered once onto columns,
+// then saved by SaveSessionColumns.
+func saveEvents(t testing.TB, path string, s *trace.Session, events []trace.Event) {
+	t.Helper()
+	var cb trace.ColumnBatch
+	cb.AppendEvents(events)
+	if err := dsspy.SaveSessionColumns(path, s, &cb); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// inflateRuns concatenates loaded column runs into one []Event.
+func inflateRuns(cols []*trace.ColumnBatch) []trace.Event {
+	var events []trace.Event
+	for _, b := range cols {
+		events = b.Events(events)
+	}
+	return events
+}
+
+// loadInflated is the inflating replay baseline: the columnar load, with
+// every run inflated on its own and appended onto one []Event — the per-frame
+// decode-and-append shape the retired []Event loader had.
+func loadInflated(path string) (*trace.Session, []trace.Event, error) {
+	s, cols, err := trace.LoadSessionColumns(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	var events []trace.Event
+	for _, b := range cols {
+		events = append(events, b.Events(nil)...)
+	}
+	return s, events, nil
+}
+
 // TestColumnarReplayAllocGate enforces the allocation bar: replaying a v3 log
 // through the columnar path must allocate at most 1/3 of the bytes per event
-// that the inflating load-and-feed path allocates. Enabled by
-// DSSPY_COLUMNAR_GATE=1.
+// that the inflating load-and-feed path (loadInflated + Feed) allocates.
+// Enabled by DSSPY_COLUMNAR_GATE=1.
 func TestColumnarReplayAllocGate(t *testing.T) {
 	if os.Getenv("DSSPY_COLUMNAR_GATE") == "" {
 		t.Skip("allocation gate runs via `make bench-columnar` (DSSPY_COLUMNAR_GATE=1)")
@@ -373,7 +387,7 @@ func TestColumnarReplayAllocGate(t *testing.T) {
 	}
 
 	evBytes := allocBytes(func() {
-		s, events, err := trace.LoadSessionLog(path)
+		s, events, err := loadInflated(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -430,7 +444,8 @@ func BenchmarkColumnarReplay(b *testing.B) {
 }
 
 // BenchmarkEventReplay is the inflating baseline for BenchmarkColumnarReplay:
-// load []Event and fold it through Feed's scatter adapter.
+// load an inflated []Event (loadInflated) and fold it through Feed's scatter
+// adapter.
 func BenchmarkEventReplay(b *testing.B) {
 	const n = 1 << 18
 	cb := columnarGateWorkload(n, 1)
@@ -442,7 +457,7 @@ func BenchmarkEventReplay(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, events, err := trace.LoadSessionLog(path)
+		s, events, err := loadInflated(path)
 		if err != nil {
 			b.Fatal(err)
 		}

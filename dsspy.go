@@ -73,10 +73,6 @@ const DefaultBatchSize = trace.DefaultBatchSize
 // batched, fill and flush-latency distributions); see Session.BatchStats.
 type BatchStats = trace.BatchStats
 
-// Collector is the common surface of the in-process event collectors: a
-// concurrent-safe Recorder plus Close, Events and Stats.
-type Collector = trace.Collector
-
 // ShardedCollector partitions events by instance across several buffers and
 // drain goroutines, removing the single-channel bottleneck under
 // multi-goroutine workloads.
@@ -334,43 +330,25 @@ func NewSortedSet[T Ordered](s *Session) *dstruct.SortedSet[T] {
 // NewArrayList returns an instrumented untyped list.
 func NewArrayList(s *Session) *dstruct.ArrayList { return dstruct.NewArrayList(s) }
 
-// ReplaySession loads a session log saved by trace.SaveSessionLog (or
-// `dsspy -log`) for re-analysis: Analyze the returned events against the
-// returned session.
-func ReplaySession(path string) (*Session, []Event, error) {
-	return trace.LoadSessionLog(path)
-}
-
-// SaveSession writes a self-contained session log (registry + events) that
-// ReplaySession can load later.
-func SaveSession(path string, s *Session, events []Event) error {
-	return trace.SaveSessionLog(path, s, events)
-}
-
-// RecoverSession salvages a damaged or truncated session log: every frame
-// before the first structural damage is decoded, checksum-failed frames are
-// skipped, and the Recovery diagnostic reports exactly what was lost. Use it
-// when ReplaySession refuses a log from a crashed run.
-func RecoverSession(path string) (*Session, []Event, *Recovery, error) {
-	return trace.RecoverSessionLog(path)
-}
-
-// ReplaySessionColumns loads a session log as Seq-ordered column batches for
-// streaming re-analysis: feed each batch to a StreamAnalyzer via FeedColumns.
-// On a v3 log the events go from disk to the reducers without ever being
-// inflated into Event structs.
+// ReplaySessionColumns loads a session log saved by SaveSessionColumns (or
+// `dsspy -log`) as Seq-ordered column batches for streaming re-analysis: feed
+// each batch to a StreamAnalyzer via FeedColumns. On a v3 log the events go
+// from disk to the reducers without ever being inflated into Event structs.
 func ReplaySessionColumns(path string) (*Session, []*ColumnBatch, error) {
 	return trace.LoadSessionColumns(path)
 }
 
-// RecoverSessionColumns is the salvaging twin of ReplaySessionColumns,
-// reporting what a damaged log lost via the Recovery diagnostic.
+// RecoverSessionColumns salvages a damaged or truncated session log: every
+// frame before the first structural damage is decoded, checksum-failed frames
+// are skipped, and the Recovery diagnostic reports exactly what was lost. Use
+// it when ReplaySessionColumns refuses a log from a crashed run.
 func RecoverSessionColumns(path string) (*Session, []*ColumnBatch, *Recovery, error) {
 	return trace.RecoverSessionColumns(path)
 }
 
-// SaveSessionColumns writes a session log straight from a column batch
-// (e.g. ShardedCollector.MergedColumns) without inflating events.
+// SaveSessionColumns writes a self-contained session log (registry + events)
+// straight from a column batch (e.g. ShardedCollector.MergedColumns) without
+// inflating events. Scatter an []Event once with ColumnBatch.AppendEvents.
 func SaveSessionColumns(path string, s *Session, cols *ColumnBatch) error {
 	return trace.SaveSessionColumns(path, s, cols)
 }

@@ -135,9 +135,7 @@ func TestHotPathRecoverReplay(t *testing.T) {
 
 	damaged := func(t *testing.T, evs []trace.Event, name string) []byte {
 		path := filepath.Join(t.TempDir(), name)
-		if err := dsspy.SaveSession(path, s, evs); err != nil {
-			t.Fatal(err)
-		}
+		saveEvents(t, path, s, evs)
 		whole, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -145,10 +143,11 @@ func TestHotPathRecoverReplay(t *testing.T) {
 		if err := os.WriteFile(path, whole[:len(whole)-10], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rs, revs, rec, err := dsspy.RecoverSession(path)
+		rs, cols, rec, err := dsspy.RecoverSessionColumns(path)
 		if err != nil {
 			t.Fatal(err)
 		}
+		revs := inflateRuns(cols)
 		if rec == nil || rec.Clean() {
 			t.Fatalf("damaged log must yield an unclean diagnostic, got %v", rec)
 		}

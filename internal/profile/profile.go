@@ -30,7 +30,7 @@ type Profile struct {
 
 // Build groups events by instance and returns one profile per instance that
 // raised at least one event, ordered by instance id. Events are assumed
-// sequence-sorted (every trace.EventSource returns them that way); Build
+// sequence-sorted (every collector and loader returns them that way); Build
 // re-sorts defensively since correctness of all downstream analyses depends
 // on chronological order.
 func Build(s *trace.Session, events []trace.Event) []*Profile {

@@ -344,30 +344,14 @@ func decodeAggRecord(payload []byte) (AggRecord, error) {
 	return rec, nil
 }
 
-// WriteAggregate writes one aggregate frame. Aggregate frames exist only in
-// the v3 format; on a v1/v2 stream the record is silently dropped (aggregates
-// are advisory for remote analyzers — conservation was already settled on the
-// producer side).
+// WriteAggregate writes one aggregate frame. A record with no events is
+// skipped.
 func (sw *StreamWriter) WriteAggregate(rec AggRecord) error {
-	if sw.version < 3 || rec.N == 0 {
+	if rec.N == 0 {
 		return nil
 	}
 	sw.enc = appendAggRecord(sw.enc[:0], rec)
-	if err := sw.w.WriteByte(frameAggregate); err != nil {
-		return err
-	}
-	var ln [binary.MaxVarintLen64]byte
-	k := binary.PutUvarint(ln[:], uint64(len(sw.enc)))
-	if _, err := sw.w.Write(ln[:k]); err != nil {
-		return err
-	}
-	if _, err := sw.w.Write(sw.enc); err != nil {
-		return err
-	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc32.Checksum(sw.enc, crcTable))
-	_, err := sw.w.Write(sum[:])
-	return err
+	return sw.writeV3Payload(frameAggregate)
 }
 
 // readAggregate reads an aggregate-frame body (kind byte consumed). On

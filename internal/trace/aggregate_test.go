@@ -139,7 +139,7 @@ func TestAggregateFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.WriteBatch(events); err != nil {
+	if err := writeEvents(sw, events); err != nil {
 		t.Fatal(err)
 	}
 	for _, rec := range recs {
@@ -195,26 +195,6 @@ func TestAggregateFrameRoundTrip(t *testing.T) {
 	if cb.Len() != len(events) || len(got2) != len(recs) {
 		t.Fatalf("columnar read: %d events, %d aggregates", cb.Len(), len(got2))
 	}
-
-	// A v2 writer silently drops aggregate frames (the format has none).
-	var v2 bytes.Buffer
-	sw2, err := newStreamWriterVersion(&v2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sw2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	n := v2.Len()
-	if err := sw2.WriteAggregate(recs[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if v2.Len() != n {
-		t.Fatal("v2 writer emitted bytes for an aggregate frame")
-	}
 }
 
 // TestAggregateFrameSalvage flips one byte inside an aggregate frame payload:
@@ -234,7 +214,7 @@ func TestAggregateFrameSalvage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.WriteBatch(events[:1]); err != nil {
+	if err := writeEvents(sw, events[:1]); err != nil {
 		t.Fatal(err)
 	}
 	// Flush so buf.Len() marks real frame boundaries for the corruption.
@@ -249,7 +229,7 @@ func TestAggregateFrameSalvage(t *testing.T) {
 		t.Fatal(err)
 	}
 	aggEnd := buf.Len()
-	if err := sw.WriteBatch(events[1:]); err != nil {
+	if err := writeEvents(sw, events[1:]); err != nil {
 		t.Fatal(err)
 	}
 	if err := sw.Close(); err != nil {
@@ -296,11 +276,11 @@ func TestAggregateFrameSalvage(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, recov, err := RecoverEventLog(path)
+	_, runs, recov, err := RecoverSessionColumns(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(events) {
+	if got := inflateRuns(runs); len(got) != len(events) {
 		t.Fatalf("salvaged %d events, want %d (%s)", len(got), len(events), recov)
 	}
 	if recov.SkippedFrames != 1 || recov.SkippedEvents != 0 {
@@ -314,8 +294,8 @@ func TestAggregateFrameSalvage(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, recov, err = RecoverEventLog(path)
-	if err != nil || !recov.Clean() || len(got) != len(events) {
+	_, runs, recov, err = RecoverSessionColumns(path)
+	if got := inflateRuns(runs); err != nil || !recov.Clean() || len(got) != len(events) {
 		t.Fatalf("intact log with aggregates: events=%d recovery=%s err=%v", len(got), recov, err)
 	}
 }

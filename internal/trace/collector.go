@@ -8,22 +8,6 @@ import (
 	"dsspy/internal/obs"
 )
 
-// Collector is the common surface of the in-process event collectors: a
-// Recorder that producers feed concurrently, a Close that flushes and seals
-// the store, an EventSource that hands the merged stream back for post-mortem
-// analysis, and Stats describing what the collection pipeline itself did.
-// ShardedCollector implements it, partitioning by instance across one or
-// more buffers and drain goroutines.
-type Collector interface {
-	Recorder
-	EventSource
-	// Close flushes buffered events and stops the drain goroutines. It is
-	// idempotent; Events and Stats are fully populated after Close returns.
-	Close()
-	// Stats reports collection-pipeline observability counters.
-	Stats() CollectorStats
-}
-
 // CollectorStats is the observability surface of a collector: how many
 // events flowed through it, how many it refused and why, how full its queues
 // got, and how long producers were blocked waiting for the drain side to

@@ -43,7 +43,9 @@ func foldSeedLogBytes(tb testing.TB) []byte {
 			Thread:   trace.ThreadID(i % 4),
 		}
 	}
-	if err := trace.SaveSessionLog(path, s, events); err != nil {
+	var cols trace.ColumnBatch
+	cols.AppendEvents(events)
+	if err := trace.SaveSessionColumns(path, s, &cols); err != nil {
 		tb.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)

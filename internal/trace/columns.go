@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"sort"
 	"sync"
 )
@@ -143,12 +144,13 @@ func (b *ColumnBatch) AppendRange(src *ColumnBatch, i, j int) {
 }
 
 // AppendTo inflates events [i, j) onto dst — the compatibility bridge for
-// consumers that still want []Event (Feed, charts, v2 writers).
+// consumers that still want []Event (chart renderers, the []Event readers,
+// the producer's RecordAll fallback). When dst lacks room it at least
+// doubles, so accumulating many batches onto one slice copies each event a
+// bounded number of times.
 func (b *ColumnBatch) AppendTo(dst []Event, i, j int) []Event {
 	if n := j - i; cap(dst)-len(dst) < n {
-		grown := make([]Event, len(dst), len(dst)+n)
-		copy(grown, dst)
-		dst = grown
+		dst = slices.Grow(dst, max(n, len(dst)))
 	}
 	for k := i; k < j; k++ {
 		dst = append(dst, b.At(k))
@@ -256,12 +258,12 @@ func (b *ColumnBatch) setLen(n int) {
 	b.Size = b.Size[:n]
 }
 
-// mergeColumnRuns k-way-merges Seq-sorted column runs into one batch. Like
-// mergeRuns it keeps a small binary min-heap of run heads, but instead of
-// popping one event at a time it copies the maximal span of the winning run
-// that stays ≤ the next-smallest head — on disjoint runs that is the whole
-// run in one six-column copy, and a run is only ever split at a genuine
-// overlap boundary. The second result counts those splits (a run copied in
+// mergeColumnRuns k-way-merges Seq-sorted column runs into one batch. It
+// keeps a small binary min-heap of run heads, but instead of popping one
+// event at a time it copies the maximal span of the winning run that stays
+// ≤ the next-smallest head — on disjoint runs that is the whole run in one
+// six-column copy, and a run is only ever split at a genuine overlap
+// boundary. The second result counts those splits (a run copied in
 // k pieces contributes k-1).
 //
 // With exactly one non-empty run the run itself is returned, aliased, so the

@@ -2,11 +2,33 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
+	"unsafe"
 )
+
+// randomRuns partitions the seq space 1..n into k individually sorted runs,
+// the shape the sharded collector's merge sees: each shard holds a sorted
+// subsequence of the global stream.
+func randomRuns(rng *rand.Rand, n, k int) [][]Event {
+	runs := make([][]Event, k)
+	for seq := 1; seq <= n; seq++ {
+		r := rng.Intn(k)
+		runs[r] = append(runs[r], Event{
+			Seq:      uint64(seq),
+			Instance: InstanceID(seq%16 + 1),
+			Op:       Op(1 + seq%4),
+			Index:    seq % 101,
+			Size:     seq,
+		})
+	}
+	return runs
+}
 
 // randomColumnRuns pivots randomRuns' event partition into column batches:
 // the shape the columnar merge sees at Close.
@@ -122,7 +144,7 @@ func TestColumnBatchSortBySeq(t *testing.T) {
 }
 
 // TestMergeColumnRunsMatchesMergeRuns: the batch-run merge must produce the
-// same global order as the event-slice merge, across the edge shapes the
+// same global order as a sort of its input, across the edge shapes the
 // sharded collector can hand it — empty shards, single-event batches,
 // adjacent batches with touching Seq ranges, and everything in one shard.
 func TestMergeColumnRunsMatchesMergeRuns(t *testing.T) {
@@ -229,6 +251,101 @@ func TestMergeColumnRunsSplitAccounting(t *testing.T) {
 	}
 }
 
+// TestMergeRunsMatchesGlobalSort: NormalizeColumnRuns, the replay and spill
+// path's merge, must yield exactly the global Seq sort of its input batches
+// across run-count and skew extremes.
+func TestMergeRunsMatchesGlobalSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	cases := []struct {
+		name string
+		runs [][]Event
+	}{
+		{"empty", nil},
+		{"one-run", randomRuns(rng, 100, 1)},
+		{"two-even", randomRuns(rng, 1000, 2)},
+		{"sixteen", randomRuns(rng, 5000, 16)},
+		{"skewed", [][]Event{
+			randomRuns(rng, 3000, 1)[0],
+			{{Seq: 100000, Instance: 1, Op: OpRead}},
+			{{Seq: 100001, Instance: 1, Op: OpRead}},
+		}},
+		{"single-events", func() [][]Event {
+			var runs [][]Event
+			for i := 20; i > 0; i-- {
+				runs = append(runs, []Event{{Seq: uint64(i), Instance: 1, Op: OpRead}})
+			}
+			return runs
+		}()},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var want []Event
+			batches := make([]*ColumnBatch, len(tc.runs))
+			for i, r := range tc.runs {
+				want = append(want, r...)
+				batches[i] = &ColumnBatch{}
+				batches[i].AppendEvents(r)
+			}
+			sort.Slice(want, func(i, j int) bool { return want[i].Seq < want[j].Seq })
+
+			runs, _ := NormalizeColumnRuns(batches)
+			got := inflateRuns(runs)
+			if len(got) != len(want) {
+				t.Fatalf("merged %d events, want %d", len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("event %d: got %+v, want %+v", i, got[i], want[i])
+				}
+			}
+		})
+	}
+}
+
+// TestMergeRunsDuplicateSeqsLossless: equal Seqs across batches (possible in
+// replayed spills or hand-built streams) must not lose events through
+// NormalizeColumnRuns; relative order among equals is unspecified but the
+// output stays non-decreasing.
+func TestMergeRunsDuplicateSeqsLossless(t *testing.T) {
+	a, b := &ColumnBatch{}, &ColumnBatch{}
+	a.AppendEvents([]Event{{Seq: 1, Instance: 1}, {Seq: 5, Instance: 1}})
+	b.AppendEvents([]Event{{Seq: 1, Instance: 2}, {Seq: 5, Instance: 2}})
+	runs, _ := NormalizeColumnRuns([]*ColumnBatch{a, b})
+	got := inflateRuns(runs)
+	if len(got) != 4 {
+		t.Fatalf("merged %d events, want 4", len(got))
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i].Seq < got[i-1].Seq {
+			t.Fatalf("order broken at %d", i)
+		}
+	}
+}
+
+// TestAppendToAccumulatesLinearly: inflating run after run onto one slice —
+// what `dsspy -replay -chart` does — must allocate amortized-linear bytes,
+// not copy the whole prefix for every run.
+func TestAppendToAccumulatesLinearly(t *testing.T) {
+	const runs, perRun = 1024, 64
+	var b ColumnBatch
+	for i := 0; i < perRun; i++ {
+		b.Append(Event{Seq: uint64(i + 1), Instance: 1, Op: OpRead, Index: i, Size: perRun})
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var dst []Event
+	for r := 0; r < runs; r++ {
+		dst = b.AppendTo(dst, 0, b.Len())
+	}
+	runtime.ReadMemStats(&after)
+	final := uint64(len(dst)) * uint64(unsafe.Sizeof(Event{}))
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("accumulated %d events: allocated %d bytes, %.2fx the final slice", len(dst), alloc, float64(alloc)/float64(final))
+	if alloc > 4*final {
+		t.Fatalf("AppendTo allocated %d bytes accumulating a %d-byte slice; want ≤4x", alloc, final)
+	}
+}
+
 func TestNormalizeColumnRuns(t *testing.T) {
 	// Disjoint, delivered out of order: reordered in place, no merge copy.
 	a, b := &ColumnBatch{}, &ColumnBatch{}
@@ -267,37 +384,19 @@ func TestNormalizeColumnRuns(t *testing.T) {
 	}
 }
 
-// TestWriteColumnsMatchesWriteBatch: a batch written through the columnar
-// writer must produce byte-identical streams to the same events written as a
-// struct slice, for both the v3 and v2 encodings.
+// TestWriteColumnsMatchesWriteBatch pins the wire bytes. The v3 stream that
+// WriteColumns writes for the seed events, and the v2 stream of the frozen
+// replica, must hash to what the retired []Event writer (WriteBatch) wrote
+// for the same events.
 func TestWriteColumnsMatchesWriteBatch(t *testing.T) {
 	events := fuzzSeedEvents()
-	var b ColumnBatch
-	b.AppendEvents(events)
-	for _, version := range []int{2, 3} {
-		var asStructs, asColumns bytes.Buffer
-		sw, err := newStreamWriterVersion(&asStructs, version)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sw.WriteBatch(events); err != nil {
-			t.Fatal(err)
-		}
-		if err := sw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		cw, err := newStreamWriterVersion(&asColumns, version)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cw.WriteColumns(&b); err != nil {
-			t.Fatal(err)
-		}
-		if err := cw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(asStructs.Bytes(), asColumns.Bytes()) {
-			t.Fatalf("v%d: WriteColumns and WriteBatch produced different bytes", version)
+	want := map[int]string{
+		2: "d4a107b3bbf3793385e23cca2d27552b060e3f229d0ba751b5b0cb3867624351",
+		3: "5e1adea2c9e50e803b07fe546831ec0357b8c7c6ae3d4546e6487328e5159a5a",
+	}
+	for version, digest := range want {
+		if got := fmt.Sprintf("%x", sha256.Sum256(writeStream(t, version, events))); got != digest {
+			t.Fatalf("v%d stream digest %s, want %s", version, got, digest)
 		}
 	}
 }
@@ -307,23 +406,9 @@ func TestWriteColumnsMatchesWriteBatch(t *testing.T) {
 func TestReadColumnsMatchesReadBatch(t *testing.T) {
 	events := fuzzSeedEvents()
 	for _, version := range []int{2, 3} {
-		var buf bytes.Buffer
-		sw, err := newStreamWriterVersion(&buf, version)
-		if err != nil {
-			t.Fatal(err)
-		}
 		// Uneven batch sizes so frame boundaries land mid-stream.
-		if err := sw.WriteBatch(events[:37]); err != nil {
-			t.Fatal(err)
-		}
-		if err := sw.WriteBatch(events[37:]); err != nil {
-			t.Fatal(err)
-		}
-		if err := sw.Close(); err != nil {
-			t.Fatal(err)
-		}
-
-		sr, err := NewStreamReader(bytes.NewReader(buf.Bytes()))
+		raw := writeStream(t, version, events[:37], events[37:])
+		sr, err := NewStreamReader(bytes.NewReader(raw))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -365,7 +450,7 @@ func TestReadColumnsZeroAlloc(t *testing.T) {
 			events[i] = Event{Seq: seq, Instance: InstanceID(i%8 + 1), Op: Op(1 + i%4),
 				Index: i % 63, Size: i, Thread: 1}
 		}
-		if err := sw.WriteBatch(events); err != nil {
+		if err := writeEvents(sw, events); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -414,7 +499,7 @@ func BenchmarkReadColumns(b *testing.B) {
 			events[i] = Event{Seq: uint64(f*2048 + i + 1), Instance: InstanceID(i%8 + 1),
 				Op: Op(1 + i%4), Index: i % 63, Size: i, Thread: 1}
 		}
-		if err := sw.WriteBatch(events); err != nil {
+		if err := writeEvents(sw, events); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -449,7 +534,7 @@ func buildColumnMergeInput(n, k int) []*ColumnBatch {
 }
 
 // BenchmarkMergeColumns1M measures the columnar close-time merge of 1M events
-// over 8 shard runs; compare with BenchmarkMergeKWay1M (the []Event merge).
+// over 8 shard runs.
 func BenchmarkMergeColumns1M(b *testing.B) {
 	runs := buildColumnMergeInput(1_000_000, 8)
 	b.ResetTimer()

@@ -15,13 +15,13 @@ import (
 // durable post-mortem logs that ReadEventsFile can replay into the analysis
 // pipeline long after the program run.
 
-// FileRecorder streams events into a file in the wire format, buffered and
-// batched like the socket recorder.
+// FileRecorder streams events into a file in the wire format, buffered in
+// columns and batched like the socket recorder.
 type FileRecorder struct {
 	mu   sync.Mutex
 	f    *os.File
 	sw   *StreamWriter
-	buf  []Event
+	buf  ColumnBatch
 	err  error
 	done bool
 }
@@ -37,11 +37,9 @@ func CreateEventLog(path string) (*FileRecorder, error) {
 		f.Close()
 		return nil, err
 	}
-	return &FileRecorder{
-		f:   f,
-		sw:  sw,
-		buf: make([]Event, 0, DefaultSocketBatch),
-	}, nil
+	fr := &FileRecorder{f: f, sw: sw}
+	fr.buf.Grow(DefaultSocketBatch)
+	return fr, nil
 }
 
 // Record buffers the event, flushing full batches to the file. I/O errors
@@ -52,8 +50,8 @@ func (fr *FileRecorder) Record(e Event) {
 	if fr.err != nil || fr.done {
 		return
 	}
-	fr.buf = append(fr.buf, e)
-	if len(fr.buf) >= DefaultSocketBatch {
+	fr.buf.Append(e)
+	if fr.buf.Len() >= DefaultSocketBatch {
 		fr.flushLocked()
 	}
 }
@@ -66,17 +64,17 @@ func (fr *FileRecorder) RecordBatch(batch []Event) {
 	if fr.err != nil || fr.done {
 		return
 	}
-	fr.buf = append(fr.buf, batch...)
-	if len(fr.buf) >= DefaultSocketBatch {
+	fr.buf.AppendEvents(batch)
+	if fr.buf.Len() >= DefaultSocketBatch {
 		fr.flushLocked()
 	}
 }
 
 func (fr *FileRecorder) flushLocked() {
-	if err := fr.sw.WriteBatch(fr.buf); err != nil && fr.err == nil {
+	if err := fr.sw.WriteColumns(&fr.buf); err != nil && fr.err == nil {
 		fr.err = err
 	}
-	fr.buf = fr.buf[:0]
+	fr.buf.Reset()
 }
 
 // Close flushes the tail, writes the end-of-stream marker and closes the

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -36,6 +38,38 @@ func TestFileRecorderRoundTrip(t *testing.T) {
 		if e.Seq != uint64(i+1) || e.Index != i {
 			t.Fatalf("event %d corrupted: %v", i, e)
 		}
+	}
+}
+
+// TestFileRecorderLogBytesPinned: a fixed Record/RecordBatch sequence —
+// batches that overshoot the flush threshold included — must produce the
+// same log bytes the []Event-buffered recorder wrote before it buffered
+// columns.
+func TestFileRecorderLogBytesPinned(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pinned.dslog")
+	fr, err := CreateEventLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := corpusLikeEvents(6000)
+	for _, e := range events[:700] {
+		fr.Record(e)
+	}
+	for rest := events[700:]; len(rest) > 0; {
+		n := min(333, len(rest))
+		fr.RecordBatch(rest[:n])
+		rest = rest[n:]
+	}
+	if err := fr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "994b9fb7f24132796291c650d0c23651067e770cf668a4acb58378630af46353"
+	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != want {
+		t.Fatalf("file log (%d bytes) digest %s, want %s", len(raw), got, want)
 	}
 }
 

@@ -16,7 +16,7 @@ func FuzzStreamReader(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if err := sw.WriteBatch([]Event{
+	if err := writeEvents(sw, []Event{
 		{Seq: 1, Instance: 1, Op: OpInsert, Index: 0, Size: 1, Thread: 1},
 		{Seq: 2, Instance: 1, Op: OpRead, Index: NoIndex, Size: 1},
 	}); err != nil {
@@ -26,17 +26,10 @@ func FuzzStreamReader(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
-	// A v2 stream of the same batch keeps the fixed-width path covered now
-	// that the default writer emits v3.
+	// A v2 stream from the frozen replica keeps the fixed-width path covered
+	// now that the writer emits v3 only.
 	var bufV2 bytes.Buffer
-	sw2, err := newStreamWriterVersion(&bufV2, 2)
-	if err != nil {
-		f.Fatal(err)
-	}
-	if err := sw2.WriteBatch([]Event{{Seq: 1, Instance: 1, Op: OpInsert, Index: 0, Size: 1, Thread: 1}}); err != nil {
-		f.Fatal(err)
-	}
-	if err := sw2.Close(); err != nil {
+	if err := writeV2SessionLog(&bufV2, []Event{{Seq: 1, Instance: 1, Op: OpInsert, Index: 0, Size: 1, Thread: 1}}, nil); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(bufV2.Bytes())
@@ -46,7 +39,7 @@ func FuzzStreamReader(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if err := swA.WriteBatch([]Event{{Seq: 1, Instance: 1, Op: OpInsert, Index: 0, Size: 1}}); err != nil {
+	if err := writeEvents(swA, []Event{{Seq: 1, Instance: 1, Op: OpInsert, Index: 0, Size: 1}}); err != nil {
 		f.Fatal(err)
 	}
 	if err := swA.WriteAggregate(AggRecord{Instance: 1, N: 9, Indexed: 9,
@@ -78,7 +71,7 @@ func FuzzStreamReader(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sw.WriteBatch(events); err != nil {
+		if err := writeEvents(sw, events); err != nil {
 			t.Fatal(err)
 		}
 		if err := sw.Close(); err != nil {
@@ -113,7 +106,7 @@ func realSessionLogBytes(tb testing.TB, dir string) []byte {
 	s := NewSession()
 	s.Register(KindList, "List[int]", "jobs", 0)
 	s.Register(KindDictionary, "map[int]string", "names", 0)
-	if err := SaveSessionLog(path, s, fuzzSeedEvents()); err != nil {
+	if err := saveEvents(path, s, fuzzSeedEvents()); err != nil {
 		tb.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -150,7 +143,7 @@ func realSessionLogBytesWithAgg(tb testing.TB) []byte {
 		tb.Fatal(err)
 	}
 	events := fuzzSeedEvents()
-	if err := sw.WriteBatch(events[:100]); err != nil {
+	if err := writeEvents(sw, events[:100]); err != nil {
 		tb.Fatal(err)
 	}
 	if err := sw.WriteAggregate(AggRecord{Instance: 1, N: 512, Indexed: 500,
@@ -158,7 +151,7 @@ func realSessionLogBytesWithAgg(tb testing.TB) []byte {
 		Ops: func() (o [numOps]uint32) { o[OpRead] = 500; o[OpClear] = 12; return }()}); err != nil {
 		tb.Fatal(err)
 	}
-	if err := sw.WriteBatch(events[100:]); err != nil {
+	if err := writeEvents(sw, events[100:]); err != nil {
 		tb.Fatal(err)
 	}
 	if err := sw.WriteAggregate(AggRecord{Instance: 2, N: 7, LastIndex: NoIndex,
@@ -195,7 +188,8 @@ func fuzzSeedEvents() []Event {
 // FuzzRecoverSessionLog throws arbitrary bytes at the salvaging loader. It
 // must never panic, never return an error once the header parses, and its
 // diagnostic must stay consistent with what it returned: the event count
-// matches, and a clean verdict implies the strict loader agrees.
+// matches, and a clean verdict implies the strict loader returns the same
+// events.
 func FuzzRecoverSessionLog(f *testing.F) {
 	seed := realSessionLogBytes(f, f.TempDir())
 	f.Add(seed)
@@ -217,14 +211,15 @@ func FuzzRecoverSessionLog(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		sess, events, rec, err := RecoverSessionLog(path)
+		sess, runs, rec, err := RecoverSessionColumns(path)
 		if err != nil {
 			// Only an unreadable header may error — and then nothing else.
-			if rec != nil || events != nil || sess != nil {
-				t.Fatalf("error %v must come alone, got rec=%v events=%d", err, rec, len(events))
+			if rec != nil || runs != nil || sess != nil {
+				t.Fatalf("error %v must come alone, got rec=%v runs=%d", err, rec, len(runs))
 			}
 			return
 		}
+		events := inflateRuns(runs)
 		if rec == nil {
 			t.Fatal("nil error requires a non-nil recovery diagnostic")
 		}
@@ -235,12 +230,18 @@ func FuzzRecoverSessionLog(f *testing.F) {
 			t.Fatalf("implausible discarded bytes %d of %d", rec.DiscardedBytes, len(data))
 		}
 		if rec.Clean() {
-			_, strict, err := LoadSessionLog(path)
+			_, strictRuns, err := LoadSessionColumns(path)
 			if err != nil {
 				t.Fatalf("recovery says clean but strict load fails: %v", err)
 			}
+			strict := inflateRuns(strictRuns)
 			if len(strict) != len(events) {
 				t.Fatalf("clean recovery has %d events, strict load %d", len(events), len(strict))
+			}
+			for i := range strict {
+				if strict[i] != events[i] {
+					t.Fatalf("event %d: recovered %+v, strict load %+v", i, events[i], strict[i])
+				}
 			}
 		}
 	})
@@ -296,10 +297,10 @@ func FuzzChecksummedFrameReader(f *testing.F) {
 
 // FuzzColumnarDecoder targets the v3 columnar frame decoder directly, seeded
 // with payloads from real v3 session logs plus whole v2/v3 logs (per the
-// hot-path overhaul's coverage bar). Two obligations: decodeColumnarFrame
+// hot-path overhaul's coverage bar). Two obligations: decodeColumnarInto
 // must never panic or over-allocate on arbitrary payload bytes, and whatever
-// it accepts must re-encode to a payload that decodes back to the same
-// events.
+// it accepts must re-encode through appendColumnarBatch to a payload that
+// decodes back to the same events.
 func FuzzColumnarDecoder(f *testing.F) {
 	// Payload-level seeds: every event frame inside a genuine v3 log.
 	logV3 := realSessionLogBytes(f, f.TempDir())
@@ -327,7 +328,7 @@ func FuzzColumnarDecoder(f *testing.F) {
 		}
 	}
 	// Hand-built payloads covering the hard columns: NoIndex, backward Seq.
-	f.Add(appendColumnarFrame(nil, []Event{
+	f.Add(encodeEvents([]Event{
 		{Seq: 900, Instance: 3, Op: OpRead, Index: NoIndex, Size: 0, Thread: 2},
 		{Seq: 100, Instance: 3, Op: OpWrite, Index: 7, Size: -1, Thread: 2},
 	}))
@@ -338,53 +339,37 @@ func FuzzColumnarDecoder(f *testing.F) {
 	f.Add(realSessionLogBytesWithAgg(f))
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		events, err := decodeColumnarFrame(payload)
-		if err != nil {
-			// The columnar form must agree on rejection too.
-			var cb ColumnBatch
-			if err2 := decodeColumnarInto(&cb, payload); err2 == nil {
-				t.Fatalf("decodeColumnarInto accepted a payload decodeColumnarFrame rejected (%v)", err)
-			} else if cb.Len() != 0 {
-				t.Fatalf("decodeColumnarInto left %d partial events after error %v", cb.Len(), err2)
-			}
-			return
-		}
-		if len(events) == 0 || len(events) > MaxBatch {
-			t.Fatalf("decoder accepted a batch of %d (must be 1..%d)", len(events), MaxBatch)
-		}
-		// Differential: the zero-copy column decode must see the same events
-		// the inflating decode saw, appended after pre-existing content.
+		// Decode after pre-existing content: an accepted payload appends, a
+		// rejected one leaves the batch as it was.
 		cb := &ColumnBatch{}
 		cb.Append(Event{Seq: 1, Instance: 9, Op: OpRead, Index: NoIndex})
 		if err := decodeColumnarInto(cb, payload); err != nil {
-			t.Fatalf("decodeColumnarInto rejected a payload decodeColumnarFrame accepted: %v", err)
-		}
-		if cb.Len() != 1+len(events) {
-			t.Fatalf("decodeColumnarInto appended %d events, want %d", cb.Len()-1, len(events))
-		}
-		for i := range events {
-			if got := cb.At(i + 1); got != events[i] {
-				t.Fatalf("event %d differs between decoders: %+v vs %+v", i, events[i], got)
+			if cb.Len() != 1 {
+				t.Fatalf("decodeColumnarInto left %d partial events after error %v", cb.Len()-1, err)
 			}
+			return
 		}
-		// Round trip via both encoders: struct-sourced and column-sourced
-		// payloads must be byte-identical and decode back unchanged.
-		re := appendColumnarFrame(nil, events)
-		reCols := appendColumnarBatch(nil, cb, 1, cb.Len())
-		if !bytes.Equal(re, reCols) {
-			t.Fatalf("appendColumnarFrame and appendColumnarBatch disagree on the same events")
+		n := cb.Len() - 1
+		if n == 0 || n > MaxBatch {
+			t.Fatalf("decoder accepted a batch of %d (must be 1..%d)", n, MaxBatch)
 		}
-		back, err := decodeColumnarFrame(re)
-		if err != nil {
+		// Round trip: the re-encoded payload decodes back to the same events,
+		// and encoding those again is byte-stable.
+		re := appendColumnarBatch(nil, cb, 1, cb.Len())
+		var back ColumnBatch
+		if err := decodeColumnarInto(&back, re); err != nil {
 			t.Fatalf("re-encoded payload does not decode: %v", err)
 		}
-		if len(back) != len(events) {
-			t.Fatalf("round trip lost events: %d -> %d", len(events), len(back))
+		if back.Len() != n {
+			t.Fatalf("round trip lost events: %d -> %d", n, back.Len())
 		}
-		for i := range events {
-			if back[i] != events[i] {
-				t.Fatalf("event %d changed on round trip: %+v -> %+v", i, events[i], back[i])
+		for i := 0; i < n; i++ {
+			if back.At(i) != cb.At(i+1) {
+				t.Fatalf("event %d changed on round trip: %+v -> %+v", i, cb.At(i+1), back.At(i))
 			}
+		}
+		if !bytes.Equal(appendColumnarBatch(nil, &back, 0, n), re) {
+			t.Fatal("re-encoding a decoded payload is not byte-stable")
 		}
 	})
 }

@@ -24,7 +24,7 @@ func FuzzHelloHandshake(f *testing.F) {
 	if err := sw.WriteHello(Hello{Tenant: "alpha", Process: "host:1234", Run: "run-1"}); err != nil {
 		f.Fatal(err)
 	}
-	if err := sw.WriteBatch([]Event{
+	if err := writeEvents(sw, []Event{
 		{Seq: 1, Instance: 1, Op: OpInsert, Index: 0, Size: 1, Thread: 1},
 		{Seq: 2, Instance: 1, Op: OpRead, Index: NoIndex, Size: 1},
 		{Seq: 3, Instance: 2, Op: OpDelete, Index: 0, Size: 0, Thread: 2},
@@ -74,7 +74,7 @@ func FuzzHelloHandshake(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		events, rec, err := RecoverEventLog(path)
+		batches, rec, err := recoverFile(path, nil)
 		if err != nil {
 			// Unreadable magic etc. — fine, as long as strict agreed.
 			if len(strict) > 0 {
@@ -82,6 +82,7 @@ func FuzzHelloHandshake(f *testing.F) {
 			}
 			return
 		}
+		events := inflateRuns(batches)
 		if rec.Events != len(events) {
 			t.Fatalf("recovery accounting: Events=%d but %d events returned", rec.Events, len(events))
 		}

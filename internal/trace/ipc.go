@@ -171,7 +171,7 @@ func (s *SocketRecorder) flushLocked() {
 	if n == 0 {
 		return
 	}
-	if err := s.writeLocked(nil, &s.buf); err != nil {
+	if err := s.writeLocked(&s.buf); err != nil {
 		if s.err == nil {
 			s.err = err
 		}
@@ -182,31 +182,24 @@ func (s *SocketRecorder) flushLocked() {
 	s.buf.Reset()
 }
 
-// writeLocked ships one batch — the column buffer, or a caller's []Event
-// when cols is nil — under the write deadline. It flushes the stream writer
-// so a transport failure surfaces on the batch that hit it, not batches
-// later.
-func (s *SocketRecorder) writeLocked(events []Event, cols *ColumnBatch) error {
+// writeLocked ships columns under the write deadline. It flushes the stream
+// writer so a transport failure surfaces on the batch that hit it, not
+// batches later.
+func (s *SocketRecorder) writeLocked(cols *ColumnBatch) error {
 	if s.writeTimeout > 0 {
 		s.conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
 		defer s.conn.SetWriteDeadline(time.Time{})
 	}
-	var err error
-	if cols != nil {
-		err = s.sw.WriteColumns(cols)
-	} else {
-		err = s.sw.WriteBatch(events)
-	}
-	if err != nil {
+	if err := s.sw.WriteColumns(cols); err != nil {
 		return err
 	}
 	return s.sw.Flush()
 }
 
-// sendBatch writes a batch immediately, bypassing the Record buffer and its
-// counters. The resilient recorder uses it as a raw transport primitive and
-// does its own accounting.
-func (s *SocketRecorder) sendBatch(events []Event) error {
+// sendColumns writes a column batch immediately, bypassing the Record buffer
+// and its counters. The resilient recorder uses it as a raw transport
+// primitive and does its own accounting.
+func (s *SocketRecorder) sendColumns(cols *ColumnBatch) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.err != nil {
@@ -215,7 +208,7 @@ func (s *SocketRecorder) sendBatch(events []Event) error {
 	if s.conn == nil {
 		return errors.New("trace: socket recorder closed")
 	}
-	if err := s.writeLocked(events, nil); err != nil {
+	if err := s.writeLocked(cols); err != nil {
 		s.err = err
 		return err
 	}

@@ -13,13 +13,6 @@ type Recorder interface {
 	Record(Event)
 }
 
-// EventSource is implemented by recorders that can hand the collected events
-// back for analysis.
-type EventSource interface {
-	// Events returns the collected events ordered by sequence number.
-	Events() []Event
-}
-
 // BatchRecorder is the optional []Event bulk interface: recorders that can
 // take a whole batch in one call implement it so the per-event lock,
 // channel, and dispatch costs amortize over the batch. A Producer uses it

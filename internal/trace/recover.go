@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 )
 
 // Salvaging loaders. A multi-hour trace must not become worthless because the
@@ -60,67 +59,55 @@ func (r *Recovery) String() string {
 	return s
 }
 
-// RecoverSessionLog loads as much of a session log as is decodable: every
+// RecoverSessionColumns loads as much of a session log as is decodable: every
 // event batch and registry record before the first structural damage, minus
 // any checksum-failed frames (which are skipped, counted, and decoding
-// continues). The returned error is non-nil only when nothing could be
-// salvaged at all — the file is unreadable or its header is not a DSspy
-// stream. Damage inside the stream is reported through the Recovery
-// diagnostic instead, which is always non-nil on a nil error.
-func RecoverSessionLog(path string) (*Session, []Event, *Recovery, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("trace: opening session log: %w", err)
-	}
-	defer f.Close()
-	size := int64(-1)
-	if fi, err := f.Stat(); err == nil {
-		size = fi.Size()
-	}
-
-	sr, err := NewStreamReader(f)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	s := NewSessionWith(Options{Recorder: NullRecorder{}})
-	events, rec := recoverStream(sr, size, func(inst Instance) {
-		s.restoreInstance(inst)
-	})
-	sort.Slice(events, func(i, j int) bool { return events[i].Seq < events[j].Seq })
-	return s, events, rec, nil
-}
-
-// RecoverSessionColumns is the columnar twin of RecoverSessionLog: it
-// salvages the decodable frames of a damaged session log as column batches —
-// on a v3 log without inflating a single Event — normalized into ascending,
-// pairwise-disjoint Seq-sorted runs for StreamAnalyzer.FeedColumns. Skip and
-// truncation accounting matches RecoverSessionLog frame for frame.
+// continues). The events come back as column batches — on a v3 log without
+// inflating a single Event — normalized into ascending, pairwise-disjoint
+// Seq-sorted runs for StreamAnalyzer.FeedColumns. The returned error is
+// non-nil only when nothing could be salvaged at all — the file is
+// unreadable or its header is not a DSspy stream. Damage inside the stream is
+// reported through the Recovery diagnostic instead, which is always non-nil
+// on a nil error. It also salvages events-only streams (a FileRecorder log or
+// a resilient recorder's spill file, with an empty registry); spill files
+// have no end-of-stream marker by design, so Truncated is expected for them
+// and only SkippedFrames/DiscardedBytes indicate real loss.
 func RecoverSessionColumns(path string) (*Session, []*ColumnBatch, *Recovery, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("trace: opening session log: %w", err)
-	}
-	defer f.Close()
-	size := int64(-1)
-	if fi, err := f.Stat(); err == nil {
-		size = fi.Size()
-	}
-
-	sr, err := NewStreamReader(f)
+	s := NewSessionWith(Options{Recorder: NullRecorder{}})
+	batches, rec, err := recoverFile(path, s.restoreInstance)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	s := NewSessionWith(Options{Recorder: NullRecorder{}})
-	batches, rec := recoverColumns(sr, size, func(inst Instance) {
-		s.restoreInstance(inst)
-	})
 	runs, _ := NormalizeColumnRuns(batches)
 	return s, runs, rec, nil
 }
 
-// recoverColumns is recoverStream over column batches: same loop, same
-// damage taxonomy, but each surviving event frame is decoded onto its own
-// ColumnBatch instead of a []Event.
+// recoverFile runs recoverColumns over the file at path, with the error
+// contract of RecoverSessionColumns. The resilient recorder's spill replay
+// passes a nil onInstance: a spill carries no registry, and a damaged one
+// must not grow a session.
+func recoverFile(path string, onInstance func(Instance)) ([]*ColumnBatch, *Recovery, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, fmt.Errorf("trace: opening session log: %w", err)
+	}
+	defer f.Close()
+	size := int64(-1)
+	if fi, err := f.Stat(); err == nil {
+		size = fi.Size()
+	}
+	sr, err := NewStreamReader(f)
+	if err != nil {
+		return nil, nil, err
+	}
+	batches, rec := recoverColumns(sr, size, onInstance)
+	return batches, rec, nil
+}
+
+// recoverColumns drives the salvaging decode loop: read frames until the end
+// marker, the underlying EOF, or structural damage; skip checksum-failed
+// frames. Each surviving event frame is decoded onto its own ColumnBatch;
+// onInstance, when non-nil, receives registry records.
 func recoverColumns(sr *StreamReader, size int64, onInstance func(Instance)) ([]*ColumnBatch, *Recovery) {
 	rec := &Recovery{}
 	var batches []*ColumnBatch
@@ -208,84 +195,4 @@ func recoverColumns(sr *StreamReader, size int64, onInstance func(Instance)) ([]
 			return batches, rec
 		}
 	}
-}
-
-// RecoverEventLog salvages an events-only stream (a FileRecorder log or a
-// resilient recorder's spill file). Spill files have no end-of-stream marker
-// by design — the producer may die at any moment — so Truncated is expected
-// for them and only SkippedFrames/DiscardedBytes indicate real loss.
-func RecoverEventLog(path string) ([]Event, *Recovery, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("trace: opening event log: %w", err)
-	}
-	defer f.Close()
-	size := int64(-1)
-	if fi, err := f.Stat(); err == nil {
-		size = fi.Size()
-	}
-	sr, err := NewStreamReader(f)
-	if err != nil {
-		return nil, nil, err
-	}
-	events, rec := recoverStream(sr, size, nil)
-	sort.Slice(events, func(i, j int) bool { return events[i].Seq < events[j].Seq })
-	return events, rec, nil
-}
-
-// recoverStream drives the salvaging decode loop: read frames until the end
-// marker, the underlying EOF, or structural damage; skip checksum-failed
-// event frames. onInstance, when non-nil, receives registry records.
-func recoverStream(sr *StreamReader, size int64, onInstance func(Instance)) ([]Event, *Recovery) {
-	rec := &Recovery{}
-	var events []Event
-	sawEnd := false
-loop:
-	for {
-		// Offset of the last frame boundary: everything before it decoded.
-		boundary := sr.Offset()
-		ent, err := sr.readEntry()
-		switch {
-		case err == nil:
-		case errors.Is(err, ErrChecksum):
-			// The frame was fully consumed; its payload is untrustworthy but
-			// the framing survives. Skip it and keep decoding.
-			rec.SkippedFrames++
-			rec.SkippedEvents += len(ent.events)
-			continue
-		case err == io.EOF && sawEnd:
-			// Clean end: marker seen, then EOF.
-			break loop
-		default:
-			// Structural damage (cut mid-frame, bad kind byte, implausible
-			// length): everything from the last frame boundary on is
-			// undecodable.
-			rec.Truncated = true
-			rec.Err = err
-			if err == io.EOF {
-				// EOF exactly at a frame boundary without an end marker: the
-				// tail is missing but no partial frame was discarded.
-				rec.Err = nil
-			}
-			if size >= 0 {
-				rec.DiscardedBytes = size - boundary
-			}
-			break loop
-		}
-		switch ent.kind {
-		case frameEnd:
-			// Events first, registry afterwards; remember the marker and
-			// keep reading until the stream truly ends.
-			sawEnd = true
-		case frameEvents:
-			events = append(events, ent.events...)
-			rec.Events += len(ent.events)
-		case frameInstance:
-			rec.Instances++
-			if onInstance != nil {
-				onInstance(ent.instance)
-			}
-		}
-	}
-	return events, rec
 }

@@ -27,7 +27,7 @@ func recoverFixture(t *testing.T) (string, *Session, []Event) {
 			Thread:   ThreadID(i % 4),
 		}
 	}
-	if err := SaveSessionLog(path, s, events); err != nil {
+	if err := saveEvents(path, s, events); err != nil {
 		t.Fatal(err)
 	}
 	return path, s, events
@@ -35,14 +35,16 @@ func recoverFixture(t *testing.T) (string, *Session, []Event) {
 
 func TestRecoverIntactLogMatchesStrictLoad(t *testing.T) {
 	path, _, events := recoverFixture(t)
-	strictSess, strictEvents, err := LoadSessionLog(path)
+	strictSess, strictRuns, err := LoadSessionColumns(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, recovered, rec, err := RecoverSessionLog(path)
+	strictEvents := inflateRuns(strictRuns)
+	sess, recoveredRuns, rec, err := RecoverSessionColumns(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	recovered := inflateRuns(recoveredRuns)
 	if !rec.Clean() {
 		t.Fatalf("intact log reported unclean: %s", rec)
 	}
@@ -96,10 +98,11 @@ func TestRecoverTruncatedLog(t *testing.T) {
 			if err := os.WriteFile(p, whole[:cut.at], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, events, rec, err := RecoverSessionLog(p)
+			_, runs, rec, err := RecoverSessionColumns(p)
 			if err != nil {
 				t.Fatalf("recover errored on truncation: %v", err)
 			}
+			events := inflateRuns(runs)
 			if rec == nil {
 				t.Fatal("truncated log must yield a non-nil diagnostic")
 			}
@@ -138,10 +141,10 @@ func TestRecoverSkipsCorruptFrame(t *testing.T) {
 		}
 		return out
 	}
-	if err := sw.WriteBatch(batch(1, 10)); err != nil {
+	if err := writeEvents(sw, batch(1, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.WriteBatch(batch(11, 10)); err != nil {
+	if err := writeEvents(sw, batch(11, 10)); err != nil {
 		t.Fatal(err)
 	}
 	if err := sw.WriteInstances(s.Instances()); err != nil {
@@ -168,10 +171,11 @@ func TestRecoverSkipsCorruptFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sess, events, rec, err := RecoverSessionLog(path)
+	sess, runs, rec, err := RecoverSessionColumns(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	events := inflateRuns(runs)
 	if rec.SkippedFrames != 1 || rec.SkippedEvents != 10 {
 		t.Fatalf("skip accounting wrong: %+v", rec)
 	}
@@ -196,27 +200,29 @@ func TestRecoverSkipsCorruptFrame(t *testing.T) {
 
 func TestRecoverUnreadableInputs(t *testing.T) {
 	dir := t.TempDir()
-	if _, _, _, err := RecoverSessionLog(filepath.Join(dir, "missing.dslog")); err == nil {
+	if _, _, _, err := RecoverSessionColumns(filepath.Join(dir, "missing.dslog")); err == nil {
 		t.Fatal("missing file must error")
 	}
 	garbage := filepath.Join(dir, "garbage.dslog")
 	if err := os.WriteFile(garbage, []byte("not a dsspy stream at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := RecoverSessionLog(garbage); err == nil {
+	if _, _, _, err := RecoverSessionColumns(garbage); err == nil {
 		t.Fatal("bad magic must error")
 	}
 	empty := filepath.Join(dir, "empty.dslog")
 	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := RecoverSessionLog(empty); err == nil {
+	if _, _, _, err := RecoverSessionColumns(empty); err == nil {
 		t.Fatal("empty file must error")
 	}
 }
 
 // TestRecoverEventLogSpillSemantics exercises the WAL shape the resilient
-// recorder writes: no end marker. Truncated is expected; the events survive.
+// recorder writes — events only, no registry, no end marker — through the
+// salvaging loader its replay uses. Truncated is expected; the events
+// survive.
 func TestRecoverEventLogSpillSemantics(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "spill.dslog")
 	f, err := os.Create(path)
@@ -231,7 +237,7 @@ func TestRecoverEventLogSpillSemantics(t *testing.T) {
 	for i := range events {
 		events[i] = Event{Seq: uint64(i + 1), Instance: 1, Op: OpWrite, Index: i, Size: 1}
 	}
-	if err := sw.WriteBatch(events); err != nil {
+	if err := writeEvents(sw, events); err != nil {
 		t.Fatal(err)
 	}
 	if err := sw.Flush(); err != nil { // no end marker: crash semantics
@@ -239,10 +245,11 @@ func TestRecoverEventLogSpillSemantics(t *testing.T) {
 	}
 	f.Close()
 
-	got, rec, err := RecoverEventLog(path)
+	_, runs, rec, err := RecoverSessionColumns(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := inflateRuns(runs)
 	if !rec.Truncated {
 		t.Fatal("marker-less WAL should report truncated")
 	}

@@ -25,7 +25,7 @@ import (
 //
 // at every instant — an event handed to Record is eventually written to a
 // collector connection, parked in a spill file loadable post-mortem
-// (RecoverEventLog), or counted as dropped. Never silently lost.
+// (RecoverSessionColumns), or counted as dropped. Never silently lost.
 //
 // Delivery is at-least-once: a batch whose write errored is re-spilled and
 // replayed on the next connection, because the transport cannot say how much
@@ -43,7 +43,7 @@ type ResilientRecorder struct {
 
 	mu     sync.Mutex
 	sock   *SocketRecorder
-	buf    []Event
+	buf    ColumnBatch
 	spill  *spillFile
 	closed bool
 
@@ -142,14 +142,14 @@ func NewResilientRecorder(opts ResilientOptions) (*ResilientRecorder, error) {
 		dial:   dial,
 		log:    orNoLog(opts.Logger),
 		tracer: opts.Tracer,
-		buf:    make([]Event, 0, opts.BatchSize),
 		done:   make(chan struct{}),
 	}
+	rr.buf.Grow(opts.BatchSize)
 	if opts.SampleInterval != 0 {
 		rr.sampler = obs.StartOccupancySampler(opts.SampleInterval,
 			obs.Probe{Name: "buffer", Fn: func() int64 {
 				rr.mu.Lock()
-				n := int64(len(rr.buf))
+				n := int64(rr.buf.Len())
 				rr.mu.Unlock()
 				return n
 			}})
@@ -196,8 +196,8 @@ func (rr *ResilientRecorder) Record(e Event) {
 		rr.dropped++
 		return
 	}
-	rr.buf = append(rr.buf, e)
-	if len(rr.buf) >= rr.opts.BatchSize {
+	rr.buf.Append(e)
+	if rr.buf.Len() >= rr.opts.BatchSize {
 		rr.flushLocked()
 	}
 }
@@ -213,8 +213,8 @@ func (rr *ResilientRecorder) RecordBatch(batch []Event) {
 		rr.dropped += uint64(len(batch))
 		return
 	}
-	rr.buf = append(rr.buf, batch...)
-	if len(rr.buf) >= rr.opts.BatchSize {
+	rr.buf.AppendEvents(batch)
+	if rr.buf.Len() >= rr.opts.BatchSize {
 		rr.flushLocked()
 	}
 }
@@ -222,13 +222,14 @@ func (rr *ResilientRecorder) RecordBatch(batch []Event) {
 // flushLocked ships the in-flight buffer to the connection, or to the spill
 // when the connection is down or the write fails.
 func (rr *ResilientRecorder) flushLocked() {
-	if len(rr.buf) == 0 {
+	n := rr.buf.Len()
+	if n == 0 {
 		return
 	}
 	if rr.sock != nil {
-		if err := rr.sock.sendBatch(rr.buf); err == nil {
-			rr.delivered += uint64(len(rr.buf))
-			rr.buf = rr.buf[:0]
+		if err := rr.sock.sendColumns(&rr.buf); err == nil {
+			rr.delivered += uint64(n)
+			rr.buf.Reset()
 			return
 		}
 		// The write failed: the connection is gone. Abandon it, spill the
@@ -236,44 +237,45 @@ func (rr *ResilientRecorder) flushLocked() {
 		// cut frame), and start reconnecting in the background.
 		rr.sock.abandon()
 		rr.sock = nil
-		rr.log.Warn("resilient recorder: collector link lost, spilling", "buffered", len(rr.buf))
+		rr.log.Warn("resilient recorder: collector link lost, spilling", "buffered", n)
 		rr.tracer.Instant("link-lost", "resilient")
 		rr.startReconnectLocked()
 	}
-	rr.spillLocked(rr.buf)
-	rr.buf = rr.buf[:0]
+	rr.spillLocked(&rr.buf)
+	rr.buf.Reset()
 }
 
 // spillLocked appends events to the spill WAL, opening a fresh file when
 // needed. Spill failures degrade to counted drops.
-func (rr *ResilientRecorder) spillLocked(events []Event) {
-	if len(events) == 0 {
+func (rr *ResilientRecorder) spillLocked(cols *ColumnBatch) {
+	n := uint64(cols.Len())
+	if n == 0 {
 		return
 	}
 	if rr.opts.SpillDir == "" {
-		rr.dropped += uint64(len(events))
+		rr.dropped += n
 		return
 	}
 	if rr.spill == nil {
 		sp, err := rr.openSpillLocked()
 		if err != nil {
-			rr.log.Warn("resilient recorder: spill open failed, dropping", "err", err, "events", len(events))
-			rr.dropped += uint64(len(events))
+			rr.log.Warn("resilient recorder: spill open failed, dropping", "err", err, "events", n)
+			rr.dropped += n
 			return
 		}
 		rr.log.Info("resilient recorder: opened spill WAL", "path", sp.path)
 		rr.spill = sp
 	}
-	if err := rr.spill.writeBatch(events); err != nil {
+	if err := rr.spill.writeColumns(cols); err != nil {
 		// The WAL itself failed (disk full, unlinked dir): count the batch
 		// dropped and retire the file so the next batch tries a fresh one.
-		rr.dropped += uint64(len(events))
+		rr.dropped += n
 		rr.spill.close()
 		rr.spill = nil
 		return
 	}
-	rr.spilled += uint64(len(events))
-	rr.onDisk += uint64(len(events))
+	rr.spilled += n
+	rr.onDisk += n
 }
 
 func (rr *ResilientRecorder) openSpillLocked() (*spillFile, error) {
@@ -395,16 +397,17 @@ func (rr *ResilientRecorder) replayAndInstall(sock *SocketRecorder) error {
 	}
 }
 
-// replayFile salvage-reads one spill file and ships its events. On success
-// the file is deleted; on a send failure the unsent remainder is re-spilled
-// so no event is lost. wrote is the number of events the WAL writer recorded
-// into the file; the difference to what salvage recovers (a cut tail frame
-// from a crash-interrupted write) is counted as dropped.
+// replayFile salvage-reads one spill file and ships its events in ascending
+// Seq order. On success the file is deleted; on a send failure the unsent
+// remainder is re-spilled so no event is lost. wrote is the number of events
+// the WAL writer recorded into the file; the difference to what salvage
+// recovers (a cut tail frame from a crash-interrupted write) is counted as
+// dropped.
 func (rr *ResilientRecorder) replayFile(path string, wrote uint64, sock *SocketRecorder) error {
 	sp := rr.tracer.Begin("replay-spill", "resilient")
 	defer func() { sp.End("path", path) }()
 	rr.log.Info("resilient recorder: replaying spill", "path", path, "events", wrote)
-	events, _, err := RecoverEventLog(path)
+	batches, _, err := recoverFile(path, nil)
 	if err != nil {
 		// Unreadable header: nothing salvageable. Account the whole file as
 		// dropped and keep going; the WAL is gone either way.
@@ -419,7 +422,11 @@ func (rr *ResilientRecorder) replayFile(path string, wrote uint64, sock *SocketR
 	// moved them to delivered (or back to a spill) under one lock, so a
 	// Stats snapshot taken mid-replay — Close does not wait for the
 	// reconnect loop — still balances.
-	recovered := uint64(len(events))
+	runs, _ := NormalizeColumnRuns(batches)
+	var recovered uint64
+	for _, run := range runs {
+		recovered += uint64(run.Len())
+	}
 	if wrote > recovered {
 		rr.mu.Lock()
 		rr.onDisk -= min64(rr.onDisk, wrote-recovered)
@@ -436,25 +443,29 @@ func (rr *ResilientRecorder) replayFile(path string, wrote uint64, sock *SocketR
 	if chunk <= 0 || chunk > MaxBatch {
 		chunk = MaxBatch
 	}
-	sent := 0
+	var sent uint64
 	var sendErr error
-	for sent < len(events) {
-		n := len(events) - sent
-		if n > chunk {
-			n = chunk
+	var unsent []ColumnBatch
+	for _, run := range runs {
+		lo := 0
+		for lo < run.Len() && sendErr == nil {
+			part := run.Slice(lo, min(lo+chunk, run.Len()))
+			if sendErr = sock.sendColumns(&part); sendErr == nil {
+				sent += uint64(part.Len())
+				lo += part.Len()
+			}
 		}
-		if sendErr = sock.sendBatch(events[sent : sent+n]); sendErr != nil {
-			break
+		if lo < run.Len() {
+			unsent = append(unsent, run.Slice(lo, run.Len()))
 		}
-		sent += n
 	}
 	rr.mu.Lock()
 	rr.onDisk -= min64(rr.onDisk, recovered)
-	rr.delivered += uint64(sent)
-	rr.replayed += uint64(sent)
-	if sendErr != nil {
-		// Park the unsent remainder back on disk (at-least-once).
-		rr.spillLocked(events[sent:])
+	rr.delivered += sent
+	rr.replayed += sent
+	// Park the unsent remainder back on disk (at-least-once).
+	for i := range unsent {
+		rr.spillLocked(&unsent[i])
 	}
 	rr.mu.Unlock()
 	os.Remove(path)
@@ -471,7 +482,7 @@ func min64(a, b uint64) uint64 {
 // Close flushes the in-flight buffer (to the connection or the spill),
 // writes the end-of-stream marker on a live connection, seals the spill
 // file, and stops the reconnect loop. Events still on disk after Close are
-// loadable with RecoverEventLog at Stats().SpillPath.
+// loadable with RecoverSessionColumns at Stats().SpillPath.
 func (rr *ResilientRecorder) Close() error {
 	return rr.finish(nil)
 }
@@ -563,7 +574,7 @@ func (rr *ResilientRecorder) Stats() ResilientStats {
 		Spilled:    rr.spilled,
 		OnDisk:     rr.onDisk,
 		Dropped:    rr.dropped,
-		Buffered:   uint64(len(rr.buf)),
+		Buffered:   uint64(rr.buf.Len()),
 		Reconnects: rr.reconnects,
 		SpillPath:  rr.lastSpill,
 	}
@@ -598,7 +609,7 @@ func (rr *ResilientRecorder) Connected() bool {
 // spillFile is one segment of the crash-safe WAL: wire-format events,
 // flushed after every batch so a dying process loses at most the frame being
 // written. close seals it with the end-of-stream marker; a file without the
-// marker (a crash) is still loadable via RecoverEventLog, which reports it
+// marker (a crash) is still loadable via RecoverSessionColumns, which reports it
 // as truncated.
 type spillFile struct {
 	path  string
@@ -607,14 +618,14 @@ type spillFile struct {
 	count uint64
 }
 
-func (sp *spillFile) writeBatch(events []Event) error {
-	if err := sp.sw.WriteBatch(events); err != nil {
+func (sp *spillFile) writeColumns(cols *ColumnBatch) error {
+	if err := sp.sw.WriteColumns(cols); err != nil {
 		return err
 	}
 	if err := sp.sw.Flush(); err != nil {
 		return err
 	}
-	sp.count += uint64(len(events))
+	sp.count += uint64(cols.Len())
 	return nil
 }
 

@@ -2,8 +2,11 @@ package trace
 
 import (
 	"encoding/binary"
+	"errors"
+	"io"
 	"net"
 	"os"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -332,15 +335,138 @@ func TestResilientGivesUpAfterMaxRetries(t *testing.T) {
 	}
 
 	// Post-mortem: the WAL holds every event.
-	events, rec, err := RecoverEventLog(st.SpillPath)
+	_, runs, rec, err := RecoverSessionColumns(st.SpillPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != total {
+	if events := inflateRuns(runs); len(events) != total {
 		t.Fatalf("post-mortem recovery got %d events, want %d: %s", len(events), total, rec)
 	}
 	if rec.SkippedFrames != 0 {
 		t.Fatalf("WAL corrupt: %s", rec)
+	}
+}
+
+// TestResilientSpillReplayChunked records overlapping, out-of-Seq-order
+// batches from two goroutines while the link is down, so the spill WAL holds
+// frames larger than BatchSize in no particular order. After reconnect the
+// collector must receive every spilled event exactly once, in ascending Seq,
+// in frames of at most BatchSize events.
+func TestResilientSpillReplayChunked(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var (
+		mu       sync.Mutex
+		frames   []int
+		received []Event
+	)
+	served := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			served <- err
+			return
+		}
+		defer conn.Close()
+		sr, err := NewStreamReader(conn)
+		if err != nil {
+			served <- err
+			return
+		}
+		for {
+			batch, err := sr.ReadBatch()
+			if err != nil {
+				if err == io.EOF {
+					err = nil
+				}
+				served <- err
+				return
+			}
+			mu.Lock()
+			frames = append(frames, len(batch))
+			received = append(received, batch...)
+			mu.Unlock()
+		}
+	}()
+
+	var up atomic.Bool
+	dial := func() (net.Conn, error) {
+		if !up.Load() {
+			return nil, errors.New("link down")
+		}
+		return net.Dial("tcp", ln.Addr().String())
+	}
+	const batchSize = 64
+	rr, err := NewResilientRecorder(ResilientOptions{
+		Dial:        dial,
+		SpillDir:    t.TempDir(),
+		BatchSize:   batchSize,
+		BaseBackoff: 2 * time.Millisecond,
+		MaxBackoff:  10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Goroutine g records the blocks of 50 Seqs with index ≡ g (mod 2), last
+	// block first and each block reversed. Two 50-event batches fill one
+	// 100-event spill frame, so replay has to split them.
+	const blocks, perBlock = 40, 50
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for b := blocks - 2 + g; b >= 0; b -= 2 {
+				batch := make([]Event, perBlock)
+				for i := range batch {
+					seq := uint64(b*perBlock + perBlock - i)
+					batch[i] = Event{Seq: seq, Instance: InstanceID(seq%3 + 1), Op: OpRead, Index: int(seq), Size: 1}
+				}
+				rr.RecordBatch(batch)
+			}
+		}(g)
+	}
+	wg.Wait()
+	const total = blocks * perBlock
+	st := rr.Stats()
+	checkInvariant(t, st)
+	if st.OnDisk != total || st.Delivered != 0 {
+		t.Fatalf("link down: on disk %d, delivered %d; want %d, 0", st.OnDisk, st.Delivered, total)
+	}
+
+	up.Store(true)
+	waitFor(t, 5*time.Second, func() bool { return rr.Stats().OnDisk == 0 && rr.Connected() })
+	if err := rr.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("collector stream: %v", err)
+	}
+	st = rr.Stats()
+	checkInvariant(t, st)
+	if st.Delivered != total || st.Replayed != total || st.Dropped != 0 {
+		t.Fatalf("delivered %d (replayed %d), dropped %d; want %d replayed, 0 dropped",
+			st.Delivered, st.Replayed, st.Dropped, total)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(received) != total {
+		t.Fatalf("collector received %d events, want %d", len(received), total)
+	}
+	for i, e := range received {
+		if e.Seq != uint64(i+1) {
+			t.Fatalf("event %d has Seq %d: want every spilled event once, in ascending Seq", i, e.Seq)
+		}
+	}
+	for i, n := range frames {
+		if n > batchSize {
+			t.Fatalf("replay frame %d carries %d events, above BatchSize %d", i, n, batchSize)
+		}
 	}
 }
 

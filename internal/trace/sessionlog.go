@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 )
 
 // Self-contained session logs: the event stream plus the instance registry,
@@ -16,35 +15,10 @@ import (
 // frameInstance carries one registry record.
 const frameInstance = byte(0x02)
 
-// SaveSessionLog writes the session's registry and the events to path.
-func SaveSessionLog(path string, s *Session, events []Event) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("trace: creating session log: %w", err)
-	}
-	sw, err := NewStreamWriter(f)
-	if err != nil {
-		f.Close()
-		return err
-	}
-	if err := sw.WriteBatch(events); err != nil {
-		f.Close()
-		return err
-	}
-	if err := sw.WriteInstances(s.Instances()); err != nil {
-		f.Close()
-		return err
-	}
-	if err := sw.Close(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // SaveSessionColumns writes the session's registry and a column batch to
-// path — the columnar twin of SaveSessionLog. The batch is encoded straight
-// into v3 frames; no Event struct is built anywhere on the save path.
+// path. The batch is encoded straight into v3 frames; no Event struct is
+// built anywhere on the save path. Callers holding an []Event scatter it once
+// with ColumnBatch.AppendEvents.
 func SaveSessionColumns(path string, s *Session, cols *ColumnBatch) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -190,59 +164,13 @@ func (sr *StreamReader) readInstance() (Instance, error) {
 	return inst, nil
 }
 
-// LoadSessionLog reads a session log back: a replay session whose registry
-// matches the saved one, plus the events in sequence order. It is strict: any
-// damage fails the whole load. For partially written or corrupted logs use
-// RecoverSessionLog, which salvages the decodable prefix instead.
-func LoadSessionLog(path string) (*Session, []Event, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("trace: opening session log: %w", err)
-	}
-	defer f.Close()
-	sr, err := NewStreamReader(f)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	s := NewSessionWith(Options{Recorder: NullRecorder{}})
-	var events []Event
-	for {
-		ent, err := sr.readEntry()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		switch ent.kind {
-		case frameEnd:
-			// Events first, registry afterwards; keep reading registry
-			// frames until the stream truly ends.
-			continue
-		case frameEvents:
-			events = append(events, ent.events...)
-		case frameInstance:
-			inst := ent.instance
-			id := s.Register(inst.Kind, inst.TypeName, inst.Label, 0)
-			if id != inst.ID {
-				return nil, nil, fmt.Errorf("%w: non-contiguous registry (got id %d, want %d)",
-					ErrBadStream, id, inst.ID)
-			}
-			s.setSite(id, inst.Site)
-		}
-	}
-	sort.Slice(events, func(i, j int) bool { return events[i].Seq < events[j].Seq })
-	return s, events, nil
-}
-
 // LoadSessionColumns reads a session log as column batches: the replay
 // session plus the event frames normalized into ascending, pairwise-disjoint
 // Seq-sorted runs ready for in-order folding (StreamAnalyzer.FeedColumns).
 // On a v3 log no []Event is ever materialized — each frame's payload is
 // decoded onto columns, and the common already-ordered log is returned
-// without a merge copy. Strict like LoadSessionLog: any damage fails the
-// load; use RecoverSessionColumns for damaged logs.
+// without a merge copy. It is strict: any damage fails the load; use
+// RecoverSessionColumns for damaged logs.
 func LoadSessionColumns(path string) (*Session, []*ColumnBatch, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -17,13 +17,14 @@ func TestSessionLogRoundTrip(t *testing.T) {
 	}
 	s.Emit(id2, OpWrite, 0, 4)
 
-	if err := SaveSessionLog(path, s, rec.Events()); err != nil {
+	if err := saveEvents(path, s, rec.Events()); err != nil {
 		t.Fatal(err)
 	}
-	loaded, events, err := LoadSessionLog(path)
+	loaded, runs, err := LoadSessionColumns(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	events := inflateRuns(runs)
 	if got := loaded.NumInstances(); got != 2 {
 		t.Fatalf("replayed registry has %d instances", got)
 	}
@@ -51,27 +52,28 @@ func TestSessionLogRoundTrip(t *testing.T) {
 func TestSessionLogEmpty(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "empty.dslog")
 	s := NewSession()
-	if err := SaveSessionLog(path, s, nil); err != nil {
+	if err := saveEvents(path, s, nil); err != nil {
 		t.Fatal(err)
 	}
-	loaded, events, err := LoadSessionLog(path)
+	loaded, runs, err := LoadSessionColumns(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	events := inflateRuns(runs)
 	if loaded.NumInstances() != 0 || len(events) != 0 {
 		t.Errorf("empty log: %d instances, %d events", loaded.NumInstances(), len(events))
 	}
 }
 
 func TestSessionLogErrors(t *testing.T) {
-	if _, _, err := LoadSessionLog(filepath.Join(t.TempDir(), "missing")); err == nil {
+	if _, _, err := LoadSessionColumns(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Error("missing file accepted")
 	}
 	bad := filepath.Join(t.TempDir(), "bad.dslog")
 	if err := os.WriteFile(bad, []byte("DSSPY1\n\x42"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadSessionLog(bad); err == nil {
+	if _, _, err := LoadSessionColumns(bad); err == nil {
 		t.Error("unknown frame accepted")
 	}
 }
@@ -84,10 +86,10 @@ func TestSessionLogLongStrings(t *testing.T) {
 		long[i] = 'x'
 	}
 	s.Register(KindList, string(long), "", 0)
-	if err := SaveSessionLog(path, s, nil); err != nil {
+	if err := saveEvents(path, s, nil); err != nil {
 		t.Fatal(err)
 	}
-	loaded, _, err := LoadSessionLog(path)
+	loaded, _, err := LoadSessionColumns(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -554,64 +554,6 @@ func (c *ShardedCollector) merge() *ColumnBatch {
 	return c.mergedCols
 }
 
-// mergeRuns k-way-merges Seq-sorted runs into one sorted slice using a small
-// binary min-heap of run heads. With k shards the cost is n·log k
-// comparisons on already-sorted inputs, versus n·log n for re-sorting the
-// concatenation.
-func mergeRuns(runs [][]Event) []Event {
-	total := 0
-	for _, r := range runs {
-		total += len(r)
-	}
-	out := make([]Event, 0, total)
-	switch len(runs) {
-	case 0:
-		return out
-	case 1:
-		return append(out, runs[0]...)
-	}
-	// heap[i] indexes into runs; pos[h] is the cursor of run h. Ordered by
-	// the Seq of each run's head element.
-	heap := make([]int, len(runs))
-	pos := make([]int, len(runs))
-	for i := range runs {
-		heap[i] = i
-	}
-	head := func(h int) uint64 { return runs[h][pos[h]].Seq }
-	siftDown := func(i, n int) {
-		for {
-			l := 2*i + 1
-			if l >= n {
-				return
-			}
-			m := l
-			if r := l + 1; r < n && head(heap[r]) < head(heap[l]) {
-				m = r
-			}
-			if head(heap[i]) <= head(heap[m]) {
-				return
-			}
-			heap[i], heap[m] = heap[m], heap[i]
-			i = m
-		}
-	}
-	n := len(heap)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDown(i, n)
-	}
-	for n > 0 {
-		h := heap[0]
-		out = append(out, runs[h][pos[h]])
-		pos[h]++
-		if pos[h] == len(runs[h]) {
-			n--
-			heap[0] = heap[n]
-		}
-		siftDown(0, n)
-	}
-	return out
-}
-
 // Events returns the collected events in sequence order, inflated to Event
 // structs. After Close the merged columnar order is computed once and cached,
 // so each call costs one inflation; on a live collector it returns a sorted

@@ -21,7 +21,7 @@ func TestHelloRoundTrip(t *testing.T) {
 	if err := sw.WriteHello(want); err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.WriteBatch(testEvents(3)); err != nil {
+	if err := writeEvents(sw, testEvents(3)); err != nil {
 		t.Fatal(err)
 	}
 	if err := sw.Close(); err != nil {
@@ -405,7 +405,9 @@ func TestPerTenantDeadlineRecordsTimedOutSalvage(t *testing.T) {
 		sock.Record(e)
 	}
 	// Force the batch onto the wire, then go silent holding the conn open.
-	if err := sock.sendBatch([]Event{{Seq: 999, Instance: 1, Op: OpRead}}); err != nil {
+	var b ColumnBatch
+	b.Append(Event{Seq: 999, Instance: 1, Op: OpRead})
+	if err := sock.sendColumns(&b); err != nil {
 		t.Fatal(err)
 	}
 
@@ -455,7 +457,9 @@ func TestDrainSalvagesInFlightStreams(t *testing.T) {
 	}
 	defer sock.Close()
 	// Ship a batch but never finish the stream.
-	if err := sock.sendBatch(testEvents(40)); err != nil {
+	var b ColumnBatch
+	b.AppendEvents(testEvents(40))
+	if err := sock.sendColumns(&b); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 2*time.Second, func() bool { return len(cs.TenantEvents("alpha")) == 40 })

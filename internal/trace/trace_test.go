@@ -306,7 +306,7 @@ func TestWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.WriteBatch(events); err != nil {
+	if err := writeEvents(sw, events); err != nil {
 		t.Fatal(err)
 	}
 	if err := sw.Close(); err != nil {
@@ -345,7 +345,7 @@ func TestWireRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if err := sw.WriteBatch([]Event{e}); err != nil {
+		if err := writeEvents(sw, []Event{e}); err != nil {
 			return false
 		}
 		if err := sw.Close(); err != nil {
@@ -373,7 +373,7 @@ func TestWireLargeBatchSplits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.WriteBatch(events); err != nil {
+	if err := writeEvents(sw, events); err != nil {
 		t.Fatal(err)
 	}
 	if err := sw.Close(); err != nil {
@@ -551,12 +551,12 @@ func TestSocketRecorderFramesByteIdentical(t *testing.T) {
 		for _, e := range events[lo:hi] {
 			pending = append(pending, e)
 			if step%3 == 0 && len(pending) >= DefaultSocketBatch {
-				sw.WriteBatch(pending)
+				writeEvents(sw, pending)
 				pending = pending[:0]
 			}
 		}
 		if step%3 != 0 && len(pending) >= DefaultSocketBatch {
-			sw.WriteBatch(pending)
+			writeEvents(sw, pending)
 			pending = pending[:0]
 		}
 		lo = hi
@@ -564,7 +564,7 @@ func TestSocketRecorderFramesByteIdentical(t *testing.T) {
 	if err := sock.Close(); err != nil {
 		t.Fatal(err)
 	}
-	sw.WriteBatch(pending)
+	writeEvents(sw, pending)
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}

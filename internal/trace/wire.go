@@ -40,9 +40,8 @@ import (
 // socket, the WAL spill, and session logs. Registry frames and the framing
 // itself are unchanged from v2.
 //
-// Writers emit version 3 by default (the versioned constructor exists for
-// tests and fixtures); readers detect the version from the magic and accept
-// all three, so logs and live streams produced before the bumps stay
+// Writers emit version 3 only; readers detect the version from the magic and
+// accept all three, so logs and live streams produced before the bumps stay
 // loadable.
 const (
 	wireMagicV1 = "DSSPY1\n"
@@ -71,17 +70,6 @@ var ErrChecksum = fmt.Errorf("%w: frame checksum mismatch", ErrBadStream)
 // platforms we care about.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-func putEvent(b []byte, e Event) {
-	binary.LittleEndian.PutUint64(b[0:], e.Seq)
-	binary.LittleEndian.PutUint32(b[8:], uint32(e.Instance))
-	b[12] = byte(e.Op)
-	b[13] = 0
-	binary.LittleEndian.PutUint64(b[14:], uint64(int64(e.Index)))
-	binary.LittleEndian.PutUint64(b[22:], uint64(int64(e.Size)))
-	binary.LittleEndian.PutUint32(b[30:], uint32(e.Thread))
-	binary.LittleEndian.PutUint32(b[34:], 0)
-}
-
 func getEvent(b []byte) Event {
 	return Event{
 		Seq:      binary.LittleEndian.Uint64(b[0:]),
@@ -93,109 +81,40 @@ func getEvent(b []byte) Event {
 	}
 }
 
-// StreamWriter encodes event batches onto an io.Writer in the wire format.
-// It is not safe for concurrent use; the socket recorder serializes access.
+// StreamWriter encodes event batches onto an io.Writer in the version-3 wire
+// format. It is not safe for concurrent use; the socket recorder serializes
+// access.
 type StreamWriter struct {
-	w       *bufio.Writer
-	buf     []byte
-	enc     []byte  // v3 columnar scratch
-	evs     []Event // inflate scratch for WriteColumns on v1/v2 streams
-	version int
+	w   *bufio.Writer
+	enc []byte // v3 payload scratch
 }
 
 // NewStreamWriter writes the version-3 stream header and returns a writer.
 func NewStreamWriter(w io.Writer) (*StreamWriter, error) {
-	return newStreamWriterVersion(w, 3)
-}
-
-// newStreamWriterVersion writes the header for an explicit format version.
-// Production writers always emit v3; the older encoders stay alive for
-// compat fixtures and the v2-vs-v3 size comparison.
-func newStreamWriterVersion(w io.Writer, version int) (*StreamWriter, error) {
-	var magic string
-	switch version {
-	case 2:
-		magic = wireMagicV2
-	case 3:
-		magic = wireMagicV3
-	default:
-		return nil, fmt.Errorf("trace: unsupported writer version %d", version)
-	}
 	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.WriteString(magic); err != nil {
+	if _, err := bw.WriteString(wireMagicV3); err != nil {
 		return nil, fmt.Errorf("trace: writing stream header: %w", err)
 	}
-	return &StreamWriter{w: bw, buf: make([]byte, eventSize), version: version}, nil
+	return &StreamWriter{w: bw}, nil
 }
 
-// WriteBatch writes one batch frame. Batches larger than MaxBatch are split.
-func (sw *StreamWriter) WriteBatch(events []Event) error {
-	for len(events) > 0 {
-		n := len(events)
-		if n > MaxBatch {
-			n = MaxBatch
-		}
-		var err error
-		if sw.version >= 3 {
-			err = sw.writeFrameV3(events[:n])
-		} else {
-			err = sw.writeFrame(events[:n])
-		}
-		if err != nil {
-			return err
-		}
-		events = events[n:]
-	}
-	return nil
-}
-
-// WriteColumns writes a column batch as event frames, splitting at MaxBatch.
-// On a v3 stream the columns are encoded directly — no Event structs are
-// materialized anywhere on the write path; on v1/v2 streams each frame's span
-// is inflated into a reusable scratch slice first.
+// WriteColumns writes a column batch as v3 event frames, splitting at
+// MaxBatch. The columns are encoded directly: no Event struct is built
+// anywhere on the write path. Callers holding an []Event scatter it once
+// with ColumnBatch.AppendEvents.
 func (sw *StreamWriter) WriteColumns(b *ColumnBatch) error {
 	if b == nil {
 		return nil
 	}
 	total := b.Len()
 	for lo := 0; lo < total; lo += MaxBatch {
-		hi := lo + MaxBatch
-		if hi > total {
-			hi = total
-		}
-		var err error
-		if sw.version >= 3 {
-			err = sw.writeFrameV3Batch(b, lo, hi)
-		} else {
-			sw.evs = b.AppendTo(sw.evs[:0], lo, hi)
-			err = sw.writeFrame(sw.evs)
-		}
-		if err != nil {
+		hi := min(lo+MaxBatch, total)
+		sw.enc = appendColumnarBatch(sw.enc[:0], b, lo, hi)
+		if err := sw.writeV3Payload(frameEvents); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func (sw *StreamWriter) writeFrame(events []Event) error {
-	var hdr [5]byte
-	hdr[0] = frameEvents
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(events)))
-	if _, err := sw.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	crc := crc32.Update(0, crcTable, hdr[1:])
-	for _, e := range events {
-		putEvent(sw.buf, e)
-		if _, err := sw.w.Write(sw.buf); err != nil {
-			return err
-		}
-		crc = crc32.Update(crc, crcTable, sw.buf)
-	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc)
-	_, err := sw.w.Write(sum[:])
-	return err
 }
 
 // Flush pushes buffered frames to the underlying writer. Recorders that need

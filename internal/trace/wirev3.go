@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sync"
 )
 
 // Version-3 event frames: columnar, delta-encoded batches.
@@ -47,10 +46,9 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // appendColumnarBatch encodes events [lo, hi) of b (1 ≤ hi-lo ≤ MaxBatch) as
-// a v3 payload, appended to buf. This is the only encoder: the columns are
-// already the frame's native layout, so encoding is six straight column
-// walks. The []Event form (appendColumnarFrame) scatters into a scratch batch
-// and lands here.
+// a v3 payload, appended to buf. This is the only event encoder: the columns
+// are already the frame's native layout, so encoding is six straight column
+// walks.
 func appendColumnarBatch(buf []byte, b *ColumnBatch, lo, hi int) []byte {
 	n := hi - lo
 	buf = binary.AppendUvarint(buf, uint64(n))
@@ -107,38 +105,10 @@ func appendColumnarBatch(buf []byte, b *ColumnBatch, lo, hi int) []byte {
 	return buf
 }
 
-// encScratch recycles the pivot batches appendColumnarFrame scatters []Event
-// input through on its way to the columnar encoder.
-var encScratch = sync.Pool{New: func() any { return new(ColumnBatch) }}
-
-// appendColumnarFrame encodes one struct batch (1 ≤ len ≤ MaxBatch) as a v3
-// payload, appended to buf.
-func appendColumnarFrame(buf []byte, events []Event) []byte {
-	b := encScratch.Get().(*ColumnBatch)
-	b.Reset()
-	b.AppendEvents(events)
-	buf = appendColumnarBatch(buf, b, 0, b.Len())
-	encScratch.Put(b)
-	return buf
-}
-
-// writeFrameV3 emits one v3 event frame from a struct batch.
-func (sw *StreamWriter) writeFrameV3(events []Event) error {
-	sw.enc = appendColumnarFrame(sw.enc[:0], events)
-	return sw.writeV3Payload()
-}
-
-// writeFrameV3Batch emits one v3 event frame straight from columns — no
-// Event structs on the write path.
-func (sw *StreamWriter) writeFrameV3Batch(b *ColumnBatch, lo, hi int) error {
-	sw.enc = appendColumnarBatch(sw.enc[:0], b, lo, hi)
-	return sw.writeV3Payload()
-}
-
 // writeV3Payload frames the encoded payload in sw.enc: kind, payload length,
-// payload, CRC.
-func (sw *StreamWriter) writeV3Payload() error {
-	if err := sw.w.WriteByte(frameEvents); err != nil {
+// payload, CRC. Event and aggregate frames share this framing.
+func (sw *StreamWriter) writeV3Payload(kind byte) error {
+	if err := sw.w.WriteByte(kind); err != nil {
 		return err
 	}
 	var ln [binary.MaxVarintLen64]byte
@@ -262,16 +232,6 @@ func decodeColumnarAppend(b *ColumnBatch, payload []byte) error {
 		return fmt.Errorf("%w: %d trailing bytes in columnar frame", ErrBadStream, len(payload)-c.off)
 	}
 	return nil
-}
-
-// decodeColumnarFrame decodes a CRC-verified v3 payload into a struct batch —
-// the inflating compatibility form over decodeColumnarInto.
-func decodeColumnarFrame(payload []byte) ([]Event, error) {
-	var b ColumnBatch
-	if err := decodeColumnarInto(&b, payload); err != nil {
-		return nil, err
-	}
-	return b.Events(make([]Event, 0, b.Len())), nil
 }
 
 // readEventFrameV3Into reads a v3 event-frame body (kind byte consumed) —

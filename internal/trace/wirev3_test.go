@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -36,20 +37,70 @@ func corpusLikeEvents(n int) []Event {
 	return events
 }
 
+// writeEvents is how tests write an []Event: scattered once onto columns,
+// then encoded by the one event encoder, WriteColumns.
+func writeEvents(sw *StreamWriter, events []Event) error {
+	var b ColumnBatch
+	b.AppendEvents(events)
+	return sw.WriteColumns(&b)
+}
+
+// saveEvents writes a session log of events through SaveSessionColumns.
+func saveEvents(path string, s *Session, events []Event) error {
+	var b ColumnBatch
+	b.AppendEvents(events)
+	return SaveSessionColumns(path, s, &b)
+}
+
+// encodeEvents returns the v3 payload of one frame holding events.
+func encodeEvents(events []Event) []byte {
+	var b ColumnBatch
+	b.AppendEvents(events)
+	return appendColumnarBatch(nil, &b, 0, b.Len())
+}
+
+// inflateRuns concatenates loaded column runs into one []Event.
+func inflateRuns(runs []*ColumnBatch) []Event {
+	var out []Event
+	for _, r := range runs {
+		out = r.Events(out)
+	}
+	return out
+}
+
+// writeStream encodes each batch as its own frame(s) in a complete stream:
+// version 3 through WriteColumns, version 2 through the frozen v2 replica.
 func writeStream(t *testing.T, version int, batches ...[]Event) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	sw, err := newStreamWriterVersion(&buf, version)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range batches {
-		if err := sw.WriteBatch(b); err != nil {
+	switch version {
+	case 2:
+		bw := bufio.NewWriter(&buf)
+		bw.WriteString(wireMagicV2)
+		for _, b := range batches {
+			if err := writeV2Events(bw, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bw.WriteByte(frameEnd)
+		if err := bw.Flush(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
+	case 3:
+		sw, err := NewStreamWriter(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range batches {
+			if err := writeEvents(sw, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sw.Close(); err != nil {
+			t.Fatal(err)
+		}
+	default:
+		t.Fatalf("no writer for version %d", version)
 	}
 	return buf.Bytes()
 }
@@ -130,8 +181,9 @@ func TestV3LargeBatchSplits(t *testing.T) {
 
 // TestV3BytesPerEventGate is the wire half of the hot-path acceptance bar:
 // on the corpus-shaped stream the v3 columnar encoding must spend at most a
-// third of the bytes per event the v2 fixed-width frames do. Deterministic,
-// so it runs in plain `go test`.
+// third of the bytes per event the v2 fixed-width frames do (v2 side from the
+// frozen replica, writeV2Events). Deterministic, so it runs in plain
+// `go test`.
 func TestV3BytesPerEventGate(t *testing.T) {
 	events := corpusLikeEvents(50_000)
 	v2 := len(writeStream(t, 2, events))
@@ -144,9 +196,9 @@ func TestV3BytesPerEventGate(t *testing.T) {
 	}
 }
 
-// TestV2WriterStillSpeaksV2: the versioned constructor keeps emitting
-// fixed-width checksummed frames that the reader detects as version 2 —
-// the encoder the compat fixtures and size comparisons rely on.
+// TestV2WriterStillSpeaksV2: the frozen v2 replica keeps emitting
+// fixed-width checksummed frames that the reader detects as version 2 — the
+// encoder the compat fixtures and the size gate rely on.
 func TestV2WriterStillSpeaksV2(t *testing.T) {
 	events := corpusLikeEvents(300)
 	raw := writeStream(t, 2, events)
@@ -160,15 +212,6 @@ func TestV2WriterStillSpeaksV2(t *testing.T) {
 	for i := range got {
 		if got[i] != events[i] {
 			t.Fatalf("event %d: got %+v, want %+v", i, got[i], events[i])
-		}
-	}
-}
-
-func TestUnsupportedWriterVersions(t *testing.T) {
-	var buf bytes.Buffer
-	for _, v := range []int{0, 1, 4} {
-		if _, err := newStreamWriterVersion(&buf, v); err == nil {
-			t.Fatalf("writer version %d must be rejected (v1 is read-only legacy)", v)
 		}
 	}
 }
@@ -227,11 +270,11 @@ func (sr *StreamReader) readEventFrameAt(t *testing.T) ([]Event, error) {
 	return ent.events, nil
 }
 
-// TestV3DecoderRejectsMalformedPayloads drives decodeColumnarFrame with
+// TestV3DecoderRejectsMalformedPayloads drives decodeColumnarInto with
 // structurally broken (but checksum-valid) payloads: every one must come
 // back ErrBadStream, never panic, never succeed.
 func TestV3DecoderRejectsMalformedPayloads(t *testing.T) {
-	good := appendColumnarFrame(nil, []Event{
+	good := encodeEvents([]Event{
 		{Seq: 1, Instance: 1, Op: OpRead, Index: 0, Size: 1},
 		{Seq: 2, Instance: 1, Op: OpRead, Index: 1, Size: 1},
 	})
@@ -261,12 +304,12 @@ func TestV3DecoderRejectsMalformedPayloads(t *testing.T) {
 	}
 	for name, payload := range cases {
 		t.Run(name, func(t *testing.T) {
-			if _, err := decodeColumnarFrame(payload); !errors.Is(err, ErrBadStream) {
+			if err := decodeColumnarInto(&ColumnBatch{}, payload); !errors.Is(err, ErrBadStream) {
 				t.Fatalf("malformed payload decoded: err = %v", err)
 			}
 		})
 	}
-	if _, err := decodeColumnarFrame(good); err != nil {
+	if err := decodeColumnarInto(&ColumnBatch{}, good); err != nil {
 		t.Fatalf("control payload failed to decode: %v", err)
 	}
 }

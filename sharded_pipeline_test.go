@@ -120,14 +120,14 @@ func TestReplayRoundtripParallelPipeline(t *testing.T) {
 	orig := analyzeColumns(s, col)
 
 	path := filepath.Join(t.TempDir(), "run.dslog")
-	if err := dsspy.SaveSession(path, s, col.Events()); err != nil {
+	if err := dsspy.SaveSessionColumns(path, s, col.MergedColumns()); err != nil {
 		t.Fatal(err)
 	}
-	rs, revs, err := dsspy.ReplaySession(path)
+	rs, cols, err := dsspy.ReplaySessionColumns(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed := dsspy.NewAnalyzer().Analyze(rs, revs)
+	replayed := dsspy.NewAnalyzer().Analyze(rs, inflateRuns(cols))
 
 	ou, ru := orig.UseCases(), replayed.UseCases()
 	if len(ou) != len(ru) {

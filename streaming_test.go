@@ -145,9 +145,9 @@ func TestStreamingSnapshotMidRun(t *testing.T) {
 
 // TestStreamingRecoverDamagedLog replays a salvaged session log through the
 // streaming analyzer: save a real workload's log, chop its tail (losing the
-// registry and end marker), salvage it both as events (RecoverSession, fed
-// through Feed) and as column batches (RecoverSessionColumns, fed through
-// FeedColumns), and assert both lanes render the same report.
+// registry and end marker), salvage it with RecoverSessionColumns, and
+// assert that the salvaged events render the same report through Feed (as
+// inflated events) and through FeedColumns (as column batches).
 func TestStreamingRecoverDamagedLog(t *testing.T) {
 	mem := trace.NewMemRecorder()
 	s := trace.NewSessionWith(trace.Options{Recorder: mem, CaptureSites: true})
@@ -171,9 +171,7 @@ func TestStreamingRecoverDamagedLog(t *testing.T) {
 	wg.Wait()
 
 	path := filepath.Join(t.TempDir(), "crashed.dslog")
-	if err := dsspy.SaveSession(path, s, mem.Events()); err != nil {
-		t.Fatal(err)
-	}
+	saveEvents(t, path, s, mem.Events())
 	whole, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -182,23 +180,20 @@ func TestStreamingRecoverDamagedLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rs, revs, rec, err := dsspy.RecoverSession(path)
+	cs, cols, rec, err := dsspy.RecoverSessionColumns(path)
 	if err != nil {
 		t.Fatalf("recovery errored: %v", err)
 	}
 	if rec == nil || rec.Clean() {
 		t.Fatalf("damaged log must yield an unclean diagnostic, got %v", rec)
 	}
+	revs := inflateRuns(cols)
 	if len(revs) == 0 {
 		t.Fatal("salvage recovered no events; the fixture should keep its event frames")
 	}
 
-	fed := NewReportBytes(t, core.New().Analyze(rs, revs))
+	fed := NewReportBytes(t, core.New().Analyze(cs, revs))
 
-	cs, cols, _, err := dsspy.RecoverSessionColumns(path)
-	if err != nil {
-		t.Fatalf("columnar recovery errored: %v", err)
-	}
 	sa := core.New().NewStreamAnalyzer(0)
 	sa.Attach(cs)
 	for _, b := range cols {
