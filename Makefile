@@ -77,10 +77,14 @@ bench-hotpath:
 ## v3-log columnar replay must allocate ≤1/3 the bytes/event of the
 ## inflating load-and-feed path. The zero-alloc decode
 ## assertion (TestReadColumnsZeroAlloc) runs unconditionally in `make test`.
+## So does the daemon ingress gate (TestIngressAllocGate): a 200k-event v3
+## stream sent 10 times through a daemon-mode server with a discarding sink
+## must allocate ≤2 B/event; it is repeated here with its figure logged.
 ## Benchmarks: columnar vs []Event replay and fold, the batch-run k-way merge
 ## at 1M events, and the zero-copy v3 read.
 bench-columnar:
 	DSSPY_COLUMNAR_GATE=1 $(GO) test . -run 'TestColumnarFoldThroughputGate|TestColumnarReplayAllocGate' -v -count 1
+	$(GO) test ./internal/trace/ -run 'TestIngressAllocGate' -v -count 1
 	$(GO) test . -run xxx -bench 'ColumnarReplay|EventReplay|ColumnarFold|EventFold' -benchmem -benchtime 2x -count 1
 	$(GO) test ./internal/trace/ -run xxx -bench 'MergeColumns1M|ReadColumns' -benchmem -benchtime 2x -count 1
 
@@ -157,7 +161,9 @@ chaos:
 
 ## fuzz-smoke: 10 seconds of fuzzing per decoder entry point (go's fuzzer
 ## accepts one -fuzz pattern per run, hence the sequence). Catches wire-format
-## regressions that crash or mis-account the salvaging loaders.
+## regressions that crash or mis-account the salvaging loaders. Each fuzzer
+## replays its seeds first; FuzzRecoverSessionLog's include a registry frame
+## naming instance ID 8·10⁸, which must be skipped, not restored.
 fuzz-smoke:
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzStreamReader$$' -fuzztime 10s
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzRecoverSessionLog$$' -fuzztime 10s

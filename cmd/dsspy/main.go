@@ -458,12 +458,10 @@ func runListen(analyzer *core.DSspy, o *options, tracer *obs.Tracer, srv *obs.Se
 	}
 
 	s := cs.Session()
-	evs := cs.Events()
-	fmt.Printf("received %d events\n\n", len(evs))
+	cols := cs.Columns()
+	fmt.Printf("received %d events\n\n", cols.Len())
 	if o.logPath != "" {
-		var cb trace.ColumnBatch
-		cb.AppendEvents(evs)
-		if err := trace.SaveSessionColumns(o.logPath, s, &cb); err != nil {
+		if err := trace.SaveSessionColumns(o.logPath, s, cols); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("session log written to %s — re-analyze with -replay\n\n", o.logPath)
@@ -471,7 +469,7 @@ func runListen(analyzer *core.DSspy, o *options, tracer *obs.Tracer, srv *obs.Se
 
 	sa := analyzer.NewStreamAnalyzer(o.shards)
 	sa.Attach(s)
-	sa.Feed(evs...)
+	sa.FeedColumns(cols)
 	rep := sa.Close()
 	rsp := tracer.Begin("report", "run")
 	err = rep.Write(os.Stdout)

@@ -7,6 +7,7 @@ package core_test
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -322,6 +323,71 @@ func TestDaemonTenantEventsReusedBuffer(t *testing.T) {
 	got := dm.TenantReport("alpha")
 	if !bytes.Equal(reportBytes(t, stripOrigins(got)), reportBytes(t, stripOrigins(want))) {
 		t.Fatal("tenant view over a reused caller buffer != per-window FeedColumns reference")
+	}
+}
+
+// TestDaemonSkipsHostileRegistryFrame: one tenant's stream carries a
+// registry frame naming instance ID 8·10⁸ — restored unbounded, tens of GB
+// of placeholders. The server skips that one frame and counts it; the
+// tenant keeps its connection and its report, and its neighbor's report is
+// byte-identical to a solo run.
+func TestDaemonSkipsHostileRegistryFrame(t *testing.T) {
+	progs := corpusPrograms()
+	daemon := core.New().NewDaemon(core.DaemonConfig{})
+	cs, err := trace.ListenCollectorOpts("tcp", "127.0.0.1:0", trace.ServerOptions{
+		Tenancy: &trace.TenancyOptions{Sink: daemon},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cs.Close()
+
+	s, events := recordProgram(progs[4])
+	var cols trace.ColumnBatch
+	cols.AppendEvents(events)
+	conn, err := net.Dial("tcp", cs.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := trace.NewStreamWriter(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostile := trace.Instance{ID: 800_000_000, Kind: trace.KindList, TypeName: "List[int]"}
+	for _, err := range []error{
+		sw.WriteHello(trace.Hello{Tenant: "mallory"}),
+		sw.WriteColumns(&cols),
+		sw.WriteInstances(append([]trace.Instance{hostile}, s.Instances()...)),
+		sw.Close(),
+		conn.Close(),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	runTenantProducer(t, cs.Addr().String(), "alice", progs[7])
+	cs.WaitStreams(2)
+	if err := cs.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range cs.ServerStats().Conns {
+		if !c.Complete || c.Err != "" {
+			t.Fatalf("tenant %s lost its connection: %+v", c.Tenant, c)
+		}
+		if want := map[string]int{"mallory": 1}[c.Tenant]; c.SkippedFrames != want {
+			t.Fatalf("tenant %s: %d frames skipped, want %d", c.Tenant, c.SkippedFrames, want)
+		}
+	}
+	ref := core.New().NewStreamAnalyzer(0)
+	ref.Attach(s)
+	ref.FeedColumns(&cols)
+	want := reportBytes(t, stripOrigins(ref.Close()))
+	if got := reportBytes(t, stripOrigins(daemon.TenantReport("mallory"))); !bytes.Equal(got, want) {
+		t.Fatal("mallory's report != a FeedColumns reference over the same stream")
+	}
+	if got, want := reportBytes(t, daemon.TenantReport("alice")), reportBytes(t, progs[7].Run(core.New())); !bytes.Equal(got, want) {
+		t.Fatal("alice's report != her solo run")
 	}
 }
 

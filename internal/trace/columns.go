@@ -119,14 +119,24 @@ func (b *ColumnBatch) Append(e Event) {
 // AppendEvents scatters a struct batch onto the columns — the single pivot
 // point where array-of-structs traffic becomes columnar.
 func (b *ColumnBatch) AppendEvents(events []Event) {
+	base := b.Len()
 	b.Grow(len(events))
-	for _, e := range events {
-		b.Seq = append(b.Seq, e.Seq)
-		b.Instance = append(b.Instance, e.Instance)
-		b.Op = append(b.Op, e.Op)
-		b.Thread = append(b.Thread, e.Thread)
-		b.Index = append(b.Index, e.Index)
-		b.Size = append(b.Size, e.Size)
+	b.setLen(base + len(events))
+	// Indexed stores into the opened columns; the re-slices to len(events)
+	// let the compiler drop the bounds checks.
+	seq := b.Seq[base:][:len(events)]
+	inst := b.Instance[base:][:len(events)]
+	op := b.Op[base:][:len(events)]
+	th := b.Thread[base:][:len(events)]
+	idx := b.Index[base:][:len(events)]
+	sz := b.Size[base:][:len(events)]
+	for i, e := range events {
+		seq[i] = e.Seq
+		inst[i] = e.Instance
+		op[i] = e.Op
+		th[i] = e.Thread
+		idx[i] = e.Index
+		sz[i] = e.Size
 	}
 }
 
@@ -256,6 +266,26 @@ func (b *ColumnBatch) setLen(n int) {
 	b.Thread = b.Thread[:n]
 	b.Index = b.Index[:n]
 	b.Size = b.Size[:n]
+}
+
+// keepStrided compacts the batch in place to events first, first+stride,
+// first+2·stride, …: the tenant ladder's sample rung. Stride 1 from 0 keeps
+// the batch whole; stride 0 empties it.
+func (b *ColumnBatch) keepStrided(first, stride int) {
+	if first == 0 && stride == 1 {
+		return
+	}
+	k := 0
+	for i := first; stride > 0 && i < b.Len(); i += stride {
+		b.Seq[k] = b.Seq[i]
+		b.Instance[k] = b.Instance[i]
+		b.Op[k] = b.Op[i]
+		b.Thread[k] = b.Thread[i]
+		b.Index[k] = b.Index[i]
+		b.Size[k] = b.Size[i]
+		k++
+	}
+	b.setLen(k)
 }
 
 // mergeColumnRuns k-way-merges Seq-sorted column runs into one batch. It

@@ -170,6 +170,36 @@ func realSessionLogBytesWithAgg(tb testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// hostileRegistryID is the registry ID of the frame registryGapLogBytes
+// plants: restoring it unbounded would allocate ~8·10⁸ placeholder
+// instances, tens of GB.
+const hostileRegistryID = InstanceID(800_000_000)
+
+// registryGapLogBytes is a v3 session log whose registry carries, ahead of
+// its two genuine records, one frame naming hostileRegistryID.
+func registryGapLogBytes(tb testing.TB) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	sw, err := NewStreamWriter(&buf)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := writeEvents(sw, fuzzSeedEvents()[:20]); err != nil {
+		tb.Fatal(err)
+	}
+	if err := sw.WriteInstances([]Instance{
+		{ID: hostileRegistryID, Kind: KindList, TypeName: "List[int]", Label: "hostile"},
+		{ID: 1, Kind: KindList, TypeName: "List[int]", Label: "jobs"},
+		{ID: 2, Kind: KindDictionary, TypeName: "map[int]string", Label: "names"},
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	if err := sw.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func fuzzSeedEvents() []Event {
 	events := make([]Event, 200)
 	for i := range events {
@@ -195,6 +225,8 @@ func FuzzRecoverSessionLog(f *testing.F) {
 	f.Add(seed)
 	f.Add(realSessionLogBytesV2(f))
 	f.Add(realSessionLogBytesWithAgg(f))
+	// A registry frame naming an ID far past the stream: the gap is bounded.
+	f.Add(registryGapLogBytes(f))
 	// Truncated, bit-flipped, and tail-garbage variants of the real log.
 	f.Add(seed[:len(seed)/2])
 	flipped := bytes.Clone(seed)
@@ -283,13 +315,15 @@ func FuzzChecksummedFrameReader(f *testing.F) {
 		// Drive the salvaging entry loop directly: it must terminate, never
 		// panic, and classify every frame as good, checksum-failed, or
 		// structurally fatal.
+		var cols ColumnBatch
 		for {
-			ent, err := sr.readEntry()
+			cols.Reset()
+			ent, err := sr.readEntry(&cols)
 			if err != nil {
 				break
 			}
-			if ent.kind == frameEvents && len(ent.events) > MaxBatch {
-				t.Fatalf("frame claims %d events, above MaxBatch", len(ent.events))
+			if ent.kind == frameEvents && (ent.n > MaxBatch || ent.n != cols.Len()) {
+				t.Fatalf("frame claims %d events, decoded %d (MaxBatch %d)", ent.n, cols.Len(), MaxBatch)
 			}
 		}
 	})

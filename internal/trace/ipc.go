@@ -324,7 +324,7 @@ type ConnStats struct {
 	Tenant        string // tenant the stream bound to ("" before binding / without tenancy)
 	Events        int    // events decoded from this connection
 	Instances     int    // registry records received
-	SkippedFrames int    // checksum-failed frames skipped mid-stream
+	SkippedFrames int    // checksum-failed frames and implausible registry records skipped mid-stream
 	Complete      bool   // end-of-stream marker seen
 	TimedOut      bool   // stream ended by the read deadline (salvage still counted above)
 	Err           string // terminal error, "" for a clean stream
@@ -406,7 +406,7 @@ type CollectorServer struct {
 
 	mu        sync.Mutex
 	cond      *sync.Cond
-	events    []Event
+	events    ColumnBatch
 	instances map[InstanceID]Instance
 	open      map[net.Conn]struct{}
 	conns     []*ConnStats
@@ -467,7 +467,7 @@ func NewCollectorServer(ln net.Listener, opts ServerOptions) *CollectorServer {
 		cs.sampler = obs.StartOccupancySampler(opts.SampleInterval,
 			obs.Probe{Name: "store", Fn: func() int64 {
 				cs.mu.Lock()
-				n := int64(len(cs.events))
+				n := int64(cs.events.Len())
 				cs.mu.Unlock()
 				return n
 			}},
@@ -564,6 +564,11 @@ func remoteString(conn net.Conn) string {
 // the error — the partial prefix is salvaged, not discarded. Checksum-failed
 // frames are skipped and counted; structural damage ends the stream with its
 // prefix intact.
+//
+// Every event frame is decoded into one column batch owned by the
+// connection and reset per frame; tenant admission works on those columns,
+// and sink delivery inflates the kept events into one []Event the
+// connection also reuses. In steady state a frame costs no allocation.
 func (cs *CollectorServer) serve(conn net.Conn, st *ConnStats) {
 	defer cs.wg.Done()
 	defer conn.Close()
@@ -643,16 +648,25 @@ func (cs *CollectorServer) serve(conn net.Conn, st *ConnStats) {
 		fail(err)
 		return
 	}
+	var (
+		cols    ColumnBatch // the frame being decoded, reset per frame
+		deliver []Event     // the sink's view of cols' kept events
+		seen    int         // events and registry records taken so far
+	)
+	skip := func() {
+		cs.mu.Lock()
+		st.SkippedFrames++
+		cs.mu.Unlock()
+	}
 	sawEnd := false
 	for {
 		cs.extendDeadline(conn, deadline())
-		ent, err := sr.readEntry()
+		cols.Reset()
+		ent, err := sr.readEntry(&cols)
 		switch {
 		case err == nil:
 		case errors.Is(err, ErrChecksum):
-			cs.mu.Lock()
-			st.SkippedFrames++
-			cs.mu.Unlock()
+			skip()
 			continue
 		case err == io.EOF && sawEnd:
 			return
@@ -680,34 +694,43 @@ func (cs *CollectorServer) serve(conn net.Conn, st *ConnStats) {
 			st.Complete = true
 			cs.mu.Unlock()
 		case frameEvents:
+			seen += ent.n
 			if tenancy != nil {
 				if err := bind(Hello{}); err != nil {
 					fail(err)
 					return
 				}
 				cs.mu.Lock()
-				st.Events += len(ent.events)
+				st.Events += ent.n
 				cs.mu.Unlock()
-				kept, wait := tenant.admit(ent.events, tenancy.now())
-				if wait > 0 {
+				if wait := tenant.admit(&cols, tenancy.now()); wait > 0 {
 					// Producer blocking: the bucket debt is paid in wall time
 					// on this connection's goroutine, never a neighbor's.
 					tenancy.sleep(wait)
 				}
-				if len(kept) > 0 {
+				if cols.Len() > 0 {
 					if tenancy.Sink != nil {
-						tenancy.Sink.TenantEvents(tenant.name, kept)
+						deliver = cols.AppendTo(deliver[:0], 0, cols.Len())
+						tenancy.Sink.TenantEvents(tenant.name, deliver)
 					} else {
-						tenant.store(kept)
+						tenant.store(&cols)
 					}
 				}
 				continue
 			}
 			cs.mu.Lock()
-			cs.events = append(cs.events, ent.events...)
-			st.Events += len(ent.events)
+			cs.events.AppendRange(&cols, 0, cols.Len())
+			st.Events += ent.n
 			cs.mu.Unlock()
 		case frameInstance:
+			if !plausibleRegistryID(ent.instance.ID, seen) {
+				// Damaged or hostile: restoring it would allocate a
+				// placeholder for every ID in the gap. Skip it like a
+				// corrupt frame; the stream goes on.
+				skip()
+				continue
+			}
+			seen++
 			if tenancy != nil {
 				if err := bind(Hello{}); err != nil {
 					fail(err)
@@ -885,16 +908,27 @@ func (cs *CollectorServer) firstErr() error {
 	return nil
 }
 
-// Events returns all events received so far, ordered by sequence number.
+// Columns returns all events received so far as one column batch ordered by
+// sequence number: a copy, so it stays valid while producers still stream.
 // Events salvaged from partial streams are included; ServerStats tells them
 // apart per connection.
-func (cs *CollectorServer) Events() []Event {
+func (cs *CollectorServer) Columns() *ColumnBatch {
+	out := &ColumnBatch{}
 	cs.mu.Lock()
-	out := make([]Event, len(cs.events))
-	copy(out, cs.events)
+	out.AppendRange(&cs.events, 0, cs.events.Len())
 	cs.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	out.SortBySeq()
 	return out
+}
+
+// Events is Columns inflated to []Event.
+func (cs *CollectorServer) Events() []Event {
+	return inflate(cs.Columns())
+}
+
+// inflate builds the []Event form of a batch, non-nil even when empty.
+func inflate(b *ColumnBatch) []Event {
+	return b.Events(make([]Event, 0, b.Len()))
 }
 
 // Session rebuilds a replay session from the registry frames producers sent
@@ -942,12 +976,12 @@ func (cs *CollectorServer) TenantEvents(name string) []Event {
 		return nil
 	}
 	t := cs.tenants.get(name)
+	var out ColumnBatch
 	t.mu.Lock()
-	out := make([]Event, len(t.events))
-	copy(out, t.events)
+	out.AppendRange(&t.events, 0, t.events.Len())
 	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
+	out.SortBySeq()
+	return inflate(&out)
 }
 
 // TenantSession rebuilds a replay session from one tenant's registry frames
@@ -1001,7 +1035,7 @@ func (cs *CollectorServer) ServerStats() ServerStats {
 func (cs *CollectorServer) WriteMetrics(w *obs.PromWriter) {
 	cs.mu.Lock()
 	accepted, rejected, retries := cs.accepted, cs.rejected, cs.retries
-	active, stored := cs.active, len(cs.events)
+	active, stored := cs.active, cs.events.Len()
 	cs.mu.Unlock()
 	w.Counter("dsspy_server_conns_accepted_total", "Producer connections served.", float64(accepted))
 	w.Counter("dsspy_server_conns_rejected_total", "Connections refused by the connection cap.", float64(rejected))

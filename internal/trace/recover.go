@@ -21,9 +21,11 @@ import (
 type Recovery struct {
 	Events    int // events recovered
 	Instances int // registry records recovered
-	// SkippedFrames counts event-batch frames dropped because their CRC32
-	// check failed; SkippedEvents is the number of events those frames
-	// declared. Only version-2 streams carry checksums.
+	// SkippedFrames counts frames dropped as damaged: event and aggregate
+	// frames whose CRC32 check failed (v2 and v3 streams carry checksums),
+	// and registry records naming an implausible ID (plausibleRegistryID).
+	// SkippedEvents is the number of events the skipped event frames
+	// declared.
 	SkippedFrames int
 	SkippedEvents int
 	// Truncated reports that the stream ended without the end-of-stream
@@ -107,92 +109,62 @@ func recoverFile(path string, onInstance func(Instance)) ([]*ColumnBatch, *Recov
 // recoverColumns drives the salvaging decode loop: read frames until the end
 // marker, the underlying EOF, or structural damage; skip checksum-failed
 // frames. Each surviving event frame is decoded onto its own ColumnBatch;
-// onInstance, when non-nil, receives registry records.
+// onInstance, when non-nil, receives registry records. Aggregate frames go
+// to OnAggregate when set; hello frames carry no tenant dimension here and
+// are dropped.
 func recoverColumns(sr *StreamReader, size int64, onInstance func(Instance)) ([]*ColumnBatch, *Recovery) {
 	rec := &Recovery{}
 	var batches []*ColumnBatch
 	sawEnd := false
+	b := &ColumnBatch{} // the next event frame's batch
 	for {
 		// Offset of the last frame boundary: everything before it decoded.
 		boundary := sr.Offset()
-		stop := func(err error) {
+		ent, err := sr.readEntry(b)
+		switch {
+		case err == nil:
+		case errors.Is(err, ErrChecksum):
+			// The frame was fully consumed; its payload is untrustworthy
+			// but the framing survives. Skip it and keep decoding.
+			rec.SkippedFrames++
+			rec.SkippedEvents += ent.n
+			continue
+		case err == io.EOF && sawEnd:
+			// Clean end: marker seen, then EOF.
+			return batches, rec
+		default:
+			// EOF exactly at a frame boundary without an end marker: the
+			// tail is missing but no partial frame was discarded, so there
+			// is no error to report.
 			rec.Truncated = true
-			rec.Err = err
-			if err == io.EOF {
-				// EOF exactly at a frame boundary without an end marker: the
-				// tail is missing but no partial frame was discarded.
-				rec.Err = nil
+			if err != io.EOF {
+				rec.Err = err
 			}
 			if size >= 0 {
 				rec.DiscardedBytes = size - boundary
 			}
-		}
-		kind, err := sr.readByte()
-		if err != nil {
-			if err == io.EOF && sawEnd {
-				// Clean end: marker seen, then EOF.
-				return batches, rec
-			}
-			stop(err)
 			return batches, rec
 		}
-		switch kind {
+		switch ent.kind {
 		case frameEnd:
 			// Events first, registry afterwards; remember the marker and
 			// keep reading until the stream truly ends.
 			sawEnd = true
 		case frameEvents:
-			b := &ColumnBatch{}
-			n, err := sr.readEventFrameInto(b)
-			switch {
-			case err == nil:
-				batches = append(batches, b)
-				rec.Events += n
-			case errors.Is(err, ErrChecksum):
-				// The frame was fully consumed; its payload is untrustworthy
-				// but the framing survives. Skip it and keep decoding.
-				rec.SkippedFrames++
-				rec.SkippedEvents += n
-			default:
-				stop(err)
-				return batches, rec
-			}
+			batches = append(batches, b)
+			b = &ColumnBatch{}
+			rec.Events += ent.n
 		case frameInstance:
-			inst, err := sr.readInstance()
-			if err != nil {
-				stop(err)
-				return batches, rec
+			if !plausibleRegistryID(ent.instance.ID, rec.Events+rec.Instances) {
+				// A record naming an ID far past anything the stream
+				// carried is damage; skip it like a corrupt frame.
+				rec.SkippedFrames++
+				continue
 			}
 			rec.Instances++
 			if onInstance != nil {
-				onInstance(inst)
+				onInstance(ent.instance)
 			}
-		case frameAggregate:
-			// Advisory lazy-aggregation records. Delivered via OnAggregate
-			// when the caller wants them; a checksum-failed aggregate frame
-			// is skipped like a bad event frame (no declared events lost).
-			r, err := sr.readAggregate()
-			switch {
-			case err == nil:
-				if sr.OnAggregate != nil {
-					sr.OnAggregate(r)
-				}
-			case errors.Is(err, ErrChecksum):
-				rec.SkippedFrames++
-			default:
-				stop(err)
-				return batches, rec
-			}
-		case frameHello:
-			// Identity metadata; a salvaging columnar load has no tenant
-			// dimension, so it is read and dropped.
-			if _, err := sr.readHello(); err != nil {
-				stop(err)
-				return batches, rec
-			}
-		default:
-			stop(fmt.Errorf("%w: unknown frame kind 0x%02x", ErrBadStream, kind))
-			return batches, rec
 		}
 	}
 }

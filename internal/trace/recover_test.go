@@ -263,3 +263,31 @@ func TestRecoverEventLogSpillSemantics(t *testing.T) {
 		t.Fatalf("recovered %d events, want %d", len(got), len(events))
 	}
 }
+
+// TestRecoverBoundsRegistryGap: a registry frame naming an ID far past
+// anything the log carried is skipped and counted as damage, not restored
+// with a placeholder for every ID below it; the genuine records around it
+// still land.
+func TestRecoverBoundsRegistryGap(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "gap.dslog")
+	if err := os.WriteFile(path, registryGapLogBytes(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, runs, rec, err := RecoverSessionColumns(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.SkippedFrames != 1 || rec.Instances != 2 || rec.Events != 20 {
+		t.Fatalf("recovery %s: want 1 skipped frame, 2 instances, 20 events", rec)
+	}
+	if rec.Clean() {
+		t.Fatal("a skipped registry record must make the recovery unclean")
+	}
+	insts := s.Instances()
+	if len(insts) != 2 || insts[0].Label != "jobs" || insts[1].Label != "names" {
+		t.Fatalf("restored registry %+v, want the two genuine records", insts)
+	}
+	if got := len(inflateRuns(runs)); got != 20 {
+		t.Fatalf("recovered %d events, want 20", got)
+	}
+}

@@ -184,49 +184,31 @@ func LoadSessionColumns(path string) (*Session, []*ColumnBatch, error) {
 
 	s := NewSessionWith(Options{Recorder: NullRecorder{}})
 	var batches []*ColumnBatch
+	b := &ColumnBatch{} // the next event frame's batch
 	for {
-		kind, err := sr.readByte()
+		ent, err := sr.readEntry(b)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, nil, err
 		}
-		switch kind {
-		case frameEnd:
-			// Events first, registry afterwards; keep reading registry
-			// frames until the stream truly ends.
-			continue
+		switch ent.kind {
 		case frameEvents:
-			b := &ColumnBatch{}
-			if _, err := sr.readEventFrameInto(b); err != nil {
-				return nil, nil, err
-			}
 			batches = append(batches, b)
+			b = &ColumnBatch{}
 		case frameInstance:
-			inst, err := sr.readInstance()
-			if err != nil {
-				return nil, nil, err
-			}
+			inst := ent.instance
 			id := s.Register(inst.Kind, inst.TypeName, inst.Label, 0)
 			if id != inst.ID {
 				return nil, nil, fmt.Errorf("%w: non-contiguous registry (got id %d, want %d)",
 					ErrBadStream, id, inst.ID)
 			}
 			s.setSite(id, inst.Site)
-		case frameAggregate:
-			// Advisory lazy-aggregation records; delivered via OnAggregate
-			// when set, otherwise dropped (replay folds kept events only).
-			rec, err := sr.readAggregate()
-			if err != nil {
-				return nil, nil, err
-			}
-			if sr.OnAggregate != nil {
-				sr.OnAggregate(rec)
-			}
-		default:
-			return nil, nil, fmt.Errorf("%w: unknown frame kind 0x%02x", ErrBadStream, kind)
 		}
+		// The end marker precedes the registry, so reading goes on to the
+		// true EOF; hello and aggregate frames (the latter fed to
+		// OnAggregate when set) carry nothing a replay folds.
 	}
 	runs, _ := NormalizeColumnRuns(batches)
 	return s, runs, nil
@@ -241,10 +223,22 @@ func (s *Session) setSite(id InstanceID, site Site) {
 	}
 }
 
+// plausibleRegistryID reports whether a shipped registry record naming id
+// may extend a session, given the number of events and registry records its
+// stream carried before it. A producer writes its registry in ID order after
+// its events, so a genuine record names at most one ID past that count. A
+// damaged or hostile frame naming a far larger ID (say 8·10⁸) would make
+// restoreInstance allocate a placeholder for every ID in the gap; readers
+// skip such a record and count it with the corrupt frames.
+func plausibleRegistryID(id InstanceID, seen int) bool {
+	return uint64(id) <= uint64(seen)+1
+}
+
 // restoreInstance places an instance at its saved ID, creating placeholder
 // entries for any gap. Salvaging loaders use it: a truncated log may be
 // missing registry frames, and the surviving ones must still land at the IDs
-// the events reference.
+// the events reference. Wire readers bound the gap with plausibleRegistryID
+// before they call it.
 func (s *Session) restoreInstance(inst Instance) {
 	if inst.ID == 0 {
 		return

@@ -122,7 +122,10 @@ func (q TenantQuota) withDefaults() TenantQuota {
 // synchronizes.
 type TenantSink interface {
 	// TenantEvents delivers admitted events. The slice is owned by the
-	// caller and must not be retained.
+	// caller and must not be retained: the server decodes every frame of a
+	// connection into one column batch and inflates the kept events into
+	// one slice, both reused for the connection's next frame, so the
+	// contents are overwritten once the call returns.
 	TenantEvents(tenant string, events []Event)
 	// TenantInstance delivers one registry record shipped by a producer.
 	TenantInstance(tenant string, inst Instance)
@@ -240,7 +243,7 @@ type tenantState struct {
 	quarantinedUntil time.Time
 
 	// Store mode: retained events and registry, bounded by the quota.
-	events    []Event
+	events    ColumnBatch
 	instances map[InstanceID]Instance
 }
 
@@ -256,24 +259,35 @@ func newTenantState(name string, quota TenantQuota, now time.Time) *tenantState 
 	}
 }
 
-// admit decides one decoded batch's fate under the tenant's quota, trimming
-// events in place at LevelSample. The returned wait is producer blocking the
-// caller must serve (outside any lock) before delivering.
-func (t *tenantState) admit(events []Event, now time.Time) (kept []Event, wait time.Duration) {
-	t.mu.Lock()
-	t.received += uint64(len(events))
-	kept, wait = t.admitLocked(events, now)
-	t.mu.Unlock()
-	return kept, wait
+// admission is the ladder's verdict on one batch: keep every stride-th event
+// from index first on (stride 1 keeps the whole batch, stride 0 none), after
+// the producer has been blocked for wait.
+type admission struct {
+	first, stride int
+	wait          time.Duration
 }
 
-func (t *tenantState) admitLocked(events []Event, now time.Time) ([]Event, time.Duration) {
-	n := len(events)
+// admit decides one decoded batch's fate under the tenant's quota and
+// applies it to b's columns in place: the block rung keeps them whole, the
+// sample rung compacts them to every N-th event, the drop rung empties them.
+// Only counts are taken under the lock. The returned wait is producer
+// blocking the caller must serve (outside any lock) before delivering.
+func (t *tenantState) admit(b *ColumnBatch, now time.Time) time.Duration {
+	n := b.Len()
+	t.mu.Lock()
+	t.received += uint64(n)
+	v := t.admitLocked(n, now)
+	t.mu.Unlock()
+	b.keepStrided(v.first, v.stride)
+	return v.wait
+}
+
+func (t *tenantState) admitLocked(n int, now time.Time) admission {
 	t.refillLocked(now)
 	q := t.quota
 	if q.EventsPerSec <= 0 {
 		t.delivered += uint64(n)
-		return events, 0
+		return admission{stride: 1}
 	}
 	if t.level == LevelBlock {
 		need := float64(n) - t.tokens
@@ -281,7 +295,7 @@ func (t *tenantState) admitLocked(events []Event, now time.Time) ([]Event, time.
 			t.tokens -= float64(n)
 			t.delivered += uint64(n)
 			t.creditLocked(now)
-			return events, 0
+			return admission{stride: 1}
 		}
 		wait := time.Duration(need / float64(q.EventsPerSec) * float64(time.Second))
 		if t.blocked+wait <= q.MaxBlock {
@@ -291,24 +305,24 @@ func (t *tenantState) admitLocked(events []Event, now time.Time) ([]Event, time.
 			t.blockedAll += wait
 			t.tokens -= float64(n)
 			t.delivered += uint64(n)
-			return events, wait
+			return admission{stride: 1, wait: wait}
 		}
 		t.demoteLocked(now)
 	}
 	if t.level == LevelSample {
-		kept := events[:0]
-		for _, e := range events {
-			t.skip++
-			if t.skip%uint64(q.SampleN) == 0 {
-				kept = append(kept, e)
-			}
-		}
-		if float64(len(kept)) <= t.tokens {
-			t.tokens -= float64(len(kept))
-			t.sampledOut += uint64(n - len(kept))
-			t.delivered += uint64(len(kept))
+		// The cursor counts every event offered at this rung; event i of the
+		// batch is kept when the cursor reaches a multiple of N on it. The
+		// cursor advances even if the batch is then dropped.
+		every := uint64(q.SampleN)
+		skip := t.skip
+		t.skip += uint64(n)
+		kept := int(t.skip/every - skip/every)
+		if float64(kept) <= t.tokens {
+			t.tokens -= float64(kept)
+			t.sampledOut += uint64(n - kept)
+			t.delivered += uint64(kept)
 			t.creditLocked(now)
-			return kept, 0
+			return admission{first: int(every - 1 - skip%every), stride: q.SampleN}
 		}
 		// Even the sampled trickle overruns the bucket: last rung. The whole
 		// batch is dropped (not split) so the accounting stays obvious.
@@ -323,7 +337,7 @@ func (t *tenantState) admitLocked(events []Event, now time.Time) ([]Event, time.
 		t.underSince = now
 	}
 	t.dropped += uint64(n)
-	return nil, 0
+	return admission{}
 }
 
 // refillLocked advances the token bucket and the block-budget epoch.
@@ -373,22 +387,20 @@ func (t *tenantState) demoteLocked(now time.Time) {
 }
 
 // store appends admitted events to the retained per-tenant store, enforcing
-// the memory bound; overflow is dropped and counted.
-func (t *tenantState) store(events []Event) {
+// the memory bound: only the prefix that fits is kept, the overflow is
+// dropped and counted.
+func (t *tenantState) store(b *ColumnBatch) {
+	n := b.Len()
 	t.mu.Lock()
-	if max := t.quota.MaxStoredEvents; max > 0 {
-		room := max - len(t.events)
-		if room < 0 {
-			room = 0
-		}
-		if room < len(events) {
-			over := len(events) - room
+	if limit := t.quota.MaxStoredEvents; limit > 0 {
+		if room := max(limit-t.events.Len(), 0); room < n {
+			over := n - room
 			t.dropped += uint64(over)
 			t.delivered -= uint64(over) // reclassified: admitted but not storable
-			events = events[:room]
+			n = room
 		}
 	}
-	t.events = append(t.events, events...)
+	t.events.AppendRange(b, 0, n)
 	t.mu.Unlock()
 }
 
@@ -457,7 +469,7 @@ func (t *tenantState) stats(now time.Time) TenantStats {
 		Demotions:     t.demotions,
 		Promotions:    t.promotions,
 		Quarantined:   now.Before(t.quarantinedUntil),
-		StoredEvents:  len(t.events),
+		StoredEvents:  t.events.Len(),
 	}
 }
 

@@ -32,7 +32,7 @@ func TestHelloRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ent, err := sr.readEntry()
+	ent, err := sr.readEntry(&ColumnBatch{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestHelloTruncatesOversizeIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ent, err := sr.readEntry()
+	ent, err := sr.readEntry(&ColumnBatch{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,6 +95,23 @@ type fakeClock struct {
 func (c *fakeClock) Now() time.Time          { return c.now }
 func (c *fakeClock) Advance(d time.Duration) { c.now = c.now.Add(d) }
 func (c *fakeClock) Sleep(d time.Duration)   { c.Advance(d) }
+
+// seqBatch returns a column batch of n events with Seqs 1..n.
+func seqBatch(n int) *ColumnBatch {
+	b := &ColumnBatch{}
+	b.Grow(n)
+	for i := 0; i < n; i++ {
+		b.Append(Event{Seq: uint64(i + 1), Instance: 1, Op: OpRead, Index: i})
+	}
+	return b
+}
+
+// admitN offers a batch of n events to the tenant and returns what it kept.
+func admitN(ts *tenantState, n int, now time.Time) (*ColumnBatch, time.Duration) {
+	b := seqBatch(n)
+	wait := ts.admit(b, now)
+	return b, wait
+}
 
 func conservedOrFatal(t *testing.T, ts TenantStats) {
 	t.Helper()
@@ -120,16 +137,16 @@ func TestTenantLadderDegradesAndRecovers(t *testing.T) {
 	ts := newTenantState("alpha", quota, clk.Now())
 
 	// Within burst: admitted losslessly at the block rung, no wait.
-	kept, wait := ts.admit(make([]Event, 500), clk.Now())
-	if len(kept) != 500 || wait != 0 {
-		t.Fatalf("under-quota admit: kept %d wait %s, want 500 and 0", len(kept), wait)
+	kept, wait := admitN(ts, 500, clk.Now())
+	if kept.Len() != 500 || wait != 0 {
+		t.Fatalf("under-quota admit: kept %d wait %s, want 500 and 0", kept.Len(), wait)
 	}
 
 	// Exhaust the bucket: the next batch runs a debt small enough for the
 	// block budget — still lossless, but the producer pays.
-	kept, wait = ts.admit(make([]Event, 550), clk.Now())
-	if len(kept) != 550 {
-		t.Fatalf("block-rung admit: kept %d, want 550 (lossless)", len(kept))
+	kept, wait = admitN(ts, 550, clk.Now())
+	if kept.Len() != 550 {
+		t.Fatalf("block-rung admit: kept %d, want 550 (lossless)", kept.Len())
 	}
 	if wait <= 0 || wait > quota.MaxBlock {
 		t.Fatalf("block-rung wait %s, want within (0, %s]", wait, quota.MaxBlock)
@@ -139,24 +156,24 @@ func TestTenantLadderDegradesAndRecovers(t *testing.T) {
 	// A huge burst blows past the block budget: demote to sampling. The
 	// sampled trickle still overruns the empty bucket, so the ladder falls
 	// through to drop within the same call — but nothing is lost silently.
-	kept, _ = ts.admit(make([]Event, 100000), clk.Now())
+	kept, _ = admitN(ts, 100000, clk.Now())
 	if got := ts.stats(clk.Now()); got.Level != LevelDrop {
 		t.Fatalf("after overrun: level %s, want drop", got.Level)
 	} else {
 		conservedOrFatal(t, got)
 	}
-	if len(kept) != 0 {
-		t.Fatalf("dropped batch kept %d events", len(kept))
+	if kept.Len() != 0 {
+		t.Fatalf("dropped batch kept %d events", kept.Len())
 	}
 
 	// While at drop, everything is shed and counted.
-	ts.admit(make([]Event, 1000), clk.Now())
+	admitN(ts, 1000, clk.Now())
 	conservedOrFatal(t, ts.stats(clk.Now()))
 
 	// Sustained headroom promotes back one rung at a time.
 	for i := 0; i < 40; i++ {
 		clk.Advance(500 * time.Millisecond)
-		ts.admit(make([]Event, 10), clk.Now())
+		admitN(ts, 10, clk.Now())
 	}
 	got := ts.stats(clk.Now())
 	if got.Level != LevelBlock {
@@ -176,9 +193,9 @@ func TestTenantSampleRung(t *testing.T) {
 	ts := newTenantState("alpha", quota, clk.Now())
 	ts.level = LevelSample
 
-	kept, _ := ts.admit(make([]Event, 800), clk.Now())
-	if len(kept) != 100 {
-		t.Fatalf("sample:8 kept %d of 800, want 100", len(kept))
+	kept, _ := admitN(ts, 800, clk.Now())
+	if kept.Len() != 100 {
+		t.Fatalf("sample:8 kept %d of 800, want 100", kept.Len())
 	}
 	got := ts.stats(clk.Now())
 	if got.SampledOut != 700 || got.Delivered != 100 {
@@ -192,9 +209,9 @@ func TestTenantSampleRung(t *testing.T) {
 func TestTenantUnlimitedQuotaPassesThrough(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
 	ts := newTenantState("free", TenantQuota{}.withDefaults(), clk.Now())
-	kept, wait := ts.admit(make([]Event, 1<<20), clk.Now())
-	if len(kept) != 1<<20 || wait != 0 {
-		t.Fatalf("unlimited quota: kept %d wait %s", len(kept), wait)
+	kept, wait := admitN(ts, 1<<20, clk.Now())
+	if kept.Len() != 1<<20 || wait != 0 {
+		t.Fatalf("unlimited quota: kept %d wait %s", kept.Len(), wait)
 	}
 	conservedOrFatal(t, ts.stats(clk.Now()))
 }
@@ -204,7 +221,7 @@ func TestTenantUnlimitedQuotaPassesThrough(t *testing.T) {
 func TestTenantStoreBound(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
 	ts := newTenantState("alpha", TenantQuota{MaxStoredEvents: 100}.withDefaults(), clk.Now())
-	kept, _ := ts.admit(make([]Event, 250), clk.Now())
+	kept, _ := admitN(ts, 250, clk.Now())
 	ts.store(kept)
 	got := ts.stats(clk.Now())
 	if got.StoredEvents != 100 {
@@ -212,6 +229,9 @@ func TestTenantStoreBound(t *testing.T) {
 	}
 	if got.Dropped != 150 {
 		t.Fatalf("dropped %d, want 150", got.Dropped)
+	}
+	if s := ts.events.Seq; s[0] != 1 || s[99] != 100 {
+		t.Fatalf("stored Seqs %d..%d, want the prefix 1..100", s[0], s[99])
 	}
 	conservedOrFatal(t, got)
 }

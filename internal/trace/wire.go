@@ -70,15 +70,15 @@ var ErrChecksum = fmt.Errorf("%w: frame checksum mismatch", ErrBadStream)
 // platforms we care about.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-func getEvent(b []byte) Event {
-	return Event{
-		Seq:      binary.LittleEndian.Uint64(b[0:]),
-		Instance: InstanceID(binary.LittleEndian.Uint32(b[8:])),
-		Op:       Op(b[12]),
-		Index:    int(int64(binary.LittleEndian.Uint64(b[14:]))),
-		Size:     int(int64(binary.LittleEndian.Uint64(b[22:]))),
-		Thread:   ThreadID(binary.LittleEndian.Uint32(b[30:])),
-	}
+// appendFixed scatters one fixed-width v1/v2 event record onto the columns;
+// the caller has grown the batch.
+func (b *ColumnBatch) appendFixed(rec []byte) {
+	b.Seq = append(b.Seq, binary.LittleEndian.Uint64(rec[0:]))
+	b.Instance = append(b.Instance, InstanceID(binary.LittleEndian.Uint32(rec[8:])))
+	b.Op = append(b.Op, Op(rec[12]))
+	b.Index = append(b.Index, int(int64(binary.LittleEndian.Uint64(rec[14:]))))
+	b.Size = append(b.Size, int(int64(binary.LittleEndian.Uint64(rec[22:]))))
+	b.Thread = append(b.Thread, ThreadID(binary.LittleEndian.Uint32(rec[30:])))
 }
 
 // StreamWriter encodes event batches onto an io.Writer in the version-3 wire
@@ -195,21 +195,24 @@ func (sr *StreamReader) readFull(buf []byte) error {
 }
 
 // entry is one decoded frame: the kind byte plus the payload that matches it.
+// An event frame's payload is not in the entry: readEntry decodes it onto
+// the caller's column batch and records only its event count.
 type entry struct {
 	kind     byte
-	events   []Event   // kind == frameEvents
+	n        int       // kind == frameEvents: events decoded (declared, on ErrChecksum)
 	instance Instance  // kind == frameInstance
 	hello    Hello     // kind == frameHello
 	agg      AggRecord // kind == frameAggregate
 }
 
-// readEntry decodes the next frame of any kind. It returns io.EOF only when
-// the stream ends cleanly before a kind byte; a stream cut mid-frame comes
-// back as io.ErrUnexpectedEOF. A checksum failure on an event or aggregate
-// frame returns ErrChecksum with the frame fully consumed, so callers may
-// skip it and keep reading. Aggregate frames are additionally delivered to
-// OnAggregate when set.
-func (sr *StreamReader) readEntry() (entry, error) {
+// readEntry decodes the next frame of any kind, appending an event frame's
+// events onto b. It returns io.EOF only when the stream ends cleanly before
+// a kind byte; a stream cut mid-frame comes back as io.ErrUnexpectedEOF. A
+// checksum failure on an event or aggregate frame returns ErrChecksum with
+// the frame fully consumed and nothing appended, so callers may skip it and
+// keep reading; an event frame's declared count is still in n. Aggregate
+// frames are additionally delivered to OnAggregate when set.
+func (sr *StreamReader) readEntry(b *ColumnBatch) (entry, error) {
 	kind, err := sr.readByte()
 	if err != nil {
 		return entry{}, err
@@ -218,8 +221,8 @@ func (sr *StreamReader) readEntry() (entry, error) {
 	case frameEnd:
 		return entry{kind: frameEnd}, nil
 	case frameEvents:
-		events, err := sr.readEventFrame()
-		return entry{kind: frameEvents, events: events}, err
+		n, err := sr.readEventFrameInto(b)
+		return entry{kind: frameEvents, n: n}, err
 	case frameInstance:
 		inst, err := sr.readInstance()
 		return entry{kind: frameInstance, instance: inst}, err
@@ -237,62 +240,51 @@ func (sr *StreamReader) readEntry() (entry, error) {
 	}
 }
 
-// readEventFrame decodes the body of an event-batch frame (the kind byte is
-// already consumed), dispatching on the stream version: fixed-width records
-// for v1/v2, columnar for v3. In checksummed versions a CRC mismatch comes
-// back as ErrChecksum with the frame consumed.
-func (sr *StreamReader) readEventFrame() ([]Event, error) {
-	if sr.version >= 3 {
-		return sr.readEventFrameV3()
-	}
-	var cnt [4]byte
-	if err := sr.readFull(cnt[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading frame length: %w", noEOF(err))
-	}
-	n := binary.LittleEndian.Uint32(cnt[:])
-	if n > MaxBatch {
-		return nil, fmt.Errorf("%w: batch of %d exceeds max %d", ErrBadStream, n, MaxBatch)
-	}
-	crc := crc32.Update(0, crcTable, cnt[:])
-	events := make([]Event, n)
-	for i := range events {
-		if err := sr.readFull(sr.buf); err != nil {
-			return nil, fmt.Errorf("trace: reading event %d/%d: %w", i, n, noEOF(err))
-		}
-		events[i] = getEvent(sr.buf)
-		crc = crc32.Update(crc, crcTable, sr.buf)
-	}
-	if sr.version >= 2 {
-		var sum [4]byte
-		if err := sr.readFull(sum[:]); err != nil {
-			return nil, fmt.Errorf("trace: reading frame checksum: %w", noEOF(err))
-		}
-		if binary.LittleEndian.Uint32(sum[:]) != crc {
-			// Return the decoded events alongside the error: the payload is
-			// untrustworthy, but salvaging readers need the declared count to
-			// account for what a skipped frame contained.
-			return events, ErrChecksum
-		}
-	}
-	return events, nil
-}
-
-// readEventFrameInto decodes the body of an event-batch frame onto b's
-// columns, returning the number of events appended. On a v3 stream the frame
-// payload is the columns — decoding never builds an Event; v1/v2 frames are
-// decoded structwise and scattered. A CRC mismatch comes back as ErrChecksum
-// with the frame consumed, nothing appended, and the declared event count
-// returned for skipped-frame accounting.
+// readEventFrameInto decodes the body of an event-batch frame (the kind byte
+// is already consumed) onto b's columns, returning the number of events
+// appended. It dispatches on the stream version: columnar for v3, whose
+// payload is the columns, and fixed-width records for v1/v2, each scattered
+// straight onto the columns. No Event is built for either. On any error
+// nothing is appended; a CRC mismatch comes back as ErrChecksum with the
+// frame consumed and the declared event count returned for skipped-frame
+// accounting.
 func (sr *StreamReader) readEventFrameInto(b *ColumnBatch) (int, error) {
 	if sr.version >= 3 {
 		return sr.readEventFrameV3Into(b)
 	}
-	events, err := sr.readEventFrame()
-	if err != nil {
-		return len(events), err
+	// sr.buf is the record scratch; its first four bytes hold the count and
+	// later the checksum (a local array would escape through io.ReadFull).
+	cnt := sr.buf[:4]
+	if err := sr.readFull(cnt); err != nil {
+		return 0, fmt.Errorf("trace: reading frame length: %w", noEOF(err))
 	}
-	b.AppendEvents(events)
-	return len(events), nil
+	n := int(binary.LittleEndian.Uint32(cnt))
+	if n > MaxBatch {
+		return 0, fmt.Errorf("%w: batch of %d exceeds max %d", ErrBadStream, n, MaxBatch)
+	}
+	crc := crc32.Update(0, crcTable, cnt)
+	base := b.Len()
+	b.Grow(n)
+	for i := 0; i < n; i++ {
+		if err := sr.readFull(sr.buf); err != nil {
+			b.setLen(base)
+			return 0, fmt.Errorf("trace: reading event %d/%d: %w", i, n, noEOF(err))
+		}
+		crc = crc32.Update(crc, crcTable, sr.buf)
+		b.appendFixed(sr.buf)
+	}
+	if sr.version >= 2 {
+		sum := sr.buf[:4]
+		if err := sr.readFull(sum); err != nil {
+			b.setLen(base)
+			return 0, fmt.Errorf("trace: reading frame checksum: %w", noEOF(err))
+		}
+		if binary.LittleEndian.Uint32(sum) != crc {
+			b.setLen(base)
+			return n, ErrChecksum
+		}
+	}
+	return n, nil
 }
 
 // noEOF maps a bare io.EOF to io.ErrUnexpectedEOF: inside a frame body, a
@@ -305,77 +297,55 @@ func noEOF(err error) error {
 }
 
 // ReadBatch returns the next batch of events, or io.EOF after the
-// end-of-stream frame. Registry frames are rejected; event-only consumers
-// (the file log) never see them.
+// end-of-stream frame. It is ReadColumns inflated to []Event, for consumers
+// that want structs (the file log, tests).
 func (sr *StreamReader) ReadBatch() ([]Event, error) {
-	for {
-		ent, err := sr.readEntry()
-		if err != nil {
-			return nil, err
-		}
-		switch ent.kind {
-		case frameEnd:
-			return nil, io.EOF
-		case frameEvents:
-			return ent.events, nil
-		case frameHello, frameAggregate:
-			// Identity metadata / advisory aggregates, not event payload:
-			// event consumers skip them (readEntry fed OnAggregate already).
-			continue
-		default:
-			return nil, fmt.Errorf("%w: unexpected frame kind 0x%02x in event stream", ErrBadStream, ent.kind)
-		}
+	var b ColumnBatch
+	n, err := sr.ReadColumns(&b)
+	if err != nil {
+		return nil, err
 	}
+	return b.Events(make([]Event, 0, n)), nil
 }
 
 // ReadColumns appends the next event batch onto b's columns, returning the
-// number of events appended, or io.EOF after the end-of-stream frame. Like
-// ReadBatch it rejects registry frames; unlike it, a v3 frame reaches the
-// caller without a single Event struct being built, and reusing b across
-// calls makes the steady-state read loop allocation-free.
+// number of events appended, or io.EOF after the end-of-stream frame.
+// Registry frames are rejected; hello and aggregate frames are skipped (the
+// latter after feeding OnAggregate). No Event struct is built, and reusing b
+// across calls makes the steady-state read loop allocation-free. A
+// checksum-failed frame returns ErrChecksum with its declared count.
 func (sr *StreamReader) ReadColumns(b *ColumnBatch) (int, error) {
 	for {
-		kind, err := sr.readByte()
+		ent, err := sr.readEntry(b)
 		if err != nil {
-			return 0, err
+			return ent.n, err
 		}
-		switch kind {
+		switch ent.kind {
 		case frameEnd:
 			return 0, io.EOF
 		case frameEvents:
-			return sr.readEventFrameInto(b)
-		case frameHello:
-			// Identity metadata, not payload: event-only consumers skip it.
-			if _, err := sr.readHello(); err != nil {
-				return 0, err
-			}
-			continue
-		case frameAggregate:
-			rec, err := sr.readAggregate()
-			if err != nil {
-				return 0, err
-			}
-			if sr.OnAggregate != nil {
-				sr.OnAggregate(rec)
-			}
+			return ent.n, nil
+		case frameHello, frameAggregate:
+			// Identity metadata / advisory aggregates, not event payload.
 			continue
 		default:
-			return 0, fmt.Errorf("%w: unexpected frame kind 0x%02x in event stream", ErrBadStream, kind)
+			return 0, fmt.Errorf("%w: unexpected frame kind 0x%02x in event stream", ErrBadStream, ent.kind)
 		}
 	}
 }
 
-// ReadAll drains the stream into one slice.
+// ReadAll drains the stream into one slice: ReadColumns onto one batch,
+// inflated once at the end. On an error it returns the events of every
+// frame decoded before it.
 func (sr *StreamReader) ReadAll() ([]Event, error) {
-	var all []Event
+	var b ColumnBatch
 	for {
-		batch, err := sr.ReadBatch()
-		if err == io.EOF {
-			return all, nil
-		}
-		if err != nil {
+		if _, err := sr.ReadColumns(&b); err != nil {
+			all := b.Events(nil)
+			if err == io.EOF {
+				err = nil
+			}
 			return all, err
 		}
-		all = append(all, batch...)
 	}
 }

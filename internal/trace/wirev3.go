@@ -2,7 +2,6 @@ package trace
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 )
@@ -280,20 +279,4 @@ func (sr *StreamReader) readEventFrameV3Into(b *ColumnBatch) (int, error) {
 		return 0, err
 	}
 	return b.Len() - base, nil
-}
-
-// readEventFrameV3 is the inflating form of readEventFrameV3Into, feeding the
-// struct-batch readers (readEventFrame, ReadBatch).
-func (sr *StreamReader) readEventFrameV3() ([]Event, error) {
-	var b ColumnBatch
-	n, err := sr.readEventFrameV3Into(&b)
-	if err != nil {
-		if errors.Is(err, ErrChecksum) && n > 0 {
-			// Placeholder slice sized from the declared count, matching the
-			// v2 reader's skipped-frame accounting contract.
-			return make([]Event, n), ErrChecksum
-		}
-		return nil, err
-	}
-	return b.Events(make([]Event, 0, n)), nil
 }

@@ -217,9 +217,9 @@ func TestV2WriterStillSpeaksV2(t *testing.T) {
 }
 
 // TestV3ChecksumFailureSkippable: flip one payload byte in the first of two
-// v3 frames. The reader must return ErrChecksum with a placeholder slice
-// carrying the declared count (so salvage accounting works), fully consume
-// the frame, and decode the second frame intact.
+// v3 frames. The reader must return ErrChecksum with the declared count (so
+// salvage accounting works) and nothing appended, fully consume the frame,
+// and decode the second frame intact.
 func TestV3ChecksumFailureSkippable(t *testing.T) {
 	b1 := corpusLikeEvents(40)
 	b2 := make([]Event, 10)
@@ -238,14 +238,14 @@ func TestV3ChecksumFailureSkippable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev1, err := sr.readEventFrameAt(t)
+	ev1, n1, err := sr.readEventFrameAt(t)
 	if !errors.Is(err, ErrChecksum) {
 		t.Fatalf("corrupt frame returned %v, want ErrChecksum", err)
 	}
-	if len(ev1) != len(b1) {
-		t.Fatalf("placeholder carries %d events, want declared count %d", len(ev1), len(b1))
+	if n1 != len(b1) || len(ev1) != 0 {
+		t.Fatalf("corrupt frame: declared %d, appended %d; want declared %d, appended 0", n1, len(ev1), len(b1))
 	}
-	ev2, err := sr.readEventFrameAt(t)
+	ev2, _, err := sr.readEventFrameAt(t)
 	if err != nil {
 		t.Fatalf("good frame after corrupt one failed: %v", err)
 	}
@@ -256,18 +256,17 @@ func TestV3ChecksumFailureSkippable(t *testing.T) {
 	}
 }
 
-// readEventFrameAt drains entries until the next event frame (helper keeps
+// readEventFrameAt reads the next frame, which must be an event frame, and
+// returns its decoded events and the count readEntry reported (helper keeps
 // the corruption tests readable).
-func (sr *StreamReader) readEventFrameAt(t *testing.T) ([]Event, error) {
+func (sr *StreamReader) readEventFrameAt(t *testing.T) ([]Event, int, error) {
 	t.Helper()
-	ent, err := sr.readEntry()
-	if err != nil {
-		return ent.events, err
-	}
-	if ent.kind != frameEvents {
+	var b ColumnBatch
+	ent, err := sr.readEntry(&b)
+	if err == nil && ent.kind != frameEvents {
 		t.Fatalf("expected an event frame, got kind 0x%02x", ent.kind)
 	}
-	return ent.events, nil
+	return b.Events(nil), ent.n, err
 }
 
 // TestV3DecoderRejectsMalformedPayloads drives decodeColumnarInto with
