@@ -1,12 +1,13 @@
 GO ?= go
 
-.PHONY: check build vet fmt-check test race bench bench-obs bench-hotpath bench-columnar bench-contend bench-sample bench-floor inline-guard smoke-obs chaos fuzz-smoke clean
+.PHONY: check build vet fmt-check test race bench bench-smoke bench-obs bench-hotpath bench-columnar bench-contend bench-sample bench-floor inline-guard smoke-obs chaos fuzz-smoke clean
 
 ## check: everything CI runs — build, vet, gofmt, full tests, race tests on the
 ## concurrent packages, the golden reports and the lane and hot-path
 ## differentials under the race detector, the hot-path acceptance gate, the
-## live /metrics + /statusz smoke, and a short fuzz pass over the salvaging
-## decoders. This is the single command to run before pushing.
+## live /metrics + /statusz smoke, a short fuzz pass over the salvaging
+## decoders, and one iteration of every benchmark. This is the single command
+## to run before pushing.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -22,6 +23,7 @@ check:
 	$(MAKE) smoke-obs
 	$(MAKE) chaos
 	$(MAKE) fuzz-smoke
+	$(MAKE) bench-smoke
 
 build:
 	$(GO) build ./...
@@ -51,6 +53,12 @@ race:
 ## closed-window ring plus the open window).
 bench:
 	$(GO) test -run xxx -bench 'Collect1M|Pipeline[12]MStreamed|Overload|DaemonTenantReport' -benchmem -benchtime 5x -count 5 . ./internal/core/
+
+## bench-smoke: every benchmark of the module for one iteration. The timings
+## mean nothing; it fails when a benchmark's own answer check (b.Fatal) does,
+## so a benchmark broken by a refactor is caught by CI.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 ## bench-obs: the observability-plane overhead pair — producer-side Record
 ## cost with the plane off vs fully on (self-tracer, queue-depth sampling,

@@ -195,7 +195,9 @@ func BenchmarkThreadIDExplicit(b *testing.B) {
 
 // --- Ablation: run-segmentation tolerance ----------------------------------
 
-func segmentationProfile() *profile.Profile {
+// segmentationColumns is one array instance's mixed-stride scans as a
+// column batch.
+func segmentationColumns() *trace.ColumnBatch {
 	rec := trace.NewMemRecorder()
 	s := trace.NewSessionWith(trace.Options{Recorder: rec})
 	a := dstruct.NewArray[int](s, 1<<12)
@@ -204,43 +206,50 @@ func segmentationProfile() *profile.Profile {
 			a.Get(i)
 		}
 	}
-	return profile.Build(s, rec.Events())[0]
+	var cb trace.ColumnBatch
+	cb.AppendEvents(rec.Events())
+	return &cb
+}
+
+// benchSegmentation segments the whole batch with opts per iteration,
+// counting the closed runs plus the flushed open one.
+func benchSegmentation(b *testing.B, opts profile.SegmentOptions) {
+	cb := segmentationColumns()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runs := 0
+		g := profile.NewStreamSegmenter(opts)
+		g.FeedRuns(cb, 0, cb.Len(), func(*profile.Run) { runs++ })
+		if _, ok := g.Finish(); ok {
+			runs++
+		}
+		if runs == 0 {
+			b.Fatal("no runs")
+		}
+	}
 }
 
 func BenchmarkSegmentationStrict(b *testing.B) {
-	p := segmentationProfile()
-	opts := profile.SegmentOptions{MaxStep: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if runs := p.RunsWith(opts); len(runs) == 0 {
-			b.Fatal("no runs")
-		}
-	}
+	benchSegmentation(b, profile.SegmentOptions{MaxStep: 1})
 }
 
 func BenchmarkSegmentationTolerant(b *testing.B) {
-	p := segmentationProfile()
-	opts := profile.SegmentOptions{MaxStep: 4, AllowRepeat: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if runs := p.RunsWith(opts); len(runs) == 0 {
-			b.Fatal("no runs")
-		}
-	}
+	benchSegmentation(b, profile.SegmentOptions{MaxStep: 4, AllowRepeat: true})
 }
 
 // --- Ablation: pattern detection and the full pipeline ----------------------
 
 func BenchmarkPatternDetection(b *testing.B) {
 	_, events := experiments.Figure3Events()
-	rec := trace.NewMemRecorder()
-	s := trace.NewSessionWith(trace.Options{Recorder: rec})
-	s.Register(trace.KindList, "List[int]", "", 0)
-	p := profile.Build(s, events)[0]
+	var cb trace.ColumnBatch
+	cb.AppendEvents(events)
 	cfg := pattern.DefaultConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if sum := pattern.Summarize(p, cfg); sum.SequentialReads == 0 {
+		d := pattern.NewStreamDetector(cfg, true)
+		d.FeedBatch(&cb, 0, cb.Len(), func(pattern.Closed) {})
+		d.Finish()
+		if d.Summary().SequentialReads == 0 {
 			b.Fatal("no patterns")
 		}
 	}

@@ -15,7 +15,6 @@ import (
 
 	"dsspy"
 	"dsspy/internal/core"
-	"dsspy/internal/profile"
 	"dsspy/internal/trace"
 	"dsspy/internal/viz"
 )
@@ -66,7 +65,7 @@ func main() {
 		res.Shared.Threads, res.Shared.WritingThreads, res.Shared.ReadingThreads)
 	fmt.Printf("Patterns (thread-aware): %d\n\n", len(res.Patterns()))
 
-	// Per-thread lanes make the interleaved scans visible.
-	p := profile.Build(s, rec.Events())[0]
-	fmt.Print(viz.ThreadLanes(p, viz.ChartOptions{MaxWidth: 80, MaxHeight: 8}))
+	// Per-thread lanes make the interleaved scans visible; Analyze attached
+	// the per-event profile they are drawn from.
+	fmt.Print(viz.ThreadLanes(res.Profile, viz.ChartOptions{MaxWidth: 80, MaxHeight: 8}))
 }

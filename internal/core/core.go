@@ -190,8 +190,9 @@ func (d *DSspy) Run(workload func(*trace.Session)) *Report {
 // AttachEvents swaps each instance's event-free streamed profile for the
 // per-event view profile.Build derives from events, matched by instance id,
 // so renderers that draw the trace (charts, SVG, HTML, Figures 2 and 3) can
-// read Profile.Events. The folded statistics and contention summary carry
-// over unchanged; instances without events in the slice keep their profile.
+// read Profile.Events. The folded statistics carry over unchanged (the
+// contention summary stays on InstanceResult.Contention); instances without
+// events in the slice keep their profile.
 func (r *Report) AttachEvents(s *trace.Session, events []trace.Event) {
 	byID := make(map[trace.InstanceID]*profile.Profile)
 	for _, p := range profile.Build(s, events) {
@@ -203,9 +204,6 @@ func (r *Report) AttachEvents(s *trace.Session, events []trace.Event) {
 			continue
 		}
 		p.PrimeStats(ir.Profile.Stats())
-		if ir.Contention != nil {
-			p.PrimeContention(ir.Contention)
-		}
 		ir.Profile = p
 	}
 }

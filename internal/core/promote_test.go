@@ -89,6 +89,62 @@ func promoteStream(id trace.InstanceID, soloLen, block, bStart int) []trace.Even
 	return out
 }
 
+// eventOracle is the retained-events reference a streamed row is held to:
+// every reducer driven one event at a time through its per-event form over
+// the per-event profile view, with patterns judged per profile.ByThread
+// slice and merged in the order ByThread returns them.
+type eventOracle struct {
+	summary     *pattern.Summary // thread-aware, what the row reports
+	interleaved *pattern.Summary // the whole instance stream, what regularity reads
+	regular     bool
+	useCases    []usecase.UseCase
+}
+
+// foldEvents computes the eventOracle of one instance's profile.
+func foldEvents(p *profile.Profile, cfg Config) eventOracle {
+	var ss profile.StreamStats
+	var sc profile.StreamContention
+	u := usecase.NewStream(cfg.Thresholds)
+	global := pattern.NewStreamDetector(cfg.Pattern, false)
+	runs := profile.NewStreamSegmenter(profile.DefaultSegmentOptions())
+	for _, e := range p.Events {
+		ss.Fold(e)
+		sc.Fold(e)
+		u.Event(e)
+		global.Feed(e)
+		if r, ok := runs.Feed(e); ok {
+			u.Run(&r)
+		}
+	}
+	global.Finish()
+	if r, ok := runs.Finish(); ok {
+		u.Run(&r)
+	}
+	sum := &pattern.Summary{}
+	for _, ts := range p.ByThread() {
+		d := pattern.NewStreamDetector(cfg.Pattern, true)
+		for _, e := range ts.Profile.Events {
+			d.Feed(e)
+		}
+		d.Finish()
+		sum.Merge(d.Summary())
+	}
+	for i := range sum.Patterns {
+		u.Pattern(sum.Patterns[i].Type, &sum.Patterns[i].Run)
+	}
+	st := ss.Snapshot()
+	var ct *profile.Contention
+	if st.Threads > 1 {
+		ct = sc.Snapshot()
+	}
+	return eventOracle{
+		summary:     sum,
+		interleaved: global.Summary(),
+		regular:     pattern.RegularityFrom(global.Summary(), st, cfg.Regularity),
+		useCases:    u.Finish(p.Instance, st, ct),
+	}
+}
+
 // checkAgainstEvents compares every row of rep with the retained-events
 // reference over events: the thread-aware pattern summary, the regularity
 // verdict and the use cases.
@@ -96,16 +152,15 @@ func checkAgainstEvents(t *testing.T, s *trace.Session, cfg Config, rep *Report,
 	t.Helper()
 	rep.AttachEvents(s, events)
 	for _, ir := range rep.Instances {
-		p := ir.Profile
-		sum := pattern.SummarizeThreads(p, cfg.Pattern)
-		if !reflect.DeepEqual(ir.Summary, sum) {
-			t.Fatalf("%s: pattern summary diverged:\n stream: %+v\n   want: %+v", at, ir.Summary, sum)
+		want := foldEvents(ir.Profile, cfg)
+		if !reflect.DeepEqual(ir.Summary, want.summary) {
+			t.Fatalf("%s: pattern summary diverged:\n stream: %+v\n   want: %+v", at, ir.Summary, want.summary)
 		}
-		if want := pattern.HasRegularity(p, cfg.Pattern, cfg.Regularity); ir.Regular != want {
-			t.Fatalf("%s: regular = %v, want %v", at, ir.Regular, want)
+		if ir.Regular != want.regular {
+			t.Fatalf("%s: regular = %v, want %v", at, ir.Regular, want.regular)
 		}
-		if want := usecase.DetectWithSummary(p, sum, cfg.Thresholds); !reflect.DeepEqual(ir.UseCases, want) {
-			t.Fatalf("%s: use cases diverged:\n stream: %v\n   want: %v", at, ir.UseCases, want)
+		if !reflect.DeepEqual(ir.UseCases, want.useCases) {
+			t.Fatalf("%s: use cases diverged:\n stream: %v\n   want: %v", at, ir.UseCases, want.useCases)
 		}
 	}
 }
@@ -120,8 +175,8 @@ func checkInterleaved(t *testing.T, a *StreamAnalyzer, st *instanceStream, event
 	c := st.clone()
 	c.finalize(a.d, a.session)
 	got := c.regularitySummary()
-	want := pattern.Summarize(profile.Build(a.session, events)[0], a.d.cfg.Pattern)
-	got.Patterns, want.Patterns = nil, nil
+	want := foldEvents(profile.Build(a.session, events)[0], a.d.cfg).interleaved
+	got.Patterns = nil
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: interleaved-stream summary diverged:\n stream: %+v\n   want: %+v", at, got, want)
 	}

@@ -70,9 +70,6 @@ func saveInstance(ir *InstanceResult) savedInstance {
 
 func (si savedInstance) restore() *InstanceResult {
 	p := profile.NewStreamed(si.Instance, si.Events, si.Stats)
-	if si.Contention != nil {
-		p.PrimeContention(si.Contention)
-	}
 	sum := si.Summary
 	if sum == nil {
 		sum = &pattern.Summary{}

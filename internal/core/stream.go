@@ -91,7 +91,7 @@ func newInstanceStream(d *DSspy, id trace.InstanceID) *instanceStream {
 	}
 	seg := d.cfg.Pattern.Segment
 	if seg.MaxStep < 1 {
-		seg.MaxStep = 1 // RunsWith clamps the same way
+		seg.MaxStep = 1 // NewStreamSegmenter clamps the same way
 	}
 	if seg != profile.DefaultSegmentOptions() {
 		st.runSeg = profile.NewStreamSegmenter(profile.DefaultSegmentOptions())
@@ -254,7 +254,7 @@ func (st *instanceStream) clone() *instanceStream {
 // instance's report row.
 func (st *instanceStream) finalize(d *DSspy, s *trace.Session) *InstanceResult {
 	// Flush per-thread detectors in ascending thread-id order and merge their
-	// summaries — exactly SummarizeThreads' merge order.
+	// summaries, so the pattern list does not depend on map order.
 	tids := make([]trace.ThreadID, 0, len(st.perThread))
 	for tid := range st.perThread {
 		tids = append(tids, tid)
@@ -302,9 +302,6 @@ func (st *instanceStream) finalize(d *DSspy, s *trace.Session) *InstanceResult {
 		inst = trace.Instance{ID: st.id, TypeName: "<unregistered>"}
 	}
 	p := profile.NewStreamed(inst, st.n, stats)
-	if ct != nil {
-		p.PrimeContention(ct)
-	}
 	res := &InstanceResult{
 		Profile:    p,
 		Summary:    sum,

@@ -97,14 +97,6 @@ func DefaultConfig() Config {
 	return Config{MinLen: 2, Segment: profile.DefaultSegmentOptions()}
 }
 
-// Detect classifies the profile's runs with the default configuration.
-func Detect(p *profile.Profile) []Pattern { return DetectWith(p, DefaultConfig()) }
-
-// DetectWith classifies the profile's runs into patterns.
-func DetectWith(p *profile.Profile, cfg Config) []Pattern {
-	return Summarize(p, cfg).Patterns
-}
-
 // Classify maps one run onto a pattern type, or None.
 func Classify(r *profile.Run) Type {
 	switch r.Op {
@@ -160,10 +152,9 @@ type Summary struct {
 	Bound float64 `json:",omitempty"`
 }
 
-// add folds the aggregates of one pattern of type t over run r in; the
-// single implementation shared by the batch drivers and the streaming
-// detector. It does not append to Patterns — retention is the detector's
-// choice.
+// add folds the aggregates of one pattern of type t over run r in, for the
+// StreamDetector that classified it. It does not append to Patterns —
+// retention is the detector's choice.
 func (s *Summary) add(t Type, r *profile.Run) {
 	n := r.Len()
 	s.ByType[t]++
@@ -174,35 +165,6 @@ func (s *Summary) add(t Type, r *profile.Run) {
 	if n > s.LongestPattern {
 		s.LongestPattern = n
 	}
-}
-
-// Summarize detects patterns and aggregates them — the batch driver over
-// StreamDetector, folding the profile's cached run list.
-func Summarize(p *profile.Profile, cfg Config) *Summary {
-	d := NewStreamDetector(cfg, true)
-	runs := p.RunsWith(cfg.Segment)
-	for i := range runs {
-		d.classify(&runs[i])
-	}
-	return d.Summary()
-}
-
-// SummarizeThreads detects patterns per thread and merges the summaries.
-// The paper records thread ids exactly so that "successive access events"
-// are judged within one thread: two goroutines interleaving forward scans
-// must yield two forward patterns, not a broken zigzag. Single-threaded
-// profiles take the plain path unchanged.
-func SummarizeThreads(p *profile.Profile, cfg Config) *Summary {
-	slices := p.ByThread()
-	if len(slices) <= 1 {
-		return Summarize(p, cfg)
-	}
-	merged := &Summary{}
-	for _, ts := range slices {
-		sub := Summarize(ts.Profile, cfg)
-		merged.Merge(sub)
-	}
-	return merged
 }
 
 // Merge folds another summary in; per-thread streaming detectors finalize
@@ -222,14 +184,6 @@ func (s *Summary) Merge(sub *Summary) {
 	if sub.Bound > s.Bound {
 		s.Bound = sub.Bound
 	}
-}
-
-// Count returns the number of patterns of type t.
-func (s *Summary) Count(t Type) int {
-	if int(t) < len(s.ByType) {
-		return s.ByType[t]
-	}
-	return 0
 }
 
 // InsertEvents returns the number of events inside insertion patterns.
@@ -263,10 +217,4 @@ type RegularityConfig struct {
 // operation recurs heavily.
 func DefaultRegularityConfig() RegularityConfig {
 	return RegularityConfig{MinRepeats: 2, MinLongRun: 10, MinCompoundOps: 10}
-}
-
-// HasRegularity reports whether the profile contains a recurring regularity —
-// the batch driver over RegularityFrom.
-func HasRegularity(p *profile.Profile, cfg Config, rcfg RegularityConfig) bool {
-	return RegularityFrom(Summarize(p, cfg), p.Stats(), rcfg)
 }

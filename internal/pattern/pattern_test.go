@@ -13,13 +13,38 @@ func session() (*trace.Session, *trace.MemRecorder) {
 	return trace.NewSessionWith(trace.Options{Recorder: rec, CaptureSites: true}), rec
 }
 
-func oneProfile(t *testing.T, s *trace.Session, rec *trace.MemRecorder) *profile.Profile {
+// summarize folds the recorded events of the session's one instance through
+// a pattern-keeping StreamDetector over a column batch and returns the
+// summary with the open run flushed.
+func summarize(t *testing.T, rec *trace.MemRecorder, cfg Config) *Summary {
 	t.Helper()
-	profiles := profile.Build(s, rec.Events())
-	if len(profiles) != 1 {
-		t.Fatalf("got %d profiles, want 1", len(profiles))
+	var b trace.ColumnBatch
+	b.AppendEvents(rec.Events())
+	if b.Len() == 0 || b.InstanceRun(0, b.Len()) != b.Len() {
+		t.Fatalf("recorded events span more than one instance")
 	}
-	return profiles[0]
+	d := NewStreamDetector(cfg, true)
+	d.FeedRuns(&b, 0, b.Len(), func(*profile.Run, Type) {})
+	d.Finish()
+	return d.Summary()
+}
+
+// detect returns the patterns of the session's one instance under the
+// default configuration.
+func detect(t *testing.T, rec *trace.MemRecorder) []Pattern {
+	t.Helper()
+	return summarize(t, rec, DefaultConfig()).Patterns
+}
+
+// regular decides the regularity of the session's one instance the way the
+// analyzer does: from its pattern summary and folded statistics.
+func regular(t *testing.T, rec *trace.MemRecorder) bool {
+	t.Helper()
+	var st profile.StreamStats
+	for _, e := range rec.Events() {
+		st.Fold(e)
+	}
+	return RegularityFrom(summarize(t, rec, DefaultConfig()), st.Snapshot(), DefaultRegularityConfig())
 }
 
 func typesOf(pats []Pattern) []Type {
@@ -41,7 +66,7 @@ func TestFigure2Patterns(t *testing.T) {
 	for i := 9; i >= 0; i-- {
 		l.Get(i)
 	}
-	pats := Detect(oneProfile(t, s, rec))
+	pats := detect(t, rec)
 	if len(pats) != 2 {
 		t.Fatalf("patterns = %v, want 2", pats)
 	}
@@ -69,11 +94,11 @@ func TestFigure3Patterns(t *testing.T) {
 		}
 		l.Clear()
 	}
-	sum := Summarize(oneProfile(t, s, rec), DefaultConfig())
-	if got := sum.Count(InsertBack); got != cycles {
+	sum := summarize(t, rec, DefaultConfig())
+	if got := sum.ByType[InsertBack]; got != cycles {
 		t.Errorf("Insert-Back count = %d, want %d", got, cycles)
 	}
-	if got := sum.Count(ReadForward); got != cycles {
+	if got := sum.ByType[ReadForward]; got != cycles {
 		t.Errorf("Read-Forward count = %d, want %d", got, cycles)
 	}
 	if sum.SequentialReads != cycles {
@@ -96,7 +121,7 @@ func TestWritePatterns(t *testing.T) {
 	for i := 7; i >= 0; i-- {
 		a.Set(i, 0)
 	}
-	pats := Detect(oneProfile(t, s, rec))
+	pats := detect(t, rec)
 	if len(pats) != 2 || pats[0].Type != WriteForward || pats[1].Type != WriteBackward {
 		t.Fatalf("patterns = %v, want Write-Forward, Write-Backward", typesOf(pats))
 	}
@@ -108,7 +133,7 @@ func TestInsertFrontPattern(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		l.Insert(0, i)
 	}
-	pats := Detect(oneProfile(t, s, rec))
+	pats := detect(t, rec)
 	if len(pats) != 1 || pats[0].Type != InsertFront {
 		t.Fatalf("patterns = %v, want Insert-Front", typesOf(pats))
 	}
@@ -127,7 +152,7 @@ func TestDeletePatterns(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		l.RemoveAt(l.Len() - 1)
 	}
-	pats := Detect(oneProfile(t, s, rec))
+	pats := detect(t, rec)
 	if len(pats) != 3 {
 		t.Fatalf("patterns = %v", pats)
 	}
@@ -145,7 +170,7 @@ func TestStackProfileClassification(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		st.Pop()
 	}
-	pats := Detect(oneProfile(t, s, rec))
+	pats := detect(t, rec)
 	if len(pats) != 2 || pats[0].Type != InsertBack || pats[1].Type != DeleteBack {
 		t.Fatalf("stack patterns = %v, want Insert-Back, Delete-Back", typesOf(pats))
 	}
@@ -160,7 +185,7 @@ func TestQueueProfileClassification(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		q.Dequeue()
 	}
-	pats := Detect(oneProfile(t, s, rec))
+	pats := detect(t, rec)
 	if len(pats) != 2 || pats[0].Type != InsertBack || pats[1].Type != DeleteFront {
 		t.Fatalf("queue patterns = %v, want Insert-Back, Delete-Front", typesOf(pats))
 	}
@@ -171,11 +196,11 @@ func TestMinLenFiltersNoise(t *testing.T) {
 	l := dstruct.NewList[int](s)
 	l.Add(1) // single insert: below MinLen
 	l.Get(0) // single read
-	pats := Detect(oneProfile(t, s, rec))
+	pats := detect(t, rec)
 	if len(pats) != 0 {
 		t.Errorf("patterns = %v, want none for single events", pats)
 	}
-	pats = DetectWith(oneProfile(t, s, rec), Config{MinLen: 1, Segment: profile.DefaultSegmentOptions()})
+	pats = summarize(t, rec, Config{MinLen: 1, Segment: profile.DefaultSegmentOptions()}).Patterns
 	// MinLen is clamped to 2.
 	if len(pats) != 0 {
 		t.Errorf("MinLen clamp failed: %v", pats)
@@ -191,7 +216,7 @@ func TestRandomAccessNoPatterns(t *testing.T) {
 		idx = (idx + 37) % 100
 		a.Get(idx)
 	}
-	pats := Detect(oneProfile(t, s, rec))
+	pats := detect(t, rec)
 	for _, p := range pats {
 		t.Errorf("unexpected pattern %v in random profile", p)
 	}
@@ -209,8 +234,7 @@ func TestHasRegularity(t *testing.T) {
 			l.Get(i)
 		}
 	}
-	p := oneProfile(t, s, rec)
-	if !HasRegularity(p, DefaultConfig(), DefaultRegularityConfig()) {
+	if !regular(t, rec) {
 		t.Error("cyclic profile not regular")
 	}
 
@@ -220,8 +244,7 @@ func TestHasRegularity(t *testing.T) {
 	for _, i := range []int{3, 17, 4, 40, 11} {
 		a.Get(i)
 	}
-	p2 := oneProfile(t, s2, rec2)
-	if HasRegularity(p2, DefaultConfig(), DefaultRegularityConfig()) {
+	if regular(t, rec2) {
 		t.Error("scattered profile reported regular")
 	}
 }
@@ -234,56 +257,6 @@ func TestClassifyNonPositionalRuns(t *testing.T) {
 	r = profile.Run{Op: trace.OpRead, Direction: profile.DirStationary}
 	if Classify(&r) != None {
 		t.Error("stationary read classified as directional pattern")
-	}
-}
-
-func TestSummarizeThreadsSeparatesScans(t *testing.T) {
-	rec := trace.NewMemRecorder()
-	s := trace.NewSessionWith(trace.Options{Recorder: rec})
-	id := s.Register(trace.KindList, "List[int]", "", 0)
-	const n = 30
-	// Two goroutines scanning concurrently in opposite directions:
-	// strictly interleaved events form a zigzag.
-	for i := 0; i < n; i++ {
-		s.EmitAs(id, trace.OpRead, i, n, 1)
-		s.EmitAs(id, trace.OpRead, n-1-i, n, 2)
-	}
-	p := profile.Build(s, rec.Events())[0]
-
-	// Thread-blind summary: the zigzag has adjacent steps only where the
-	// two scans cross in the middle, so at best a couple of two-event
-	// fragments appear — never a real scan.
-	blind := Summarize(p, DefaultConfig())
-	for _, pat := range blind.Patterns {
-		if pat.Len() > 2 {
-			t.Errorf("thread-blind summary found scan fragment %v", pat)
-		}
-	}
-	// Thread-aware summary: one full scan per thread.
-	aware := SummarizeThreads(p, DefaultConfig())
-	if aware.SequentialReads != 2 {
-		t.Errorf("thread-aware sequential reads = %d, want 2", aware.SequentialReads)
-	}
-	if aware.Count(ReadForward) != 1 || aware.Count(ReadBackward) != 1 {
-		t.Errorf("Read-Forward = %d, Read-Backward = %d, want 1 each",
-			aware.Count(ReadForward), aware.Count(ReadBackward))
-	}
-	if got := aware.EventsIn[ReadForward] + aware.EventsIn[ReadBackward]; got != 2*n {
-		t.Errorf("events in read patterns = %d, want %d", got, 2*n)
-	}
-}
-
-func TestSummarizeThreadsSingleThreadIdentical(t *testing.T) {
-	s, rec := session()
-	l := dstruct.NewList[int](s)
-	for i := 0; i < 50; i++ {
-		l.Add(i)
-	}
-	p := oneProfile(t, s, rec)
-	a := Summarize(p, DefaultConfig())
-	b := SummarizeThreads(p, DefaultConfig())
-	if a.Count(InsertBack) != b.Count(InsertBack) || len(a.Patterns) != len(b.Patterns) {
-		t.Error("single-threaded summaries differ")
 	}
 }
 
@@ -314,13 +287,6 @@ func TestTypeStringAndTypes(t *testing.T) {
 	}
 }
 
-func TestSummaryCountOutOfRange(t *testing.T) {
-	s := &Summary{}
-	if s.Count(Type(200)) != 0 {
-		t.Error("out-of-range Count nonzero")
-	}
-}
-
 func TestPatternStringAndCoverage(t *testing.T) {
 	s, rec := session()
 	l := dstruct.NewListCap[int](s, 10)
@@ -330,7 +296,7 @@ func TestPatternStringAndCoverage(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		l.Get(i)
 	}
-	pats := Detect(oneProfile(t, s, rec))
+	pats := detect(t, rec)
 	if len(pats) != 2 {
 		t.Fatalf("pats = %v", pats)
 	}

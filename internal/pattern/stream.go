@@ -1,9 +1,10 @@
 // StreamDetector: pattern detection as an online reducer. It drives a
 // profile.StreamSegmenter over the event stream, classifies each run the
 // moment it closes, and folds the classification into a Summary — so the only
-// state between events is the open run plus O(patterns) aggregates. The batch
-// entry points (DetectWith, Summarize) are thin drivers over the same fold,
-// keeping exactly one implementation of the paper's classification semantics.
+// state between events is the open run plus O(patterns) aggregates. It is the
+// only implementation of the paper's classification semantics: the analyzer
+// runs one per thread of every instance, plus one over the interleaved stream
+// for the regularity check.
 //
 // Closed runs are lent by pointer (FeedRuns, and the segmenter's borrow
 // contract behind it): a run is copied only where it is retained, into a
@@ -26,8 +27,8 @@ type Closed struct {
 }
 
 // StreamDetector incrementally detects patterns over a single ordered event
-// stream (one instance, one thread — callers split per thread exactly like
-// SummarizeThreads does).
+// stream (one instance, one thread — the analyzer keeps one per thread and
+// merges their summaries in thread-id order).
 type StreamDetector struct {
 	cfg  Config
 	seg  *profile.StreamSegmenter
@@ -73,9 +74,8 @@ func (d *StreamDetector) FeedBatch(b *trace.ColumnBatch, i, j int, emit func(Clo
 }
 
 // classify classifies one closed run and folds it into the summary: the
-// single implementation behind FeedRuns, the value adapters and Summarize's
-// walk over an already-segmented run list. The run is copied only when the
-// detector keeps its pattern list.
+// single implementation behind FeedRuns and the value adapters. The run is
+// copied only when the detector keeps its pattern list.
 func (d *StreamDetector) classify(r *profile.Run) Type {
 	if r.Len() < d.cfg.MinLen {
 		return None
@@ -133,8 +133,8 @@ var compoundOps = [...]trace.Op{
 	trace.OpSearch, trace.OpSort, trace.OpForAll, trace.OpCopy, trace.OpResize,
 }
 
-// RegularityFrom decides regularity from already-computed aggregates — the
-// form both the batch driver and the streaming analyzer share.
+// RegularityFrom decides regularity from already-computed aggregates: the
+// interleaved stream's pattern summary and the instance statistics.
 func RegularityFrom(sum *Summary, st *profile.Stats, rcfg RegularityConfig) bool {
 	if rcfg.MinRepeats > 0 {
 		for _, n := range sum.ByType {

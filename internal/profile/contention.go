@@ -12,11 +12,11 @@
 // container recommendations (shard-by-key, MPSC queue, RWMutex-wrap).
 //
 // Like every other per-instance reducer, StreamContention folds the instance's
-// events in sequence order and produces the same figures in batch and
-// streaming mode; unlike StreamStats it is order-*sensitive* (episodes and
-// phases are adjacency properties), which is fine on exactly the grounds the
-// run segmenter accepts: both pipelines fold the identical per-instance
-// sequence.
+// events in sequence order, one at a time (Fold) or a column span at a time
+// (FoldBatch), with the same figures either way; unlike StreamStats it is
+// order-*sensitive* (episodes and phases are adjacency properties), which is
+// fine on exactly the grounds the run segmenter accepts: every feed path
+// folds the identical per-instance sequence.
 package profile
 
 import (
@@ -122,7 +122,7 @@ func (c *Contention) PhaseSeparated(maxPhases int) bool {
 
 // StreamContention incrementally computes a profile's Contention. Fold each
 // event in per-instance sequence order; Snapshot at any time yields the
-// figures a batch pass over the same prefix would produce.
+// figures of the prefix folded so far, without consuming it.
 //
 // Single-threaded fast path: all episode/phase/switch state is scalar, and
 // the first thread's window lives inline — an instance touched by exactly one
@@ -396,23 +396,3 @@ func (c *StreamContention) Clone() *StreamContention {
 	out.more = append([]ThreadWindow(nil), c.more...)
 	return &out
 }
-
-// Contention computes (and caches) the cross-thread summary by folding the
-// events through the online reducer — the batch driver over StreamContention.
-// Stream-built profiles answer from the primed summary.
-func (p *Profile) Contention() *Contention {
-	if p.contention != nil {
-		return p.contention
-	}
-	var sc StreamContention
-	for _, e := range p.Events {
-		sc.Fold(e)
-	}
-	p.contention = sc.Snapshot()
-	return p.contention
-}
-
-// PrimeContention installs a precomputed cross-thread summary so later
-// Contention calls do not refold the events. The caller asserts ct was
-// computed over exactly p's event stream.
-func (p *Profile) PrimeContention(ct *Contention) { p.contention = ct }

@@ -193,9 +193,8 @@ func TestContentionOverflow(t *testing.T) {
 	}
 }
 
-// TestContentionSnapshotMatchesBatch: Profile.Contention (the batch driver)
-// and an independently folded StreamContention agree, and FoldBatch over a
-// column batch agrees with per-event Fold.
+// TestContentionSnapshotMatchesBatch: FoldBatch over a column batch — whole,
+// or split across calls — agrees with per-event Fold.
 func TestContentionSnapshotMatchesBatch(t *testing.T) {
 	var events []trace.Event
 	r := 0
@@ -208,13 +207,7 @@ func TestContentionSnapshotMatchesBatch(t *testing.T) {
 		events = append(events, ev(uint64(i), op, thr))
 		r++
 	}
-	p := &Profile{Instance: trace.Instance{ID: 1}, Events: events}
-	want := p.Contention()
-
-	got := foldAll(events)
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("Profile.Contention != stream fold:\n%+v\n%+v", want, got)
-	}
+	want := foldAll(events)
 
 	b := &trace.ColumnBatch{}
 	for _, e := range events {
@@ -223,6 +216,11 @@ func TestContentionSnapshotMatchesBatch(t *testing.T) {
 		b.Thread = append(b.Thread, e.Thread)
 		b.Index = append(b.Index, e.Index)
 		b.Size = append(b.Size, e.Size)
+	}
+	var whole StreamContention
+	whole.FoldBatch(b, 0, len(events))
+	if got := whole.Snapshot(); !reflect.DeepEqual(want, got) {
+		t.Fatalf("one FoldBatch != Fold:\n%+v\n%+v", want, got)
 	}
 	var sc StreamContention
 	mid := len(events) / 3

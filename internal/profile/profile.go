@@ -1,13 +1,17 @@
-// Package profile builds runtime profiles from recorded access events and
-// segments them into directional runs, the intermediate representation
-// between raw events and the paper's access patterns.
+// Package profile holds the per-instance reducers between raw events and the
+// paper's access patterns: statistics (StreamStats), segmentation into
+// directional runs (StreamSegmenter) and the cross-thread contention summary
+// (StreamContention).
 //
 // A runtime profile contains all access events of one data-structure
 // instance from initialization to deallocation in chronological order
 // (§II.B). The phase-detection step ("After the execution of the
 // instrumented program DSspy executes the phase detection on the access
 // proﬁles", §IV) assigns all access events to their instantiation location
-// and derives per-instance statistics and maximal same-operation runs.
+// and derives per-instance statistics and maximal same-operation runs. The
+// analyzer does both as it folds the stream, so a report's Profile is
+// event-free (NewStreamed); Build derives the per-event view only for the
+// renderers that draw the trace (core's Report.AttachEvents).
 package profile
 
 import (
@@ -22,10 +26,8 @@ type Profile struct {
 	Instance trace.Instance
 	Events   []trace.Event
 
-	stats      *Stats      // lazily computed
-	contention *Contention // lazily computed cross-thread summary
-	runs       []Run       // lazily cached default-options segmentation
-	streamed   int         // event count when built by the stream pipeline (Events nil)
+	stats    *Stats // lazily computed
+	streamed int    // event count when built by the stream pipeline (Events nil)
 }
 
 // Build groups events by instance and returns one profile per instance that
@@ -110,8 +112,9 @@ func (ts *threadSet) add(id trace.ThreadID) {
 	*ts = append(s, id)
 }
 
-// Stats computes (and caches) the aggregate figures by folding the events
-// through the online reducer — the batch driver over StreamStats.
+// Stats computes (and caches) the aggregate figures by folding the view's
+// events through StreamStats; stream-built and attached profiles answer from
+// the primed figures.
 func (p *Profile) Stats() *Stats {
 	if p.stats != nil {
 		return p.stats

@@ -13,6 +13,25 @@ func session() (*trace.Session, *trace.MemRecorder) {
 	return trace.NewSessionWith(trace.Options{Recorder: rec, CaptureSites: true}), rec
 }
 
+// segmentWith segments one instance's events with opts through a
+// StreamSegmenter over a column batch, flushing the open run.
+func segmentWith(events []trace.Event, opts SegmentOptions) []Run {
+	var b trace.ColumnBatch
+	b.AppendEvents(events)
+	g := NewStreamSegmenter(opts)
+	var runs []Run
+	g.FeedBatch(&b, 0, b.Len(), func(r Run) { runs = append(runs, r) })
+	if r, ok := g.Finish(); ok {
+		runs = append(runs, r)
+	}
+	return runs
+}
+
+// segment is segmentWith under the paper's strict adjacency reading.
+func segment(events []trace.Event) []Run {
+	return segmentWith(events, DefaultSegmentOptions())
+}
+
 func TestBuildGroupsByInstance(t *testing.T) {
 	s, rec := session()
 	a := dstruct.NewList[int](s)
@@ -62,7 +81,7 @@ func TestBuildResortsEvents(t *testing.T) {
 			t.Fatalf("event %d has seq %d", i, e.Seq)
 		}
 	}
-	runs := p.Runs()
+	runs := segment(p.Events)
 	if len(runs) != 1 || runs[0].Direction != DirForward {
 		t.Errorf("runs = %v, want one forward run", runs)
 	}
@@ -135,7 +154,7 @@ func TestRunsForwardRead(t *testing.T) {
 		l.Get(i)
 	}
 	p := Build(s, rec.Events())[0]
-	runs := p.Runs()
+	runs := segment(p.Events)
 	if len(runs) != 2 {
 		t.Fatalf("got %d runs, want 2 (insert phase, read phase): %v", len(runs), runs)
 	}
@@ -168,7 +187,7 @@ func TestRunsDirectionBreaks(t *testing.T) {
 		l.Get(i)
 	}
 	p := Build(s, rec.Events())[0]
-	runs := p.Runs()
+	runs := segment(p.Events)
 	// insert, read-fwd(0,1,2), read at 5 breaks (jump of 3) -> the forward
 	// run ends; 5,4,3 is a backward run.
 	if len(runs) != 3 {
@@ -190,11 +209,11 @@ func TestRunsGapTolerance(t *testing.T) {
 		a.Get(i)
 	}
 	p := Build(s, rec.Events())[0]
-	strict := p.Runs()
+	strict := segment(p.Events)
 	if len(strict) != 5 {
 		t.Errorf("strict segmentation produced %d runs, want 5 singletons", len(strict))
 	}
-	loose := p.RunsWith(SegmentOptions{MaxStep: 2})
+	loose := segmentWith(p.Events, SegmentOptions{MaxStep: 2})
 	if len(loose) != 1 || loose[0].Direction != DirForward || loose[0].Len() != 5 {
 		t.Errorf("gap-tolerant runs = %v", loose)
 	}
@@ -207,11 +226,11 @@ func TestRunsStationary(t *testing.T) {
 		a.Get(2)
 	}
 	p := Build(s, rec.Events())[0]
-	strict := p.Runs()
+	strict := segment(p.Events)
 	if len(strict) != 5 {
 		t.Errorf("strict: %d runs, want 5 (repeats break runs)", len(strict))
 	}
-	loose := p.RunsWith(SegmentOptions{MaxStep: 1, AllowRepeat: true})
+	loose := segmentWith(p.Events, SegmentOptions{MaxStep: 1, AllowRepeat: true})
 	if len(loose) != 1 || loose[0].Direction != DirStationary {
 		t.Errorf("AllowRepeat runs = %v", loose)
 	}
@@ -225,7 +244,7 @@ func TestRunsWholeStructureOpsMerge(t *testing.T) {
 	l.Sort(func(a, b int) bool { return a > b })
 	l.Clear()
 	p := Build(s, rec.Events())[0]
-	runs := p.Runs()
+	runs := segment(p.Events)
 	// insert, sort+sort merged, clear
 	if len(runs) != 3 {
 		t.Fatalf("got %d runs: %v", len(runs), runs)
@@ -248,7 +267,7 @@ func TestRunsFrontBackFlags(t *testing.T) {
 		q.Dequeue()
 	}
 	p := Build(s, rec.Events())[0]
-	runs := p.Runs()
+	runs := segment(p.Events)
 	if len(runs) != 2 {
 		t.Fatalf("got %d runs: %v", len(runs), runs)
 	}
@@ -270,7 +289,7 @@ func TestStackRunsAreBack(t *testing.T) {
 		st.Pop()
 	}
 	p := Build(s, rec.Events())[0]
-	runs := p.Runs()
+	runs := segment(p.Events)
 	if len(runs) != 2 {
 		t.Fatalf("runs = %v", runs)
 	}
@@ -305,7 +324,7 @@ func TestRunsPartitionProperty(t *testing.T) {
 			return len(profiles) == 0
 		}
 		p := profiles[0]
-		runs := p.Runs()
+		runs := segment(p.Events)
 		pos := 0
 		for _, r := range runs {
 			if r.Start != pos || r.End < r.Start {
@@ -335,7 +354,7 @@ func TestProfileString(t *testing.T) {
 	if p.String() == "" {
 		t.Error("empty String")
 	}
-	r := p.Runs()[0]
+	r := segment(p.Events)[0]
 	if r.String() == "" {
 		t.Error("empty Run.String")
 	}

@@ -103,51 +103,6 @@ func DefaultSegmentOptions() SegmentOptions {
 	return SegmentOptions{MaxStep: 1, AllowRepeat: false}
 }
 
-// Runs segments the profile with default options.
-func (p *Profile) Runs() []Run { return p.RunsWith(DefaultSegmentOptions()) }
-
-// RunsWith segments the profile's events into maximal consistent runs.
-//
-// Events with the same access type merge into one run as long as their
-// positions keep a consistent direction (within MaxStep). Whole-structure
-// operations (Clear, Sort, ...) each form a run of their own kind, merged
-// when repeated back-to-back. Insert and Delete runs additionally track
-// whether every event hit the front or the back, because those streams have
-// constant positions rather than directions.
-//
-// The default-options segmentation is computed once and cached (several
-// detectors re-segment the same profile); callers must treat the returned
-// slice as read-only. Like Stats, the cache makes a Profile single-writer:
-// the analysis pipeline honours that by giving each profile to one worker.
-func (p *Profile) RunsWith(opts SegmentOptions) []Run {
-	if opts.MaxStep < 1 {
-		opts.MaxStep = 1
-	}
-	if opts == DefaultSegmentOptions() {
-		if p.runs == nil && len(p.Events) > 0 {
-			p.runs = p.segment(opts)
-		}
-		return p.runs
-	}
-	return p.segment(opts)
-}
-
-// segment is the batch driver over StreamSegmenter: one fold pass in event
-// order reproduces the maximal-run decomposition, Start/End ordinals intact.
-func (p *Profile) segment(opts SegmentOptions) []Run {
-	var runs []Run
-	g := NewStreamSegmenter(opts)
-	for _, e := range p.Events {
-		if r, ok := g.Feed(e); ok {
-			runs = append(runs, r)
-		}
-	}
-	if r, ok := g.Finish(); ok {
-		runs = append(runs, r)
-	}
-	return runs
-}
-
 func stepDirection(step int, opts SegmentOptions) Direction {
 	switch {
 	case step == 0:

@@ -3,10 +3,10 @@
 // — produces the figures a pass over a retained trace would. StreamStats
 // folds events into Stats; StreamSegmenter is the run segmentation of
 // runs.go re-expressed as a state machine that emits each maximal run the
-// moment the next event closes it, holding only the open run. The per-event
-// profile view's methods (Profile.Stats, Profile.RunsWith) are thin drivers
-// over these reducers, so there is exactly one implementation of the paper's
-// semantics.
+// moment the next event closes it, holding only the open run. The analyzer
+// folds column batches through the FoldBatch/FeedRuns kernels; the per-event
+// forms (Fold, Feed) are the reference the columnar fuzz differential holds
+// them to.
 package profile
 
 import "dsspy/internal/trace"
@@ -155,10 +155,18 @@ func (ss *StreamStats) Clone() *StreamStats {
 
 // StreamSegmenter is run segmentation as a state machine: Feed returns the
 // run an event closes (if any), Finish flushes the still-open run. Start/End
-// are ordinals in feed order, so feeding a profile's events reproduces the
-// batch segmentation of runs.go index for index. The machine only ever reads
-// the previous event's index, so that is all it keeps of it: Feed and the
-// columnar FeedRuns share one state and may be mixed freely.
+// are ordinals in feed order.
+//
+// Events with the same access type merge into one run as long as their
+// positions keep a consistent direction (within MaxStep). Whole-structure
+// operations (Clear, Sort, ...) each form a run of their own kind, merged
+// when repeated back-to-back. Insert and Delete runs additionally track
+// whether every event hit the front or the back, because those streams have
+// constant positions rather than directions.
+//
+// The machine only ever reads the previous event's index, so that is all it
+// keeps of it: Feed and the columnar FeedRuns share one state and may be
+// mixed freely.
 type StreamSegmenter struct {
 	opts    SegmentOptions
 	open    bool

@@ -56,9 +56,6 @@ func (p *Profile) ByThread() []ThreadSlice {
 	return out
 }
 
-// ThreadCount returns the number of distinct thread ids in the profile.
-func (p *Profile) ThreadCount() int { return p.Stats().Threads }
-
 // SharedAccess describes concurrent use of one instance: how many threads
 // touched it and whether any of them mutated it. An instance written by one
 // thread and read by others concurrently is exactly the situation the

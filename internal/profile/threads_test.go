@@ -43,8 +43,8 @@ func TestByThreadSplits(t *testing.T) {
 		}
 	}
 	// Thread 1's events are forward, thread 2's backward.
-	r1 := slices[0].Profile.Runs()
-	r2 := slices[1].Profile.Runs()
+	r1 := segment(slices[0].Profile.Events)
+	r2 := segment(slices[1].Profile.Events)
 	if len(r1) != 1 || r1[0].Direction != DirForward {
 		t.Errorf("thread 1 runs = %v", r1)
 	}
@@ -52,7 +52,7 @@ func TestByThreadSplits(t *testing.T) {
 		t.Errorf("thread 2 runs = %v", r2)
 	}
 	// The merged profile's strict segmentation sees a zigzag: no long runs.
-	for _, r := range p.Runs() {
+	for _, r := range segment(p.Events) {
 		if r.Len() > 2 {
 			t.Errorf("interleaved profile produced run %v", r)
 		}
@@ -74,8 +74,8 @@ func TestByThreadSingleThreadShares(t *testing.T) {
 	if slices[0].Profile != p {
 		t.Error("single-thread split should share the original profile")
 	}
-	if p.ThreadCount() != 1 {
-		t.Errorf("ThreadCount = %d", p.ThreadCount())
+	if got := p.Stats().Threads; got != 1 {
+		t.Errorf("Threads = %d", got)
 	}
 }
 

@@ -5,37 +5,39 @@
 // threshold space by coordinate descent for the assignment with the best
 // F1 score.
 //
-// Profiles and pattern summaries are computed once per program and cached;
-// only the use-case detectors re-run per candidate, so a full sweep over
-// thousands of candidates stays fast.
+// Every candidate is scored by the engine that builds every report: each
+// program's event stream is recorded once and cached as one column batch,
+// and a candidate folds that batch through a fresh StreamAnalyzer configured
+// with its thresholds. Segmentation and pattern detection therefore re-run
+// per candidate: one candidate folds the programs' ~32k events in about
+// 2.5 ms on a 2-vCPU Xeon (BenchmarkEvaluate), so dstune -search, 96
+// candidates, runs in about a quarter of a second.
 package tuning
 
 import (
 	"fmt"
 	"sort"
 
+	"dsspy/internal/core"
 	"dsspy/internal/corpus"
-	"dsspy/internal/pattern"
-	"dsspy/internal/profile"
 	"dsspy/internal/trace"
 	"dsspy/internal/usecase"
 )
 
-// Sample is one labeled program: its cached per-instance analysis inputs
-// and the expected use-case counts.
+// Sample is one labeled program: its recorded event stream and the expected
+// use-case counts.
 type Sample struct {
 	Program  string
 	Expected map[usecase.Kind]int
 
-	profiles  []*profile.Profile
-	summaries []*pattern.Summary
+	session *trace.Session
+	events  trace.ColumnBatch
 }
 
 // BuildSamples runs every use-case-study program once under instrumentation
-// and caches the profiles and pattern summaries together with the
-// descriptor's expected findings.
+// and caches its session and event columns together with the descriptor's
+// expected findings.
 func BuildSamples() []Sample {
-	cfg := pattern.DefaultConfig()
 	var out []Sample
 	for _, p := range corpus.UseCaseStudyPrograms() {
 		rec := trace.NewMemRecorder()
@@ -43,11 +45,8 @@ func BuildSamples() []Sample {
 		for _, b := range p.Mix.Behaviors(p.Name) {
 			b(s)
 		}
-		sample := Sample{Program: p.Name, Expected: p.Mix.UseCases()}
-		for _, pr := range profile.Build(s, rec.Events()) {
-			sample.profiles = append(sample.profiles, pr)
-			sample.summaries = append(sample.summaries, pattern.SummarizeThreads(pr, cfg))
-		}
+		sample := Sample{Program: p.Name, Expected: p.Mix.UseCases(), session: s}
+		sample.events.AppendEvents(rec.Events())
 		out = append(out, sample)
 	}
 	return out
@@ -55,13 +54,18 @@ func BuildSamples() []Sample {
 
 // detect returns the sample's per-kind parallel-use-case counts under th.
 func (s *Sample) detect(th usecase.Thresholds) map[usecase.Kind]int {
+	cfg := core.DefaultConfig()
+	cfg.Thresholds = th
+	// One shard and one finalize worker: a program folds in about 0.1 ms,
+	// less than fanning out costs (GOMAXPROCS workers measure ~1.4x slower
+	// in BenchmarkEvaluate).
+	cfg.Workers = 1
+	a := core.NewWith(cfg).NewStreamAnalyzer(1)
+	a.Attach(s.session)
+	a.FeedColumns(&s.events)
 	got := make(map[usecase.Kind]int)
-	for i, pr := range s.profiles {
-		for _, u := range usecase.DetectWithSummary(pr, s.summaries[i], th) {
-			if u.Kind.Parallel() {
-				got[u.Kind]++
-			}
-		}
+	for _, u := range a.Close().ParallelUseCases() {
+		got[u.Kind]++
 	}
 	return got
 }

@@ -58,10 +58,7 @@ func TestTightThresholdsUnderdetect(t *testing.T) {
 
 func TestTuneRecoversFromBadStart(t *testing.T) {
 	samples := samplesOnce(t)
-	start := usecase.Default()
-	start.LIMinRunLen = 10 // over-detects
-	start.SAIMinRunLen = 10
-	start.FLRMinPatterns = 40 // under-detects
+	start := detunedStart()
 	startQ := Evaluate(samples, start)
 	if startQ.F1() >= 1.0 {
 		t.Fatalf("bad start unexpectedly perfect: %v", startQ)
@@ -129,4 +126,22 @@ func TestQualityCurveMonotonicEnds(t *testing.T) {
 			t.Errorf("published value not perfect: %v", pt.Quality)
 		}
 	}
+}
+
+// BenchmarkEvaluate is the unit of dstune's cost: one candidate folds every
+// study program's cached event columns through a fresh analyzer.
+func BenchmarkEvaluate(b *testing.B) {
+	samples := BuildSamples()
+	events := 0
+	for i := range samples {
+		events += samples[i].events.Len()
+	}
+	th := usecase.Default()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if q := Evaluate(samples, th); q.TP == 0 {
+			b.Fatalf("no detections: %v", q)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
 }

@@ -9,8 +9,8 @@ import (
 
 // The eight detectors. Each reads the aggregates its Stream reducer folded
 // from events, runs and patterns, applies the paper's thresholds, and renders
-// the evidence string. Batch and streaming modes both arrive here, so the
-// threshold semantics exist exactly once.
+// the evidence string. Every report reaches them through Stream.Finish, so
+// the threshold semantics exist exactly once.
 
 // linear reports whether the instance is a linear data structure — the use
 // cases are defined over lists and arrays (DSspy implements its automatic

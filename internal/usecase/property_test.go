@@ -1,11 +1,12 @@
-package usecase
+package usecase_test
 
 import (
 	"testing"
 	"testing/quick"
 
-	"dsspy/internal/profile"
+	"dsspy/internal/core"
 	"dsspy/internal/trace"
+	. "dsspy/internal/usecase"
 )
 
 // Property tests over the detector engine: threshold monotonicity and
@@ -13,10 +14,16 @@ import (
 // tuner relies on — loosening a threshold can only add findings, tightening
 // can only remove them.
 
-// randomProfile builds a profile from a compact random script so quick can
-// shrink failures: each step is either a batch of appends, a full scan, a
-// burst of searches, or a clear.
-func randomProfile(script []uint8) *profile.Profile {
+// randomProfile is one list instance's recorded run of a compact random
+// script, so quick can shrink failures: each step is either a batch of
+// appends, a full scan, a burst of searches, or a clear.
+type randomProfile struct {
+	s      *trace.Session
+	id     trace.InstanceID
+	events []trace.Event
+}
+
+func newRandomProfile(script []uint8) randomProfile {
 	rec := trace.NewMemRecorder()
 	s := trace.NewSessionWith(trace.Options{Recorder: rec})
 	id := s.Register(trace.KindList, "List[int]", "", 0)
@@ -43,11 +50,14 @@ func randomProfile(script []uint8) *profile.Profile {
 			size = 0
 		}
 	}
-	profiles := profile.Build(s, rec.Events())
-	if len(profiles) == 0 {
-		return &profile.Profile{Instance: trace.Instance{ID: id, Kind: trace.KindList}}
-	}
-	return profiles[0]
+	return randomProfile{s: s, id: id, events: rec.Events()}
+}
+
+// detect analyzes the run under th and returns the instance's use cases.
+func (p randomProfile) detect(th Thresholds) []UseCase {
+	cfg := core.DefaultConfig()
+	cfg.Thresholds = th
+	return core.NewWith(cfg).Analyze(p.s, p.events).UseCases()
 }
 
 func maxInt(a, b int) int {
@@ -83,9 +93,9 @@ func TestPropertyTighterLIIsSubset(t *testing.T) {
 	tight.LIMinRunLen = 500
 	tight.SAIMinRunLen = 500
 	f := func(script []uint8) bool {
-		p := randomProfile(script)
-		got := kindsOf(Detect(p, tight))
-		ref := kindsOf(Detect(p, loose))
+		p := newRandomProfile(script)
+		got := kindsOf(p.detect(tight))
+		ref := kindsOf(p.detect(loose))
 		// Only LI/SAI are affected by these knobs.
 		return subsetOn(got, ref, LongInsert) && subsetOn(got, ref, SortAfterInsert)
 	}
@@ -100,9 +110,9 @@ func TestPropertyLooserFLRIsSuperset(t *testing.T) {
 	loose := Default()
 	loose.FLRMinPatterns = 1
 	f := func(script []uint8) bool {
-		p := randomProfile(script)
-		got := kindsOf(Detect(p, base))
-		sup := kindsOf(Detect(p, loose))
+		p := newRandomProfile(script)
+		got := kindsOf(p.detect(base))
+		sup := kindsOf(p.detect(loose))
 		return subsetOn(got, sup, FrequentLongRead)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -116,9 +126,9 @@ func TestPropertyLooserFSIsSuperset(t *testing.T) {
 	loose := Default()
 	loose.FSMinSearchOps = 1
 	f := func(script []uint8) bool {
-		p := randomProfile(script)
-		got := kindsOf(Detect(p, base))
-		sup := kindsOf(Detect(p, loose))
+		p := newRandomProfile(script)
+		got := kindsOf(p.detect(base))
+		sup := kindsOf(p.detect(loose))
 		return subsetOn(got, sup, FrequentSearch)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -135,9 +145,9 @@ func subsetOn(a, b map[Kind]bool, k Kind) bool {
 func TestPropertyDeterministicAndUnique(t *testing.T) {
 	th := Default()
 	f := func(script []uint8) bool {
-		p := randomProfile(script)
-		a := Detect(p, th)
-		b := Detect(p, th)
+		p := newRandomProfile(script)
+		a := p.detect(th)
+		b := p.detect(th)
 		if len(a) != len(b) {
 			return false
 		}
@@ -163,9 +173,9 @@ func TestPropertyDeterministicAndUnique(t *testing.T) {
 func TestPropertyFindingsWellFormed(t *testing.T) {
 	th := Default()
 	f := func(script []uint8) bool {
-		p := randomProfile(script)
-		for _, u := range Detect(p, th) {
-			if u.Instance.ID != p.Instance.ID {
+		p := newRandomProfile(script)
+		for _, u := range p.detect(th) {
+			if u.Instance.ID != p.id {
 				return false
 			}
 			if u.Evidence == "" || u.Recommendation != u.Kind.Action() {

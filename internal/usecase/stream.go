@@ -4,8 +4,9 @@
 // folded aggregates once the instance kind and stats are known. Every
 // aggregate here is order-insensitive (sums, maxes, counters) or depends only
 // on run adjacency in stream order (Sort-After-Insert, Write-Without-Read),
-// so incremental feeding reproduces the batch answer exactly — the batch
-// DetectWithSummary is a thin driver over this reducer.
+// so any split of the stream into spans — per event (Event) or per column
+// span (FoldBatch) — reaches the same answer. The analyzer (internal/core)
+// drives it; it is the only use-case engine.
 package usecase
 
 import (

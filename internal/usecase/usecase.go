@@ -14,8 +14,6 @@ package usecase
 import (
 	"fmt"
 
-	"dsspy/internal/pattern"
-	"dsspy/internal/profile"
 	"dsspy/internal/trace"
 )
 
@@ -282,40 +280,4 @@ func Default() Thresholds {
 		PRWMinOps:            64,
 		PRWMaxPhases:         8,
 	}
-}
-
-// Detect runs all eight detectors on one profile and returns the use cases
-// that fire, in Kind order.
-func Detect(p *profile.Profile, th Thresholds) []UseCase {
-	sum := pattern.Summarize(p, pattern.DefaultConfig())
-	return DetectWithSummary(p, sum, th)
-}
-
-// DetectWithSummary is Detect with a precomputed pattern summary, so callers
-// that already summarized (the orchestrator) do not pay twice. It is the
-// batch driver over the Stream reducer: one pass over the events, one over
-// the cached global runs, one over the summarized patterns.
-func DetectWithSummary(p *profile.Profile, sum *pattern.Summary, th Thresholds) []UseCase {
-	st := p.Stats()
-	if st.Total == 0 {
-		return nil
-	}
-	u := NewStream(th)
-	for _, e := range p.Events {
-		u.Event(e)
-	}
-	runs := p.Runs()
-	for i := range runs {
-		u.Run(&runs[i])
-	}
-	for i := range sum.Patterns {
-		u.Pattern(sum.Patterns[i].Type, &sum.Patterns[i].Run)
-	}
-	// The cross-thread summary is only consulted for multi-thread profiles,
-	// so single-threaded profiles never pay the contention fold.
-	var ct *profile.Contention
-	if st.Threads > 1 {
-		ct = p.Contention()
-	}
-	return u.Finish(p.Instance, st, ct)
 }

@@ -1,12 +1,17 @@
-package usecase
+package usecase_test
+
+// The detectors are exercised through the StreamAnalyzer, the one engine
+// every report comes from; core imports usecase, so these tests live in an
+// external package, with the package under test dot-imported.
 
 import (
 	"strings"
 	"testing"
 
+	"dsspy/internal/core"
 	"dsspy/internal/dstruct"
-	"dsspy/internal/profile"
 	"dsspy/internal/trace"
+	. "dsspy/internal/usecase"
 )
 
 func session() (*trace.Session, *trace.MemRecorder) {
@@ -14,13 +19,15 @@ func session() (*trace.Session, *trace.MemRecorder) {
 	return trace.NewSessionWith(trace.Options{Recorder: rec, CaptureSites: true}), rec
 }
 
+// detectOn analyzes the session's one instance under the paper's thresholds
+// and returns its use cases.
 func detectOn(t *testing.T, s *trace.Session, rec *trace.MemRecorder) []UseCase {
 	t.Helper()
-	profiles := profile.Build(s, rec.Events())
-	if len(profiles) != 1 {
-		t.Fatalf("got %d profiles, want 1", len(profiles))
+	rep := core.New().Analyze(s, rec.Events())
+	if len(rep.Instances) != 1 {
+		t.Fatalf("got %d instances, want 1", len(rep.Instances))
 	}
-	return Detect(profiles[0], Default())
+	return rep.Instances[0].UseCases
 }
 
 func kinds(ucs []UseCase) map[Kind]bool {
@@ -439,10 +446,14 @@ func TestWriteWithoutReadNotWhenReadAfter(t *testing.T) {
 	}
 }
 
+// An instance that raised no event has no profile to judge: it gets no row
+// and no finding.
 func TestDetectEmptyProfile(t *testing.T) {
-	p := &profile.Profile{}
-	if got := Detect(p, Default()); got != nil {
-		t.Errorf("Detect(empty) = %v", got)
+	s, rec := session()
+	dstruct.NewList[int](s)
+	rep := core.New().Analyze(s, rec.Events())
+	if len(rep.Instances) != 0 || rep.UseCases() != nil {
+		t.Errorf("event-free instance: rows = %d, use cases = %v", len(rep.Instances), rep.UseCases())
 	}
 }
 
