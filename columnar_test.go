@@ -291,13 +291,15 @@ func gateSession(tb testing.TB) *trace.Session {
 }
 
 // TestColumnarFoldThroughputGate bounds what the []Event ingress costs over
-// the columnar fold it adapts: Feed scatters struct events onto a scratch
-// column batch and folds that through FeedColumns, so on the same workload
-// it must cost at most 1.5× FeedColumns — the scatter, never a second fold.
-// The two are timed as foldGatePairs back-to-back pairs, alternating which
-// runs first, and the gate reads the median of the per-pair ratios, so one
-// noisy run cannot fail it. Enabled by DSSPY_COLUMNAR_GATE=1 (see `make
-// bench-columnar`): wall-clock gates need a quiet machine.
+// the columnar fold it adapts: Feed scatters struct events onto scratch
+// column batches and hands them to the same fold queues as FeedColumns, so
+// on the same workload it must cost at most 1.5× FeedColumns — the scatter,
+// never a second fold. FeedColumns may return before its batch is folded,
+// so each side is timed through Close. The two are timed as foldGatePairs
+// back-to-back pairs, alternating which runs first, and the gate reads the
+// median of the per-pair ratios, so one noisy run cannot fail it. Enabled by
+// DSSPY_COLUMNAR_GATE=1 (see `make bench-columnar`): wall-clock gates need a
+// quiet machine.
 func TestColumnarFoldThroughputGate(t *testing.T) {
 	if os.Getenv("DSSPY_COLUMNAR_GATE") == "" {
 		t.Skip("throughput gate needs a quiet machine; run via `make bench-columnar` (DSSPY_COLUMNAR_GATE=1)")
@@ -312,9 +314,8 @@ func TestColumnarFoldThroughputGate(t *testing.T) {
 		sa.Attach(gateSession(t))
 		t0 := time.Now()
 		fold(sa)
-		d := time.Since(t0)
 		sa.Close()
-		return d
+		return time.Since(t0)
 	}
 	feed := func(sa *core.StreamAnalyzer) { sa.Feed(events...) }
 	feedColumns := func(sa *core.StreamAnalyzer) { sa.FeedColumns(cb) }

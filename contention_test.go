@@ -9,6 +9,7 @@ package dsspy_test
 
 import (
 	"bytes"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -184,7 +185,10 @@ func TestContendQueueProbeSpeedup(t *testing.T) {
 
 // TestContentionOverheadEndToEnd is the bench-contend budget: on a purely
 // single-threaded workload, the contention reducer's fold cost must stay
-// under 5% of the end-to-end analysis pipeline it rides in.
+// under 5% of the end-to-end analysis pipeline it rides in. Both sides are
+// timed alike: contentionGatePairs back-to-back pairs, alternating which
+// side runs first, each side the best of 3 within its pair, and the gate
+// reads the median of the per-pair shares, so one noisy run cannot fail it.
 func TestContentionOverheadEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing gate; skipped in -short")
@@ -193,6 +197,7 @@ func TestContentionOverheadEndToEnd(t *testing.T) {
 		t.Skip("timing gate; race instrumentation skews the ratio")
 	}
 	const n = 200_000
+	const contentionGatePairs = 11
 	workload := func(s *trace.Session) {
 		id := s.Register(trace.KindList, "int", "overhead", 0)
 		for i := 0; i < n; i++ {
@@ -200,15 +205,7 @@ func TestContentionOverheadEndToEnd(t *testing.T) {
 		}
 	}
 
-	bestPipeline := time.Duration(1<<62 - 1)
-	for r := 0; r < 3; r++ {
-		start := time.Now()
-		core.New().Run(workload)
-		if d := time.Since(start); d < bestPipeline {
-			bestPipeline = d
-		}
-	}
-	// The events the reducer folds below: recorded once, with the per-event
+	// The events the reducer folds: recorded once, with the per-event
 	// profile view attached by Analyze, then laid out as the column batch
 	// the pipeline's drain goroutines fold.
 	mem := trace.NewMemRecorder()
@@ -221,20 +218,36 @@ func TestContentionOverheadEndToEnd(t *testing.T) {
 	var cols trace.ColumnBatch
 	cols.AppendEvents(events)
 
-	bestFold := time.Duration(1<<62 - 1)
-	for r := 0; r < 5; r++ {
-		var sc profile.StreamContention
-		start := time.Now()
-		sc.FoldBatch(&cols, 0, cols.Len())
-		if d := time.Since(start); d < bestFold {
-			bestFold = d
+	bestOf3 := func(run func()) time.Duration {
+		best := time.Duration(1<<62 - 1)
+		for r := 0; r < 3; r++ {
+			start := time.Now()
+			run()
+			best = min(best, time.Since(start))
 		}
+		return best
 	}
-
-	share := float64(bestFold) / float64(bestPipeline)
-	t.Logf("contention fold %v vs pipeline %v: %.2f%% of end-to-end analysis",
-		bestFold, bestPipeline, 100*share)
-	if share > 0.05 {
-		t.Fatalf("contention reducer costs %.1f%% of the single-threaded pipeline, want < 5%%", 100*share)
+	pipeline := func() { core.New().Run(workload) }
+	fold := func() {
+		var sc profile.StreamContention
+		sc.FoldBatch(&cols, 0, cols.Len())
+	}
+	shares := make([]float64, contentionGatePairs)
+	for i := range shares {
+		var p, f time.Duration
+		if i%2 == 0 {
+			p, f = bestOf3(pipeline), bestOf3(fold)
+		} else {
+			f, p = bestOf3(fold), bestOf3(pipeline)
+		}
+		shares[i] = float64(f) / float64(p)
+	}
+	sort.Float64s(shares)
+	q1, median, q3 := shares[contentionGatePairs/4], shares[contentionGatePairs/2], shares[3*contentionGatePairs/4]
+	t.Logf("contention fold / pipeline over %d pairs: median %.2f%% (q1 %.2f%%, q3 %.2f%%) of end-to-end analysis",
+		contentionGatePairs, 100*median, 100*q1, 100*q3)
+	if median > 0.05 {
+		t.Fatalf("contention reducer costs %.1f%% of the single-threaded pipeline (median of %d pairs), want < 5%%",
+			100*median, contentionGatePairs)
 	}
 }

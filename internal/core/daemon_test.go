@@ -391,9 +391,10 @@ func TestDaemonSkipsHostileRegistryFrame(t *testing.T) {
 	}
 }
 
-// TestFeedConcurrentCallers: Feed shares one scratch batch across callers,
-// so concurrent feeds of disjoint instance sets (run under -race) must fold
-// exactly what a sequential feed folds.
+// TestFeedConcurrentCallers: concurrent Feed callers share the analyzer's
+// fold queues and the scratch-batch pool, so concurrent feeds of disjoint
+// instance sets (run under -race) must fold exactly what a sequential feed
+// folds.
 func TestFeedConcurrentCallers(t *testing.T) {
 	s, events := recordProgram(corpusPrograms()[5])
 	var parts [2][]trace.Event

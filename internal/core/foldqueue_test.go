@@ -1,0 +1,209 @@
+package core_test
+
+import (
+	"bytes"
+	"math/rand"
+	"path/filepath"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"dsspy/internal/core"
+	"dsspy/internal/trace"
+)
+
+// corpusReplayLog records every corpus program into one session, saves
+// it as a v3 session log and loads it back: the Seq-ordered column runs a
+// `dsspy -replay` folds, flattened into one batch.
+func corpusReplayLog(t *testing.T) (*trace.Session, *trace.ColumnBatch) {
+	t.Helper()
+	rec := trace.NewMemRecorder()
+	s := trace.NewSessionWith(trace.Options{Recorder: rec, CaptureSites: true})
+	for _, p := range corpusPrograms() {
+		for _, b := range p.Mix.Behaviors(p.Name) {
+			b(s)
+		}
+	}
+	var cb trace.ColumnBatch
+	cb.AppendEvents(rec.Events())
+	path := filepath.Join(t.TempDir(), "corpus.dslog")
+	if err := trace.SaveSessionColumns(path, s, &cb); err != nil {
+		t.Fatal(err)
+	}
+	ls, cols, err := trace.LoadSessionColumns(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flat trace.ColumnBatch
+	for _, b := range cols {
+		flat.AppendRange(b, 0, b.Len())
+	}
+	if flat.Len() != cb.Len() {
+		t.Fatalf("log replays %d events, recorded %d", flat.Len(), cb.Len())
+	}
+	return ls, &flat
+}
+
+// randomCuts splits b into k batches at random boundaries (some empty); each
+// is a view that aliases b.
+func randomCuts(b *trace.ColumnBatch, k int, rng *rand.Rand) []*trace.ColumnBatch {
+	cuts := []int{0, b.Len()}
+	for i := 1; i < k; i++ {
+		cuts = append(cuts, rng.Intn(b.Len()+1))
+	}
+	for i := 1; i < len(cuts); i++ { // insertion sort: k is small
+		for j := i; j > 0 && cuts[j] < cuts[j-1]; j-- {
+			cuts[j], cuts[j-1] = cuts[j-1], cuts[j]
+		}
+	}
+	out := make([]*trace.ColumnBatch, 0, k)
+	for i := 0; i+1 < len(cuts); i++ {
+		v := b.Slice(cuts[i], cuts[i+1])
+		out = append(out, &v)
+	}
+	return out
+}
+
+// foldBatches folds batches through a fresh n-shard analyzer and closes it.
+func foldBatches(s *trace.Session, n int, batches []*trace.ColumnBatch) *core.Report {
+	sa := core.New().NewStreamAnalyzer(n)
+	sa.Attach(s)
+	for _, b := range batches {
+		sa.FeedColumns(b)
+	}
+	return sa.Close()
+}
+
+// TestFoldQueuesShardInvariant: a corpus replay log handed to FeedColumns in
+// batches cut at random boundaries renders byte-identical text and JSON at
+// 1, 2, 3 and 8 shards — every shard's fold worker folds its instances'
+// spans in hand-over order whatever the cut and the shard count.
+func TestFoldQueuesShardInvariant(t *testing.T) {
+	s, flat := corpusReplayLog(t)
+	want := reportBytes(t, foldBatches(s, 1, []*trace.ColumnBatch{flat}))
+	rng := rand.New(rand.NewSource(20))
+	for _, shards := range []int{1, 2, 3, 8} {
+		for _, k := range []int{1, 7, 64} {
+			got := reportBytes(t, foldBatches(s, shards, randomCuts(flat, k, rng)))
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%d shards, %d random batches: report differs from a one-shard fold of the whole log", shards, k)
+			}
+		}
+	}
+}
+
+// TestFeedPiecesShardInvariant: Feed returns its scratch pieces to the pool
+// only once every shard has folded them, so one call over a slice many
+// pieces long, and a run of calls cut at random boundaries, render what a
+// one-shard FeedColumns of the same events does.
+func TestFeedPiecesShardInvariant(t *testing.T) {
+	s, flat := corpusReplayLog(t)
+	want := reportBytes(t, foldBatches(s, 1, []*trace.ColumnBatch{flat}))
+	events := flat.Events(nil)
+	rng := rand.New(rand.NewSource(4096))
+	for _, shards := range []int{1, 2, 3, 8} {
+		whole := core.New().NewStreamAnalyzer(shards)
+		whole.Attach(s)
+		whole.Feed(events...)
+		if got := reportBytes(t, whole.Close()); !bytes.Equal(got, want) {
+			t.Fatalf("%d shards, one Feed of %d events: report differs from a one-shard FeedColumns", shards, len(events))
+		}
+
+		cut := core.New().NewStreamAnalyzer(shards)
+		cut.Attach(s)
+		rest := events
+		for _, b := range randomCuts(flat, 16, rng) {
+			cut.Feed(rest[:b.Len()]...)
+			rest = rest[b.Len():]
+		}
+		if got := reportBytes(t, cut.Close()); !bytes.Equal(got, want) {
+			t.Fatalf("%d shards, 16 Feed calls cut at random: report differs from a one-shard FeedColumns", shards)
+		}
+	}
+}
+
+// TestSnapshotAfterFeedColumnsSeesEveryBatch: a Snapshot taken after the
+// k-th FeedColumns returns equals a one-shard fold of the first k batches,
+// although FeedColumns returned before its batch was folded.
+func TestSnapshotAfterFeedColumnsSeesEveryBatch(t *testing.T) {
+	s, flat := corpusReplayLog(t)
+	batches := randomCuts(flat, 6, rand.New(rand.NewSource(6)))
+	sa := core.New().NewStreamAnalyzer(3)
+	sa.Attach(s)
+	for k, b := range batches {
+		sa.FeedColumns(b)
+		got := reportBytes(t, sa.Snapshot())
+		want := reportBytes(t, foldBatches(s, 1, batches[:k+1]))
+		if !bytes.Equal(got, want) {
+			t.Fatalf("snapshot after batch %d differs from a one-shard fold of batches [0,%d]", k, k)
+		}
+	}
+	if got, want := reportBytes(t, sa.Close()), reportBytes(t, foldBatches(s, 1, batches)); !bytes.Equal(got, want) {
+		t.Fatal("final report differs from a one-shard fold of every batch")
+	}
+}
+
+// TestSnapshotConcurrentWithFeedColumns (run under -race by `make check`):
+// snapshots taken while another goroutine hands batches over see a growing
+// event count that never exceeds what was fed, and the final report equals
+// a one-shard fold.
+func TestSnapshotConcurrentWithFeedColumns(t *testing.T) {
+	s, flat := corpusReplayLog(t)
+	batches := randomCuts(flat, 32, rand.New(rand.NewSource(32)))
+	sa := core.New().NewStreamAnalyzer(2)
+	sa.Attach(s)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, b := range batches {
+			sa.FeedColumns(b)
+		}
+	}()
+	prev := 0
+	for r := 0; r < 8; r++ {
+		n := sa.Snapshot().Stats.Events
+		if n < prev || n > flat.Len() {
+			t.Fatalf("snapshot %d saw %d events, after %d, of %d fed", r, n, prev, flat.Len())
+		}
+		prev = n
+	}
+	wg.Wait()
+	if got, want := reportBytes(t, sa.Close()), reportBytes(t, foldBatches(s, 1, batches)); !bytes.Equal(got, want) {
+		t.Fatal("report after concurrent snapshots differs from a one-shard fold")
+	}
+}
+
+// TestFoldWorkersExit: fold workers run only while their queues hold
+// batches, so the goroutine count returns to its baseline after Close, and
+// also after an analyzer is abandoned unclosed once its queues drain.
+func TestFoldWorkersExit(t *testing.T) {
+	s, flat := corpusReplayLog(t)
+	batches := randomCuts(flat, 16, rand.New(rand.NewSource(16)))
+	settled := func(base int) bool {
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				return false
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return true
+	}
+
+	base := runtime.NumGoroutine()
+	foldBatches(s, 4, batches)
+	if !settled(base) {
+		t.Fatalf("after Close: %d goroutines, baseline %d", runtime.NumGoroutine(), base)
+	}
+
+	sa := core.New().NewStreamAnalyzer(4)
+	sa.Attach(s)
+	for _, b := range batches {
+		sa.FeedColumns(b)
+	}
+	if !settled(base) {
+		t.Fatalf("abandoned analyzer: %d goroutines, baseline %d", runtime.NumGoroutine(), base)
+	}
+}

@@ -237,6 +237,7 @@ func TestPromotionDifferential(t *testing.T) {
 					cb.Reset()
 					cb.AppendEvents(events[lo:hi])
 					a.FeedColumns(&cb)
+					a.settle() // FeedColumns may return before its batch is folded
 					st := a.shards[0].byInst[id]
 					if promoted := st.global != nil; promoted != joined {
 						t.Fatalf("after events [0,%d): global promoted = %v, second thread seen = %v", hi, promoted, joined)

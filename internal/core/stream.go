@@ -319,18 +319,27 @@ func (st *instanceStream) finalize(d *DSspy, s *trace.Session) *InstanceResult {
 // streamShard owns the instance reducers of one collector shard. Events are
 // partitioned by instance id, so one instance lives in exactly one shard and
 // the mutex is only contended by snapshot readers — never by another shard's
-// drain goroutine.
+// drain goroutine or fold worker.
 type streamShard struct {
 	mu     sync.Mutex
 	byInst map[trace.InstanceID]*instanceStream
 	folded uint64
+
+	// The shard's fold queue, guarded by StreamAnalyzer.qmu: the batches
+	// FeedColumns and Feed handed over, in hand-over order, from queue[next]
+	// on. One worker goroutine (foldQueue) runs while it is non-empty; done
+	// counts the batches it has folded.
+	queue   []*trace.ColumnBatch
+	next    int
+	working bool
+	done    uint64
 }
 
 // StreamAnalyzer computes reports incrementally from a live event stream. It
 // plugs into the sharded collector's drain path (Collector / FeedShard), or
-// consumes replayed streams via FeedColumns or Feed. Snapshot returns a
-// consistent report at any time; Close flushes everything and returns the
-// final report.
+// consumes replayed streams via FeedColumns or Feed, which fold on one worker
+// goroutine per shard. Snapshot returns a consistent report at any time;
+// Close flushes everything and returns the final report.
 //
 // Callers draining through a collector must close the collector first, so
 // every delivered event has been folded before Close builds the report.
@@ -344,10 +353,12 @@ type StreamAnalyzer struct {
 	// (sampling.go) and stamps finalized rows with bounds.
 	ctrl *sample.Controller
 
-	// feedMu guards scratch, the column batch Feed scatters struct events
-	// onto before folding them.
-	feedMu  sync.Mutex
-	scratch trace.ColumnBatch
+	// qmu guards handed and every shard's fold queue; qdone is signalled
+	// each time a fold worker finishes a batch. Every handed-over batch
+	// joins every shard's queue, so handed is each queue's total too.
+	qmu    sync.Mutex
+	qdone  sync.Cond
+	handed uint64
 
 	snapMu    sync.Mutex
 	snapshots int
@@ -365,6 +376,7 @@ func (d *DSspy) NewStreamAnalyzer(n int) *StreamAnalyzer {
 		n = par.DefaultParallelism()
 	}
 	a := &StreamAnalyzer{d: d, shards: make([]*streamShard, n), start: time.Now()}
+	a.qdone.L = &a.qmu
 	for i := range a.shards {
 		a.shards[i] = &streamShard{byInst: make(map[trace.InstanceID]*instanceStream)}
 	}
@@ -424,15 +436,23 @@ func (a *StreamAnalyzer) Collector(buf int, policy trace.OverloadPolicy, retainE
 // (cheap on the Instance column, and producer batches are usually one run),
 // so the reducer map is consulted once per run, not once per event.
 func (a *StreamAnalyzer) FeedShard(shard int, batch *trace.ColumnBatch) {
-	a.feedShardCols(shard, batch, 0, batch.Len())
+	a.feedShardCols(shard, batch, false)
 }
 
-func (a *StreamAnalyzer) feedShardCols(shard int, b *trace.ColumnBatch, lo, hi int) {
+// feedShardCols folds a column batch into one shard: the whole batch, or,
+// when own is set, only the instance runs whose instances map to the shard
+// (a fold worker's share of a batch every shard's queue holds).
+func (a *StreamAnalyzer) feedShardCols(shard int, b *trace.ColumnBatch, own bool) {
 	sh := a.shards[shard]
+	n := b.Len()
 	sh.mu.Lock()
-	for i := lo; i < hi; {
-		j := b.InstanceRun(i, hi)
+	for i := 0; i < n; {
+		j := b.InstanceRun(i, n)
 		id := b.Instance[i]
+		if own && int(id)%len(a.shards) != shard {
+			i = j
+			continue
+		}
 		st := sh.byInst[id]
 		if st == nil {
 			st = newInstanceStream(a.d, id)
@@ -442,56 +462,126 @@ func (a *StreamAnalyzer) feedShardCols(shard int, b *trace.ColumnBatch, lo, hi i
 			sh.byInst[id] = st
 		}
 		st.feedBatch(a.d, b, i, j)
+		sh.folded += uint64(j - i)
 		i = j
 	}
-	sh.folded += uint64(hi - lo)
 	sh.mu.Unlock()
 }
 
 // FeedColumns folds a column batch from any source (columnar replay of v3
-// logs, salvaged streams), routing each instance's span to its shard without
-// inflating events. Events must arrive in per-thread program order;
-// sequence-sorted replay runs satisfy that.
+// logs, salvaged streams) without inflating events. It hands the batch to
+// every shard's fold queue and may return before the batch is folded: each
+// shard's worker folds that shard's instance runs, batch after batch in
+// hand-over order, so every instance folds its events in the order given and
+// the shards fold in parallel. The caller must not mutate the batch until
+// the next Snapshot or Close, which wait for every batch handed over before
+// them. Events must arrive in per-thread program order; sequence-sorted
+// replay runs satisfy that.
 func (a *StreamAnalyzer) FeedColumns(b *trace.ColumnBatch) {
-	n := b.Len()
-	for i := 0; i < n; {
-		shard := int(b.Instance[i]) % len(a.shards)
-		j := i + 1
-		for j < n && int(b.Instance[j])%len(a.shards) == shard {
-			j++
-		}
-		a.feedShardCols(shard, b, i, j)
-		i = j
+	if b.Len() > 0 {
+		a.handOff(b)
 	}
 }
 
-// feedChunk bounds the scratch batch Feed scatters onto, so a long event
-// slice (a replayed log) is folded in cache-sized pieces instead of being
-// copied whole into a batch the analyzer would keep for its lifetime.
+// handOff appends b to every shard's fold queue, starts the worker of each
+// shard whose queue was empty, and returns b's hand-over number.
+func (a *StreamAnalyzer) handOff(b *trace.ColumnBatch) uint64 {
+	a.qmu.Lock()
+	defer a.qmu.Unlock()
+	a.handed++
+	for shard, sh := range a.shards {
+		sh.queue = append(sh.queue, b)
+		if !sh.working {
+			sh.working = true
+			go a.foldQueue(shard)
+		}
+	}
+	return a.handed
+}
+
+// foldQueue is a shard's fold worker: it folds the shard's share of each
+// queued batch in hand-over order and exits once the queue is empty, so no
+// worker outlives the batches it was started for.
+func (a *StreamAnalyzer) foldQueue(shard int) {
+	sh := a.shards[shard]
+	a.qmu.Lock()
+	for sh.next < len(sh.queue) {
+		b := sh.queue[sh.next]
+		sh.queue[sh.next] = nil
+		sh.next++
+		a.qmu.Unlock()
+		a.feedShardCols(shard, b, true)
+		a.qmu.Lock()
+		sh.done++
+		a.qdone.Broadcast()
+	}
+	sh.queue, sh.next = sh.queue[:0], 0
+	sh.working = false
+	a.qmu.Unlock()
+}
+
+// waitFolded waits until every shard has folded the first hand batches
+// handed over.
+func (a *StreamAnalyzer) waitFolded(hand uint64) {
+	a.qmu.Lock()
+	for _, sh := range a.shards {
+		for sh.done < hand {
+			a.qdone.Wait()
+		}
+	}
+	a.qmu.Unlock()
+}
+
+// settle waits until every batch handed over before the call is folded.
+// It is safe against concurrent FeedColumns callers: batches handed over
+// while it waits are not waited for.
+func (a *StreamAnalyzer) settle() {
+	a.qmu.Lock()
+	hand := a.handed
+	a.qmu.Unlock()
+	a.waitFolded(hand)
+}
+
+// feedChunk bounds each scratch batch Feed scatters onto, so a long event
+// slice (a replayed log) is handed over in cache-sized pieces and the fold
+// workers start on the first piece while the rest are scattered.
 const feedChunk = 4096
 
-// Feed folds struct events from any source: it scatters them onto the
-// analyzer's scratch column batch, a chunk at a time, and folds each chunk
-// through FeedColumns — the one fold. Reducers never retain a batch, so the
-// scratch is reused across calls (the collector's ShardSink contract);
-// feedMu serializes concurrent callers over it. Events must arrive in
-// per-thread program order; sequence-sorted replay streams satisfy that.
+// feedPool recycles Feed's scratch batches across calls and analyzers, so a
+// scatter writes into warm memory instead of fresh pages.
+var feedPool = sync.Pool{New: func() any { return new(trace.ColumnBatch) }}
+
+// Feed folds struct events from any source: it scatters them onto pooled
+// scratch column batches, a feedChunk piece at a time, hands each piece over
+// as FeedColumns does as soon as it is filled, and returns once every piece
+// is folded — so unlike FeedColumns it is synchronous, and the caller may
+// reuse the events at once. Reducers never retain a batch, so the pieces go
+// back to the pool then. Events must arrive in per-thread program order;
+// sequence-sorted replay streams satisfy that.
 func (a *StreamAnalyzer) Feed(events ...trace.Event) {
-	a.feedMu.Lock()
-	defer a.feedMu.Unlock()
+	var pieces []*trace.ColumnBatch
+	var last uint64
 	for len(events) > 0 {
 		n := min(len(events), feedChunk)
-		a.scratch.Reset()
-		a.scratch.AppendEvents(events[:n])
-		a.FeedColumns(&a.scratch)
+		b := feedPool.Get().(*trace.ColumnBatch)
+		b.Reset()
+		b.AppendEvents(events[:n])
+		pieces = append(pieces, b)
+		last = a.handOff(b)
 		events = events[n:]
+	}
+	a.waitFolded(last)
+	for _, b := range pieces {
+		feedPool.Put(b)
 	}
 }
 
-// Snapshot builds a consistent report over everything folded so far without
-// disturbing the live reducers: per-shard state is cloned under the shard
-// lock, then the clones are finalized outside it.
+// Snapshot builds a consistent report over everything fed so far without
+// disturbing the live reducers: it waits for the batches handed over before
+// the call to be folded, clones per-shard state under the shard lock, then
+// finalizes the clones outside it.
 func (a *StreamAnalyzer) Snapshot() *Report {
+	a.settle()
 	t0 := time.Now()
 	sp := a.d.cfg.Tracer.Begin("snapshot", "stream")
 	var streams []*instanceStream
@@ -513,9 +603,9 @@ func (a *StreamAnalyzer) Snapshot() *Report {
 	return rep
 }
 
-// Close flushes all reducers and returns the final report. Idempotent; the
-// first call finalizes the live state (no clone), later calls return the same
-// report.
+// Close waits for every handed-over batch to be folded, flushes all reducers
+// and returns the final report. Idempotent; the first call finalizes the live
+// state (no clone), later calls return the same report.
 func (a *StreamAnalyzer) Close() *Report {
 	a.closeOnce.Do(func() {
 		// Settle the containers' fast-path handles first: unreported kept
@@ -525,6 +615,7 @@ func (a *StreamAnalyzer) Close() *Report {
 		if a.session != nil {
 			a.session.FlushHandles()
 		}
+		a.settle()
 		sp := a.d.cfg.Tracer.Begin("finalize", "stream")
 		var streams []*instanceStream
 		for _, sh := range a.shards {

@@ -2,6 +2,7 @@ package profile
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -300,10 +301,10 @@ func TestContentionSingleThreadZeroAlloc(t *testing.T) {
 }
 
 // TestContentionOverheadBudget is the bench-contend gate: on a
-// single-threaded workload the contention reducer must cost less than 5% of
-// the full per-event analysis path (stats + runs + contention), i.e. the
-// thread-aware layer rides along nearly for free when there is nothing
-// cross-thread to see.
+// single-threaded workload the contention reducer must cost less than 40% of
+// the full per-event analysis path (stats + runs + contention) — a 5% target
+// with headroom for timer noise — i.e. the thread-aware layer rides along
+// nearly for free when there is nothing cross-thread to see.
 func TestContentionOverheadBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing gate; skipped in -short")
@@ -334,26 +335,39 @@ func TestContentionOverheadBudget(t *testing.T) {
 		}
 	}
 
-	best := func(fn func()) float64 {
+	// Both sides are timed alike: contentionBudgetPairs back-to-back pairs,
+	// alternating which side runs first, each side the best of 3 within its
+	// pair; the gate reads the median of the per-pair ratios, so one noisy
+	// run cannot fail it.
+	const contentionBudgetPairs = 11
+	bestOf3 := func(fn func()) float64 {
 		b := 1e18
-		for r := 0; r < 7; r++ {
+		for r := 0; r < 3; r++ {
 			start := time.Now()
 			fn()
-			if ns := float64(time.Since(start)); ns < b {
-				b = ns
-			}
+			b = min(b, float64(time.Since(start)))
 		}
 		return b
 	}
-	ct := best(contentionOnly)
-	full := best(fullPath)
-	ratio := ct / full
-	t.Logf("contention reducer: %.1f ns/event, full path %.1f ns/event, share %.1f%%",
-		ct/float64(len(events)), full/float64(len(events)), 100*ratio)
+	ratios := make([]float64, contentionBudgetPairs)
+	var ct, full float64
+	for i := range ratios {
+		if i%2 == 0 {
+			ct, full = bestOf3(contentionOnly), bestOf3(fullPath)
+		} else {
+			full, ct = bestOf3(fullPath), bestOf3(contentionOnly)
+		}
+		ratios[i] = ct / full
+	}
+	sort.Float64s(ratios)
+	q1, ratio, q3 := ratios[contentionBudgetPairs/4], ratios[contentionBudgetPairs/2], ratios[3*contentionBudgetPairs/4]
+	t.Logf("contention reducer / full path over %d pairs: median share %.1f%% (q1 %.1f%%, q3 %.1f%%); last pair %.1f vs %.1f ns/event",
+		contentionBudgetPairs, 100*ratio, 100*q1, 100*q3, ct/float64(len(events)), full/float64(len(events)))
 	// The budget from the issue is 5%; allow headroom for timer noise on
 	// loaded CI hosts while still catching an accidental per-event allocation
 	// or map lookup, which would blow far past this.
 	if ratio > 0.40 {
-		t.Fatalf("contention reducer costs %.0f%% of the single-threaded analysis path, want < 40%%", 100*ratio)
+		t.Fatalf("contention reducer costs %.0f%% of the single-threaded analysis path (median of %d pairs), want < 40%%",
+			100*ratio, contentionBudgetPairs)
 	}
 }
