@@ -50,16 +50,16 @@ func runMerge(o *options) {
 		reports = append(reports, rep)
 	}
 	merged, ms := core.MergeReports(reports...)
-	fmt.Printf("merged %d report(s): %d instance(s), %d duplicate(s) folded, %d conflict(s) resolved\n\n",
+	fmt.Fprintf(stdout, "merged %d report(s): %d instance(s), %d duplicate(s) folded, %d conflict(s) resolved\n\n",
 		ms.Reports, ms.Instances, ms.Duplicates, ms.Conflicts)
-	if err := merged.Write(os.Stdout); err != nil {
+	if err := merged.Write(stdout); err != nil {
 		fatal(err)
 	}
 	if o.saveReport != "" {
 		if err := core.SaveReportFile(o.saveReport, merged); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("\nmerged snapshot written to %s\n", o.saveReport)
+		fmt.Fprintf(stdout, "\nmerged snapshot written to %s\n", o.saveReport)
 	}
 	if o.jsonPath != "" {
 		f, err := os.Create(o.jsonPath)
@@ -73,7 +73,7 @@ func runMerge(o *options) {
 		if err := f.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("\nJSON findings written to %s\n", o.jsonPath)
+		fmt.Fprintf(stdout, "\nJSON findings written to %s\n", o.jsonPath)
 	}
 }
 
@@ -102,7 +102,7 @@ func runDaemon(analyzer *core.DSspy, o *options, tracer *obs.Tracer, srv *obs.Se
 	if n, err := daemon.Restore(); err != nil {
 		fatal(err)
 	} else if n > 0 {
-		fmt.Printf("restored %d tenant(s) from %s\n", n, o.ckptDir)
+		fmt.Fprintf(stdout, "restored %d tenant(s) from %s\n", n, o.ckptDir)
 	}
 
 	tenancy := &trace.TenancyOptions{Sink: daemon}
@@ -138,49 +138,51 @@ func runDaemon(analyzer *core.DSspy, o *options, tracer *obs.Tracer, srv *obs.Se
 		start := time.Now()
 		srv.SetStatus(func() *obs.Status { return daemonStatus(o.listen, start, cs, daemon) })
 	}
-	fmt.Printf("daemon collecting on %s (SIGTERM drains and checkpoints)\n", cs.Addr())
+	fmt.Fprintf(stdout, "daemon collecting on %s (SIGTERM drains and checkpoints)\n", cs.Addr())
+	flushStdout()
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	got := <-sig
 	signal.Stop(sig)
-	fmt.Printf("\n%s: draining in-flight streams (up to %s)...\n", got, o.drainTO)
+	fmt.Fprintf(stdout, "\n%s: draining in-flight streams (up to %s)...\n", got, o.drainTO)
+	flushStdout()
 	cut, err := cs.Drain(o.drainTO)
 	if err != nil {
 		slog.Warn("drain finished with errors", "err", err)
 	}
 	if cut > 0 {
-		fmt.Printf("drain timeout: cut %d still-open stream(s); events decoded before the cut are kept\n", cut)
+		fmt.Fprintf(stdout, "drain timeout: cut %d still-open stream(s); events decoded before the cut are kept\n", cut)
 	}
 	if o.ckptDir != "" {
 		if err := daemon.Checkpoint(); err != nil {
 			slog.Error("checkpoint failed", "err", err)
 		} else {
-			fmt.Printf("checkpointed %d tenant(s) to %s\n", len(daemon.Tenants()), o.ckptDir)
+			fmt.Fprintf(stdout, "checkpointed %d tenant(s) to %s\n", len(daemon.Tenants()), o.ckptDir)
 		}
 	}
 
 	for _, ts := range cs.TenantStats() {
-		fmt.Printf("tenant %s: level %s, %d conn(s) served (%d rejected, %d timed out), %d received = %d delivered + %d sampled out + %d dropped\n",
+		fmt.Fprintf(stdout, "tenant %s: level %s, %d conn(s) served (%d rejected, %d timed out), %d received = %d delivered + %d sampled out + %d dropped\n",
 			ts.Tenant, ts.Level, ts.ConnsServed, ts.ConnsRejected, ts.Timeouts,
 			ts.Received, ts.Delivered, ts.SampledOut, ts.Dropped)
 	}
 
 	for _, tenant := range daemon.Tenants() {
-		fmt.Printf("\n=== tenant %s ===\n", tenant)
-		if err := daemon.TenantReport(tenant).Write(os.Stdout); err != nil {
+		fmt.Fprintf(stdout, "\n=== tenant %s ===\n", tenant)
+		if err := daemon.TenantReport(tenant).Write(stdout); err != nil {
 			fatal(err)
 		}
 	}
 	if names := daemon.Tenants(); len(names) > 1 {
-		fmt.Printf("\n=== fleet (%d tenants) ===\n", len(names))
-		if err := daemon.FleetReport().Write(os.Stdout); err != nil {
+		fmt.Fprintf(stdout, "\n=== fleet (%d tenants) ===\n", len(names))
+		if err := daemon.FleetReport().Write(stdout); err != nil {
 			fatal(err)
 		}
 	}
 	if o.stats {
-		fmt.Println()
-		if err := cs.ServerStats().Write(os.Stdout); err != nil {
+		fmt.Fprintln(stdout)
+		if err := cs.ServerStats().Write(stdout); err != nil {
 			fatal(err)
 		}
 	}

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"bufio"
 	"errors"
 	"flag"
 	"fmt"
@@ -38,18 +39,40 @@ import (
 	"dsspy/internal/viz"
 )
 
+// stdout buffers everything the command prints, so a table goes out in a
+// few writes rather than one per line. It is flushed before the command
+// waits on anything outside itself (producers, a signal, the next -live
+// tick) and on every way out: the end of main, exit and fatal.
+var stdout = bufio.NewWriter(os.Stdout)
+
+// flushStdout writes out what stdout holds; output that cannot be written
+// ends the command with status 1.
+func flushStdout() {
+	if err := stdout.Flush(); err != nil {
+		fmt.Fprintln(os.Stderr, "dsspy:", err)
+		os.Exit(1)
+	}
+}
+
+// exit flushes stdout and ends the process with code.
+func exit(code int) {
+	flushStdout()
+	os.Exit(code)
+}
+
 func main() {
+	defer flushStdout()
 	o, err := parseFlags(os.Args[1:], os.Stderr)
 	if err != nil {
 		if errors.Is(err, flag.ErrHelp) {
-			os.Exit(0)
+			exit(0)
 		}
-		os.Exit(2) // parseFlags already printed the one-line reason
+		exit(2) // parseFlags already printed the one-line reason
 	}
 	slog.SetDefault(newLogger(o))
 
 	if o.listApps {
-		fmt.Println("Evaluation programs (-app):")
+		fmt.Fprintln(stdout, "Evaluation programs (-app):")
 		for _, a := range apps.All() {
 			// Apps with an uninstrumented twin support the sampled-overhead
 			// methodology end to end, so -sample runs can be validated on them.
@@ -58,12 +81,12 @@ func main() {
 				mark = " [sample-ok]"
 			}
 			if a.PaperLOC > 0 {
-				fmt.Printf("  %-16s %s (paper: %d LOC)%s\n", a.Name, a.Domain, a.PaperLOC, mark)
+				fmt.Fprintf(stdout, "  %-16s %s (paper: %d LOC)%s\n", a.Name, a.Domain, a.PaperLOC, mark)
 			} else {
-				fmt.Printf("  %-16s %s (concurrency study)%s\n", a.Name, a.Domain, mark)
+				fmt.Fprintf(stdout, "  %-16s %s (concurrency study)%s\n", a.Name, a.Domain, mark)
 			}
 		}
-		fmt.Println("Demos (-demo): figure2, figure3, queue, stack")
+		fmt.Fprintln(stdout, "Demos (-demo): figure2, figure3, queue, stack")
 		return
 	}
 
@@ -136,14 +159,14 @@ func main() {
 			for _, b := range cols {
 				n += b.Len()
 			}
-			fmt.Printf("replaying %s: %d instances, %d events\n\n", o.replay, s.NumInstances(), n)
+			fmt.Fprintf(stdout, "replaying %s: %d instances, %d events\n\n", o.replay, s.NumInstances(), n)
 		} else {
 			var rec *trace.Recovery
 			s, cols, rec, err = trace.RecoverSessionColumns(o.recoverPath)
 			if err != nil {
 				fatal(err)
 			}
-			fmt.Printf("recovering %s: %s\n\n", o.recoverPath, rec)
+			fmt.Fprintf(stdout, "recovering %s: %s\n\n", o.recoverPath, rec)
 		}
 		sa.Attach(s)
 		for _, b := range cols {
@@ -156,7 +179,7 @@ func main() {
 		app, workload := pickWorkload(o.appName, o.demo)
 		if workload == nil {
 			fmt.Fprintln(os.Stderr, "nothing to run: pass -app <name>, -demo <name>, -replay <file>, -recover <file>, -listen <addr>, or -list")
-			os.Exit(2)
+			exit(2)
 		}
 		runWorkload := func(s *trace.Session) {
 			sp := tracer.Begin("workload", "run")
@@ -284,7 +307,7 @@ func main() {
 			if err := trace.SaveSessionColumns(o.logPath, s, cb); err != nil {
 				fatal(err)
 			}
-			fmt.Printf("session log written to %s (%d events) — re-analyze with -replay\n\n", o.logPath, cb.Len())
+			fmt.Fprintf(stdout, "session log written to %s (%d events) — re-analyze with -replay\n\n", o.logPath, cb.Len())
 		}
 	}
 
@@ -301,12 +324,12 @@ func main() {
 	}
 	if o.minConf > 0 {
 		if dropped := rep.FilterMinConfidence(o.minConf); dropped > 0 {
-			fmt.Printf("suppressed %d finding(s) below confidence %.2f\n\n", dropped, o.minConf)
+			fmt.Fprintf(stdout, "suppressed %d finding(s) below confidence %.2f\n\n", dropped, o.minConf)
 		}
 	}
 
 	rsp := tracer.Begin("report", "run")
-	err = rep.Write(os.Stdout)
+	err = rep.Write(stdout)
 	rsp.End()
 	if err != nil {
 		fatal(err)
@@ -318,23 +341,23 @@ func main() {
 		if err := core.SaveReportFile(o.saveReport, rep); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("\nreport snapshot written to %s — combine shards with dsspy -merge\n", o.saveReport)
+		fmt.Fprintf(stdout, "\nreport snapshot written to %s — combine shards with dsspy -merge\n", o.saveReport)
 	}
 	if o.stats {
-		fmt.Println()
-		if err := rep.Stats.Write(os.Stdout); err != nil {
+		fmt.Fprintln(stdout)
+		if err := rep.Stats.Write(stdout); err != nil {
 			fatal(err)
 		}
 		if resilient != nil {
-			if err := resilient.Stats().Write(os.Stdout); err != nil {
+			if err := resilient.Stats().Write(stdout); err != nil {
 				fatal(err)
 			}
 		}
 	}
 
 	if o.advise {
-		fmt.Println("\nTransformation plans (ranked by Amdahl estimate):")
-		if err := advisor.Write(os.Stdout, advisor.Advise(rep, o.cores), o.cores); err != nil {
+		fmt.Fprintln(stdout, "\nTransformation plans (ranked by Amdahl estimate):")
+		if err := advisor.Write(stdout, advisor.Advise(rep, o.cores), o.cores); err != nil {
 			fatal(err)
 		}
 	}
@@ -350,7 +373,7 @@ func main() {
 		if err := f.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("\nJSON findings written to %s\n", o.jsonPath)
+		fmt.Fprintf(stdout, "\nJSON findings written to %s\n", o.jsonPath)
 	}
 	if o.htmlPath != "" {
 		f, err := os.Create(o.htmlPath)
@@ -370,7 +393,7 @@ func main() {
 		if err := f.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("\nHTML report written to %s\n", o.htmlPath)
+		fmt.Fprintf(stdout, "\nHTML report written to %s\n", o.htmlPath)
 	}
 
 	if o.chart {
@@ -378,9 +401,9 @@ func main() {
 			if len(ir.UseCases) == 0 {
 				continue
 			}
-			fmt.Printf("\nProfile of %s %q (%d events):\n",
+			fmt.Fprintf(stdout, "\nProfile of %s %q (%d events):\n",
 				ir.Profile.Instance.TypeName, ir.Profile.Instance.Label, ir.Profile.Len())
-			fmt.Print(viz.ASCIIChart(ir.Profile.Events, viz.DefaultChartOptions()))
+			fmt.Fprint(stdout, viz.ASCIIChart(ir.Profile.Events, viz.DefaultChartOptions()))
 		}
 	}
 	if o.svgPath != "" {
@@ -399,7 +422,7 @@ func main() {
 			if err := f.Close(); err != nil {
 				fatal(err)
 			}
-			fmt.Printf("\nSVG profile written to %s\n", o.svgPath)
+			fmt.Fprintf(stdout, "\nSVG profile written to %s\n", o.svgPath)
 			break
 		}
 	}
@@ -426,7 +449,8 @@ func runListen(analyzer *core.DSspy, o *options, tracer *obs.Tracer, srv *obs.Se
 		start := time.Now()
 		srv.SetStatus(func() *obs.Status { return listenStatus(o.listen, start, cs) })
 	}
-	fmt.Printf("collecting on %s, waiting for %d producer stream(s)...\n", cs.Addr(), o.conns)
+	fmt.Fprintf(stdout, "collecting on %s, waiting for %d producer stream(s)...\n", cs.Addr(), o.conns)
+	flushStdout()
 
 	// SIGTERM/SIGINT while collecting: a bounded drain, not an abort. The
 	// listener closes immediately, in-flight streams get -drain-timeout to
@@ -447,24 +471,25 @@ func runListen(analyzer *core.DSspy, o *options, tracer *obs.Tracer, srv *obs.Se
 		}
 	case s := <-sig:
 		signal.Stop(sig)
-		fmt.Printf("\n%s: draining in-flight streams (up to %s)...\n", s, o.drainTO)
+		fmt.Fprintf(stdout, "\n%s: draining in-flight streams (up to %s)...\n", s, o.drainTO)
+		flushStdout()
 		cut, err := cs.Drain(o.drainTO)
 		if err != nil {
 			slog.Warn("drain finished with errors", "err", err)
 		}
 		if cut > 0 {
-			fmt.Printf("drain timeout: cut %d still-open stream(s); events decoded before the cut are kept\n", cut)
+			fmt.Fprintf(stdout, "drain timeout: cut %d still-open stream(s); events decoded before the cut are kept\n", cut)
 		}
 	}
 
 	s := cs.Session()
 	cols := cs.Columns()
-	fmt.Printf("received %d events\n\n", cols.Len())
+	fmt.Fprintf(stdout, "received %d events\n\n", cols.Len())
 	if o.logPath != "" {
 		if err := trace.SaveSessionColumns(o.logPath, s, cols); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("session log written to %s — re-analyze with -replay\n\n", o.logPath)
+		fmt.Fprintf(stdout, "session log written to %s — re-analyze with -replay\n\n", o.logPath)
 	}
 
 	sa := analyzer.NewStreamAnalyzer(o.shards)
@@ -472,7 +497,7 @@ func runListen(analyzer *core.DSspy, o *options, tracer *obs.Tracer, srv *obs.Se
 	sa.FeedColumns(cols)
 	rep := sa.Close()
 	rsp := tracer.Begin("report", "run")
-	err = rep.Write(os.Stdout)
+	err = rep.Write(stdout)
 	rsp.End()
 	if err != nil {
 		fatal(err)
@@ -482,11 +507,11 @@ func runListen(analyzer *core.DSspy, o *options, tracer *obs.Tracer, srv *obs.Se
 		if err := core.SaveReportFile(o.saveReport, rep); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("\nreport snapshot written to %s — combine shards with dsspy -merge\n", o.saveReport)
+		fmt.Fprintf(stdout, "\nreport snapshot written to %s — combine shards with dsspy -merge\n", o.saveReport)
 	}
 	if o.stats {
-		fmt.Println()
-		if err := cs.ServerStats().Write(os.Stdout); err != nil {
+		fmt.Fprintln(stdout)
+		if err := cs.ServerStats().Write(stdout); err != nil {
 			fatal(err)
 		}
 	}
@@ -515,7 +540,7 @@ func pickWorkload(appName, demo string) (*apps.App, func(*trace.Session)) {
 		}
 		if app == nil {
 			fmt.Fprintf(os.Stderr, "unknown app %q (try -list)\n", appName)
-			os.Exit(2)
+			exit(2)
 		}
 		return app, app.Instrumented
 	}
@@ -571,7 +596,7 @@ func pickWorkload(appName, demo string) (*apps.App, func(*trace.Session)) {
 		return nil, nil
 	default:
 		fmt.Fprintf(os.Stderr, "unknown demo %q\n", demo)
-		os.Exit(2)
+		exit(2)
 		return nil, nil
 	}
 }
@@ -580,16 +605,16 @@ func pickWorkload(appName, demo string) (*apps.App, func(*trace.Session)) {
 // everything folded so far, largest profiles first.
 func printLive(rep *core.Report) {
 	ss := rep.Stats.Streaming
-	fmt.Printf("-- live %s: %d events folded, %d instance(s), %d open run(s) --\n",
+	fmt.Fprintf(stdout, "-- live %s: %d events folded, %d instance(s), %d open run(s) --\n",
 		time.Now().Format("15:04:05"), ss.Folded, ss.Instances, ss.OpenRuns)
 	instances := make([]*core.InstanceResult, len(rep.Instances))
 	copy(instances, rep.Instances)
 	sort.Slice(instances, func(i, j int) bool { return instances[i].Profile.Len() > instances[j].Profile.Len() })
 	const maxRows = 10
-	fmt.Printf("   %-8s %-22s %10s %9s  %s\n", "kind", "instance", "events", "patterns", "use cases")
+	fmt.Fprintf(stdout, "   %-8s %-22s %10s %9s  %s\n", "kind", "instance", "events", "patterns", "use cases")
 	for i, ir := range instances {
 		if i == maxRows {
-			fmt.Printf("   ... %d more instance(s)\n", len(instances)-maxRows)
+			fmt.Fprintf(stdout, "   ... %d more instance(s)\n", len(instances)-maxRows)
 			break
 		}
 		inst := ir.Profile.Instance
@@ -604,12 +629,14 @@ func printLive(rep *core.Report) {
 		for _, u := range ir.UseCases {
 			shorts = append(shorts, u.Kind.Short())
 		}
-		fmt.Printf("   %-8s %-22s %10d %9d  %s\n",
+		fmt.Fprintf(stdout, "   %-8s %-22s %10d %9d  %s\n",
 			inst.Kind, name, ir.Profile.Len(), len(ir.Patterns()), strings.Join(shorts, ","))
 	}
+	flushStdout()
 }
 
 func fatal(err error) {
+	stdout.Flush() // best effort: the command is failing with err anyway
 	fmt.Fprintln(os.Stderr, "dsspy:", err)
 	os.Exit(1)
 }

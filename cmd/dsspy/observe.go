@@ -55,7 +55,8 @@ func startObsServer(o *options, tracer *obs.Tracer) *obs.Server {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("observability server on http://%s (/metrics /statusz /healthz /debug/pprof)\n", addr)
+	fmt.Fprintf(stdout, "observability server on http://%s (/metrics /statusz /healthz /debug/pprof)\n", addr)
+	flushStdout()
 	return srv
 }
 
@@ -75,7 +76,7 @@ func exportTrace(o *options, tracer *obs.Tracer) {
 	if err := f.Close(); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("pipeline trace written to %s (%d spans, %d dropped) — load in ui.perfetto.dev or chrome://tracing\n",
+	fmt.Fprintf(stdout, "pipeline trace written to %s (%d spans, %d dropped) — load in ui.perfetto.dev or chrome://tracing\n",
 		o.traceOut, tracer.Len(), tracer.Dropped())
 }
 

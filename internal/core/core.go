@@ -14,10 +14,11 @@
 package core
 
 import (
-	"fmt"
+	"bytes"
 	"io"
 	"path/filepath"
 	"sort"
+	"strconv"
 
 	"dsspy/internal/metrics"
 	"dsspy/internal/obs"
@@ -303,7 +304,9 @@ func (r *Report) FilterMinConfidence(min float64) int {
 	}
 	dropped := 0
 	for _, ir := range r.Instances {
-		kept := ir.UseCases[:0]
+		// A fresh slice: the row's use cases may be shared with the report
+		// a merge or a snapshot took them from.
+		kept := ir.UseCases[:0:0]
 		for _, u := range ir.UseCases {
 			if u.Confidence() >= min {
 				kept = append(kept, u)
@@ -333,72 +336,148 @@ func (r *Report) InstancesWithUseCases() []trace.Instance {
 
 // Write renders the report in the paper's Table V layout: one block per use
 // case with the class/method, position, data structure and use-case name,
-// followed by the recommended action.
+// followed by the recommended action. The text is rendered into one buffer
+// of exactly its size and handed to w in a single Write call; a
+// bytes.Buffer destination is grown to that size and rendered into in
+// place, so the text is allocated once.
 func (r *Report) Write(w io.Writer) error {
+	ss := r.SearchSpace()
+	// Measure first: each block is rendered into one reused scratch buffer,
+	// which ends up as large as the largest block.
+	size := 0
+	r.appendText(nil, ss, func(b []byte) []byte { size += len(b); return b[:0] })
+	var text []byte
+	if buf, ok := w.(*bytes.Buffer); ok {
+		buf.Grow(size)
+		text = buf.AvailableBuffer()
+	} else {
+		text = make([]byte, 0, size)
+	}
+	text = r.appendText(text, ss, func(b []byte) []byte { return b })
+	_, err := w.Write(text)
+	return err
+}
+
+// appendText appends the report's text to b one block at a time — a use
+// case, a contention note, the search-space line — handing the buffer to
+// next after each block and going on with the buffer next returns.
+func (r *Report) appendText(b []byte, ss SearchSpace, next func([]byte) []byte) []byte {
 	n := 0
 	for _, ir := range r.Instances {
 		for k := range ir.UseCases {
 			n++
-			if err := writeUseCase(w, n, &ir.UseCases[k]); err != nil {
-				return err
-			}
+			b = next(appendUseCase(b, n, &ir.UseCases[k]))
 		}
 	}
 	if n == 0 {
-		_, err := fmt.Fprintln(w, "No use cases detected.")
-		return err
+		return next(append(b, "No use cases detected.\n"...))
 	}
 	for _, ir := range r.Instances {
 		if ir.Shared.Contended() {
-			if _, err := fmt.Fprintf(w,
-				"Note: %s%s is accessed by %d threads including %d writer(s); any parallelization must use a synchronized container.\n",
-				ir.Profile.Instance.TypeName, labelSuffix(ir.Profile.Instance.Label),
-				ir.Shared.Threads, ir.Shared.WritingThreads); err != nil {
-				return err
-			}
-			if ct := ir.Contention; ct.Contended() {
-				if _, err := fmt.Fprintf(w,
-					"  Contention: %d episode(s) cover %d of %d events (longest %d, %d with writes); %d read / %d write phase(s); %d of %d thread pair(s) potentially concurrent.\n",
-					ct.Episodes, ct.EpisodeEvents, ct.Total, ct.MaxEpisode, ct.WriterEpisodes,
-					ct.ReadPhases, ct.WritePhases,
-					ct.ConcurrentPairs, ct.ConcurrentPairs+ct.OrderedPairs); err != nil {
-					return err
-				}
-			}
+			b = next(appendContention(b, ir))
 		}
 	}
-	ss := r.SearchSpace()
-	_, err := fmt.Fprintf(w, "Search space: %d of %d list/array instances remain (reduction %.2f%%).\n",
-		ss.Flagged, ss.Total, 100*ss.Reduction())
-	return err
+	b = append(b, "Search space: "...)
+	b = appendInt(b, ss.Flagged)
+	b = append(b, " of "...)
+	b = appendInt(b, ss.Total)
+	b = append(b, " list/array instances remain (reduction "...)
+	b = strconv.AppendFloat(b, 100*ss.Reduction(), 'f', 2, 64)
+	return next(append(b, "%).\n"...))
 }
 
-// writeUseCase renders use case number i as one Table V block.
-func writeUseCase(w io.Writer, i int, u *usecase.UseCase) error {
+// appendUseCase renders use case number i as one Table V block.
+func appendUseCase(b []byte, i int, u *usecase.UseCase) []byte {
 	site := u.Instance.Site
-	if _, err := fmt.Fprintf(w,
-		"Use Case %d\n  Function:       %s\n  Position:       %s:%d\n  Data structure: %s%s\n  Use Case:       %s\n  Evidence:       %s\n  Recommendation: %s\n",
-		i,
-		orUnknown(site.Function),
-		filepath.Base(orUnknown(site.File)), site.Line,
-		u.Instance.TypeName, labelSuffix(u.Instance.Label),
-		u.Kind,
-		u.Evidence,
-		u.Recommendation,
-	); err != nil {
-		return err
-	}
+	b = append(b, "Use Case "...)
+	b = appendInt(b, i)
+	b = append(b, "\n  Function:       "...)
+	b = append(b, orUnknown(site.Function)...)
+	b = append(b, "\n  Position:       "...)
+	b = append(b, filepath.Base(orUnknown(site.File))...)
+	b = append(b, ':')
+	b = appendInt(b, site.Line)
+	b = append(b, "\n  Data structure: "...)
+	b = appendInstanceName(b, u.Instance.TypeName, u.Instance.Label)
+	b = append(b, "\n  Use Case:       "...)
+	b = append(b, u.Kind.String()...)
+	b = append(b, "\n  Evidence:       "...)
+	b = append(b, u.Evidence...)
+	b = append(b, "\n  Recommendation: "...)
+	b = append(b, u.Recommendation...)
+	b = append(b, '\n')
 	// Only lossy streams print a confidence line: a full-fidelity detection
 	// is exact, and its block stays byte-identical.
 	if u.Bound > 0 {
-		if _, err := fmt.Fprintf(w,
-			"  Confidence:     %.1f%% (sampling error bound %.4f)\n",
-			100*u.Confidence(), u.Bound); err != nil {
-			return err
+		b = append(b, "  Confidence:     "...)
+		b = strconv.AppendFloat(b, 100*u.Confidence(), 'f', 1, 64)
+		b = append(b, "% (sampling error bound "...)
+		b = strconv.AppendFloat(b, u.Bound, 'f', 4, 64)
+		b = append(b, ")\n"...)
+	}
+	return append(b, '\n')
+}
+
+// appendContention renders the note on a contended instance, plus its
+// contention figures when the cross-thread summary saw a writer episode.
+func appendContention(b []byte, ir *InstanceResult) []byte {
+	b = append(b, "Note: "...)
+	b = appendInstanceName(b, ir.Profile.Instance.TypeName, ir.Profile.Instance.Label)
+	b = append(b, " is accessed by "...)
+	b = appendInt(b, ir.Shared.Threads)
+	b = append(b, " threads including "...)
+	b = appendInt(b, ir.Shared.WritingThreads)
+	b = append(b, " writer(s); any parallelization must use a synchronized container.\n"...)
+	ct := ir.Contention
+	if !ct.Contended() {
+		return b
+	}
+	b = append(b, "  Contention: "...)
+	b = appendInt(b, ct.Episodes)
+	b = append(b, " episode(s) cover "...)
+	b = appendInt(b, ct.EpisodeEvents)
+	b = append(b, " of "...)
+	b = appendInt(b, ct.Total)
+	b = append(b, " events (longest "...)
+	b = appendInt(b, ct.MaxEpisode)
+	b = append(b, ", "...)
+	b = appendInt(b, ct.WriterEpisodes)
+	b = append(b, " with writes); "...)
+	b = appendInt(b, ct.ReadPhases)
+	b = append(b, " read / "...)
+	b = appendInt(b, ct.WritePhases)
+	b = append(b, " write phase(s); "...)
+	b = appendInt(b, ct.ConcurrentPairs)
+	b = append(b, " of "...)
+	b = appendInt(b, ct.ConcurrentPairs+ct.OrderedPairs)
+	return append(b, " thread pair(s) potentially concurrent.\n"...)
+}
+
+func appendInt(b []byte, v int) []byte { return strconv.AppendInt(b, int64(v), 10) }
+
+// appendInstanceName renders a data structure as its type name followed,
+// when it has a label, by the label quoted Go-style in parentheses.
+func appendInstanceName(b []byte, typeName, label string) []byte {
+	b = append(b, typeName...)
+	if label == "" {
+		return b
+	}
+	b = append(b, " ("...)
+	b = appendQuoted(b, label)
+	return append(b, ')')
+}
+
+// appendQuoted is strconv.AppendQuote with a fast path for the usual label:
+// printable ASCII with nothing to escape quotes as itself.
+func appendQuoted(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return strconv.AppendQuote(b, s)
 		}
 	}
-	_, err := fmt.Fprintln(w)
-	return err
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 func orUnknown(s string) string {
@@ -406,11 +485,4 @@ func orUnknown(s string) string {
 		return "<unknown>"
 	}
 	return s
-}
-
-func labelSuffix(label string) string {
-	if label == "" {
-		return ""
-	}
-	return fmt.Sprintf(" (%q)", label)
 }

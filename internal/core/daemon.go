@@ -221,19 +221,20 @@ func (dm *Daemon) shedBoundLocked(tw *tenantWindows, advance bool) float64 {
 
 // stampDegraded widens every detection bound in a window report to at least
 // b, marking rows that carried no sampling record as "degraded" — the window
-// analyzed a lossy delivery, so nothing in it may print as exact.
+// analyzed a lossy delivery, so nothing in it may print as exact. Each row is
+// replaced by a widened copy, since a snapshot's rows may be shared.
 func stampDegraded(rep *Report, b float64) {
 	if b <= 0 {
 		return
 	}
-	for _, ir := range rep.Instances {
-		if ir.Sampling == nil {
-			ir.Sampling = &sample.InstanceSampling{State: "degraded"}
+	for i, ir := range rep.Instances {
+		rec := ir.Sampling
+		if rec == nil {
+			rec = &sample.InstanceSampling{State: "degraded"}
 		}
-		if ir.Sampling.Bound < b {
-			ir.Sampling.Bound = b
-		}
-		widenBounds(ir, b)
+		cp := *ir
+		widenRow(&cp, b, rec)
+		rep.Instances[i] = &cp
 	}
 }
 
@@ -253,19 +254,33 @@ func stampOrigin(rep *Report, origin string) {
 
 // TenantReport merges one tenant's closed windows with a snapshot of its
 // open window: the tenant's complete current view, buildable at any time
-// without disturbing the live reducers.
+// without disturbing the live reducers. The tenant lock is held only to
+// capture the open window (settle, clone, copy the registry) and to copy the
+// closed-window ring, whose reports never change once closed; finalizing,
+// merging and the caller's rendering run after it is released, so a read
+// does not hold up TenantEvents.
 func (dm *Daemon) TenantReport(tenant string) *Report {
 	tw := dm.tenant(tenant)
 	tw.mu.Lock()
 	parts := make([]*Report, 0, len(tw.closed)+1)
 	parts = append(parts, tw.closed...)
+	var open *snapshotState
+	var origin string
+	var bound float64
 	if tw.live > 0 {
-		snap := tw.analyzer.Snapshot()
-		stampOrigin(snap, windowOrigin(tw.name, tw.seq))
-		stampDegraded(snap, dm.shedBoundLocked(tw, false))
-		parts = append(parts, snap)
+		open = tw.analyzer.capture()
+		origin = windowOrigin(tw.name, tw.seq)
+		bound = dm.shedBoundLocked(tw, false)
 	}
 	tw.mu.Unlock()
+	if open != nil {
+		// The snapshot's rows may be shared with later snapshots, so they
+		// are not stamped: the merge gives each the report's origin.
+		snap := open.build()
+		snap.Origin = origin
+		stampDegraded(snap, bound)
+		parts = append(parts, snap)
+	}
 	merged, _ := MergeReports(parts...)
 	return merged
 }

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -326,6 +327,109 @@ func TestDaemonTenantEventsReusedBuffer(t *testing.T) {
 	}
 }
 
+// stampWindow marks a reference window report the way the daemon stamps
+// its windows: report, rows and registry under one origin.
+func stampWindow(rep *core.Report, origin string) *core.Report {
+	rep.Origin = origin
+	for _, ir := range rep.Instances {
+		ir.Origin = origin
+	}
+	rep.RegisteredFrom = make([]string, len(rep.Registered))
+	for i := range rep.RegisteredFrom {
+		rep.RegisteredFrom[i] = origin
+	}
+	return rep
+}
+
+// TestTenantReportConcurrentWithEvents: TenantReport captures the open
+// window under the tenant lock and finalizes, merges and renders after
+// releasing it. A reader racing TenantEvents across window rotations (run it
+// under -race) must still see one point of the stream: at every point, the
+// view equals MergeReports over the windows closed by then plus a snapshot
+// of the open one, rebuilt here from per-window analyzers.
+func TestTenantReportConcurrentWithEvents(t *testing.T) {
+	const chunk, window = 256, 2000
+	s, events := recordProgram(corpusPrograms()[19])
+	if len(events) < 3*window {
+		t.Fatalf("program yields %d events, want at least %d", len(events), 3*window)
+	}
+
+	// The reference view after every chunk, keyed by the events it covers
+	// (no window is evicted, so that count names the point).
+	want := map[int][]byte{}
+	empty, _ := core.MergeReports()
+	want[0] = reportBytes(t, empty)
+	var closed []*core.Report
+	open := core.New().NewStreamAnalyzer(0)
+	open.Attach(s)
+	live := 0
+	for lo := 0; lo < len(events); lo += chunk {
+		part := events[lo:min(lo+chunk, len(events))]
+		open.Feed(part...)
+		if live += len(part); live >= window {
+			closed = append(closed, stampWindow(open.Close(), fmt.Sprintf("alpha#%d", len(closed))))
+			open = core.New().NewStreamAnalyzer(0)
+			open.Attach(s)
+			live = 0
+		}
+		parts := append([]*core.Report(nil), closed...)
+		if live > 0 {
+			parts = append(parts, stampWindow(open.Snapshot(), fmt.Sprintf("alpha#%d", len(closed))))
+		}
+		view, _ := core.MergeReports(parts...)
+		want[lo+len(part)] = reportBytes(t, view)
+	}
+	if len(closed) < 2 {
+		t.Fatalf("stream closed %d windows, want a rotation or more", len(closed))
+	}
+
+	dm := core.New().NewDaemon(core.DaemonConfig{WindowEvents: window, MaxWindows: len(events)/window + 2})
+	for _, inst := range s.Instances() {
+		dm.TenantInstance("alpha", inst)
+	}
+	// The writer waits after every chunk until the reader has begun another
+	// read, so the reads interleave with the stream instead of all landing
+	// after it; each read then races the next chunk.
+	reading := make(chan struct{}, 1)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for lo := 0; lo < len(events); lo += chunk {
+			dm.TenantEvents("alpha", events[lo:min(lo+chunk, len(events))])
+			<-reading
+		}
+	}()
+	seen := map[int]bool{}
+	check := func() {
+		select {
+		case reading <- struct{}{}:
+		default:
+		}
+		view := dm.TenantReport("alpha")
+		w, ok := want[view.Stats.Events]
+		if !ok {
+			t.Fatalf("a read covers %d events, which is no chunk boundary", view.Stats.Events)
+		}
+		if !bytes.Equal(reportBytes(t, view), w) {
+			t.Fatalf("the view at %d events != merge(closed windows, open snapshot)", view.Stats.Events)
+		}
+		seen[view.Stats.Events] = true
+	}
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		check()
+	}
+	check()
+	if !seen[len(events)] {
+		t.Fatal("the read after the last chunk does not cover the whole stream")
+	}
+	t.Logf("checked reads at %d of %d points", len(seen), len(want))
+}
+
 // TestDaemonSkipsHostileRegistryFrame: one tenant's stream carries a
 // registry frame naming instance ID 8·10⁸ — restored unbounded, tens of GB
 // of placeholders. The server skips that one frame and counts it; the
@@ -428,12 +532,10 @@ func TestFeedConcurrentCallers(t *testing.T) {
 	}
 }
 
-// BenchmarkDaemonTenantReport measures one tenant read at the daemon's steady
-// state: a full ring of eight closed windows plus the open window, each over
-// the same 330-instance corpus stream (daemon-fleet's tenant shape). "merge"
-// is TenantReport — snapshot plus MergeReports — and "write" renders the
-// merged view.
-func BenchmarkDaemonTenantReport(b *testing.B) {
+// fleetTenant returns a daemon at daemon-fleet's tenant steady state: a
+// full ring of eight closed windows plus a half-full open window, each over
+// the same 330-instance corpus stream, which it returns too.
+func fleetTenant() (*core.Daemon, []trace.Event) {
 	mix := corpus.Mix{
 		LI: 40, IQ: 40, FS: 10, FLR: 40, SAIDual: 20, LIFLR: 20,
 		RegularOnly: 40, Irregular: 40,
@@ -448,6 +550,65 @@ func BenchmarkDaemonTenantReport(b *testing.B) {
 		dm.TenantEvents("t0", events)
 	}
 	dm.TenantEvents("t0", events[:len(events)/2])
+	return dm, events
+}
+
+// The tenant read budget: the text once, plus a per-row allowance a third
+// above the measured 248 B/row.
+const (
+	tenantReadTextFactor = 1.0
+	tenantReadRowBytes   = 330
+)
+
+// TestTenantReportAllocGate bounds what one tenant read allocates —
+// TenantReport plus Write into a fresh bytes.Buffer — by what it returns:
+// the rendered text, allocated once at its size, plus an allowance per
+// merged row (clone, finalize and merge). Between reads the stream moves on
+// by a sixteenth, as it does under a reader polling a busy tenant, so part
+// of the open window changes. On fleetTenant's 2,808 rows and 1,436 KiB of
+// text a read measured 2,116 KiB: the text plus 248 B/row. The fmt
+// renderer, keyed merge and per-snapshot clones and pattern-list copies
+// before it measured 7,333 KiB (the text plus 2,150 B/row).
+func TestTenantReportAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate; the race build allocates more")
+	}
+	dm, events := fleetTenant()
+	dm.TenantReport("t0") // warm-up
+	const reads = 5
+	var text, rows int
+	var alloc uint64
+	for k, lo := 0, len(events)/2; k < reads; k, lo = k+1, lo+len(events)/16 {
+		dm.TenantEvents("t0", events[lo:lo+len(events)/16])
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		rep := dm.TenantReport("t0")
+		var buf bytes.Buffer
+		if err := rep.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		alloc += m1.TotalAlloc - m0.TotalAlloc
+		text, rows = buf.Len(), len(rep.Instances)
+	}
+	perRead := float64(alloc) / reads
+	budget := tenantReadTextFactor*float64(text) + tenantReadRowBytes*float64(rows)
+	t.Logf("a tenant read allocates %.0f KiB for %d KiB of text and %d rows: %.2f B per text byte, or text once plus %.0f B/row (budget %.0f KiB)",
+		perRead/1024, text/1024, rows, perRead/float64(text), (perRead-float64(text))/float64(rows), budget/1024)
+	if perRead > budget {
+		t.Fatalf("a tenant read allocates %.0f KiB, budget %.0f KiB (%.1f B/text byte + %d B/row)",
+			perRead/1024, budget/1024, tenantReadTextFactor, tenantReadRowBytes)
+	}
+}
+
+// BenchmarkDaemonTenantReport measures one tenant read at the daemon's steady
+// state: a full ring of eight closed windows plus the open window, each over
+// the same 330-instance corpus stream (daemon-fleet's tenant shape). "merge"
+// is TenantReport — snapshot plus MergeReports — and "write" renders the
+// merged view.
+func BenchmarkDaemonTenantReport(b *testing.B) {
+	dm, _ := fleetTenant()
 
 	b.Run("merge", func(b *testing.B) {
 		b.ReportAllocs()

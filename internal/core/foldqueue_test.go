@@ -207,3 +207,52 @@ func TestFoldWorkersExit(t *testing.T) {
 		t.Fatalf("abandoned analyzer: %d goroutines, baseline %d", runtime.NumGoroutine(), base)
 	}
 }
+
+// TestSnapshotReusesUnchangedRows: a snapshot gives an instance that folded
+// nothing since the previous snapshot that snapshot's row again. What a
+// caller does to a snapshot's rows must not reach the next one, a registry
+// change must not be served stale, and every snapshot must equal one taken
+// by a fresh analyzer over the same events.
+func TestSnapshotReusesUnchangedRows(t *testing.T) {
+	s, events := recordProgram(corpusPrograms()[19])
+	fresh := func(n int) []byte {
+		a := core.New().NewStreamAnalyzer(2)
+		a.Attach(s)
+		a.Feed(events[:n]...)
+		return reportBytes(t, a.Snapshot())
+	}
+	a := core.New().NewStreamAnalyzer(2)
+	a.Attach(s)
+	half := len(events) / 2
+	a.Feed(events[:half]...)
+	first := a.Snapshot()
+	want := reportBytes(t, first)
+
+	// The caller's edits to the rows it was handed stay its own.
+	first.AttachEvents(s, events[:half])
+	first.FilterMinConfidence(2)
+	for _, ir := range first.Instances {
+		ir.Origin = "edited"
+	}
+	if got := reportBytes(t, a.Snapshot()); !bytes.Equal(got, want) {
+		t.Fatal("a snapshot after editing the previous one's rows differs from it")
+	}
+
+	// A label set since the last snapshot is served, not the cached name.
+	s.SetLabel(events[0].Instance, "relabelled")
+	if got := reportBytes(t, a.Snapshot()); !bytes.Equal(got, fresh(half)) {
+		t.Fatal("a snapshot after a registry change != a fresh analyzer's")
+	}
+	if !bytes.Contains(reportBytes(t, a.Snapshot()), []byte("relabelled")) {
+		t.Fatal("the new label is missing from the snapshot")
+	}
+
+	// Instances that fold again are rebuilt; the rest are reused.
+	for _, n := range []int{half + 100, len(events)} {
+		a.Feed(events[half:n]...)
+		half = n
+		if got := reportBytes(t, a.Snapshot()); !bytes.Equal(got, fresh(n)) {
+			t.Fatalf("the snapshot at %d events != a fresh analyzer's", n)
+		}
+	}
+}

@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
+	"slices"
 	"sort"
+	"strings"
 
 	"dsspy/internal/metrics"
 	"dsspy/internal/sample"
@@ -50,12 +53,149 @@ type mergeKey struct {
 	id     trace.InstanceID
 }
 
+// rowKey is an instance row's merge key: a row without an Origin inherits
+// its report's.
+func rowKey(rep *Report, ir *InstanceResult) mergeKey {
+	origin := ir.Origin
+	if origin == "" {
+		origin = rep.Origin
+	}
+	return mergeKey{origin, ir.Profile.Instance.ID}
+}
+
+// registryKey is the merge key of registry row i: RegisteredFrom names its
+// origin in merged reports, the report's Origin otherwise.
+func registryKey(rep *Report, i int) mergeKey {
+	origin := rep.Origin
+	if rep.RegisteredFrom != nil && i < len(rep.RegisteredFrom) {
+		origin = rep.RegisteredFrom[i]
+	}
+	return mergeKey{origin, rep.Registered[i].ID}
+}
+
+func (k mergeKey) compare(o mergeKey) int {
+	if c := strings.Compare(k.origin, o.origin); c != 0 {
+		return c
+	}
+	return cmp.Compare(k.id, o.id)
+}
+
 // MergeReports folds any number of reports into one fleet view. Inputs are
 // not mutated. Instances and registry rows are keyed by (origin, id) — a
 // report-level Origin is inherited by rows that carry none — and the merged
 // report is ordered by (origin, id), so the output is independent of input
 // order.
+//
+// When each input lists its rows in key order and no two inputs' key ranges
+// overlap — every set of daemon windows, every set of single-origin reports
+// with distinct origins — no key repeats, and the merged view is the
+// inputs' rows concatenated in key order, built without maps or a sort of
+// the rows. Otherwise the merge takes the keyed path.
 func MergeReports(reports ...*Report) (*Report, MergeStats) {
+	rows, regs, ok := disjointInputs(reports)
+	if !ok {
+		return mergeKeyed(reports)
+	}
+	merged := mergeDisjoint(rows, regs)
+	return merged, MergeStats{Reports: len(reports), Instances: len(merged.Instances)}
+}
+
+// disjointInputs orders the reports for mergeDisjoint: those with instance
+// rows and those with registry rows, each in key order. It reports false
+// when some key repeats or some report lists its rows out of key order.
+func disjointInputs(reports []*Report) (rows, regs []*Report, ok bool) {
+	rows, ok = disjointSpans(reports, func(rep *Report) int { return len(rep.Instances) },
+		func(rep *Report, i int) mergeKey { return rowKey(rep, rep.Instances[i]) })
+	if !ok {
+		return nil, nil, false
+	}
+	regs, ok = disjointSpans(reports, func(rep *Report) int { return len(rep.Registered) }, registryKey)
+	return rows, regs, ok
+}
+
+// disjointSpans orders the reports that have rows (of the kind n counts and
+// key names) so that concatenating their rows lists every key once, in
+// increasing order. It reports false when there is no such order: some
+// report lists its rows out of key order, or two reports' key ranges
+// overlap.
+func disjointSpans(reports []*Report, n func(*Report) int, key func(*Report, int) mergeKey) ([]*Report, bool) {
+	type span struct {
+		first, last mergeKey
+		rep         *Report
+	}
+	spans := make([]span, 0, len(reports))
+	for _, rep := range reports {
+		if rep == nil || n(rep) == 0 {
+			continue
+		}
+		prev := key(rep, 0)
+		for i := 1; i < n(rep); i++ {
+			k := key(rep, i)
+			if prev.compare(k) >= 0 {
+				return nil, false
+			}
+			prev = k
+		}
+		spans = append(spans, span{key(rep, 0), prev, rep})
+	}
+	slices.SortFunc(spans, func(a, b span) int { return a.first.compare(b.first) })
+	out := make([]*Report, len(spans))
+	for i, sp := range spans {
+		if i > 0 && spans[i-1].last.compare(sp.first) >= 0 {
+			return nil, false
+		}
+		out[i] = sp.rep
+	}
+	return out, true
+}
+
+// mergeDisjoint is the merge of inputs whose keys never repeat, given the
+// reports with rows and with registry rows in key order (disjointSpans).
+// Each row is its own key's only row: it is copied with its Origin stamped
+// and its detection bounds widened to its own largest, as the keyed path
+// does for a key with one row.
+func mergeDisjoint(rows, regs []*Report) *Report {
+	n := 0
+	for _, rep := range rows {
+		n += len(rep.Instances)
+	}
+	// The merged view owns its rows, so it can stamp their Origin.
+	owned := make([]InstanceResult, n)
+	merged := &Report{Instances: make([]*InstanceResult, n)}
+	events, k := 0, 0
+	for _, rep := range rows {
+		for _, ir := range rep.Instances {
+			cp := &owned[k]
+			*cp = *ir
+			cp.Origin = rowKey(rep, ir).origin
+			if b := rowBound(cp); b > 0 {
+				widenRow(cp, b, cp.Sampling)
+			}
+			merged.Instances[k] = cp
+			events += cp.Profile.Len()
+			k++
+		}
+	}
+
+	n = 0
+	for _, rep := range regs {
+		n += len(rep.Registered)
+	}
+	merged.Registered = make([]trace.Instance, 0, n)
+	merged.RegisteredFrom = make([]string, 0, n)
+	for _, rep := range regs {
+		merged.Registered = append(merged.Registered, rep.Registered...)
+		for i := range rep.Registered {
+			merged.RegisteredFrom = append(merged.RegisteredFrom, registryKey(rep, i).origin)
+		}
+	}
+	merged.Stats = &metrics.PipelineStats{Events: events, Instances: len(merged.Instances)}
+	return merged
+}
+
+// mergeKeyed is the general merge: one map per key for rows, their bounds
+// and sampling records, and registry rows, then the keys sorted.
+func mergeKeyed(reports []*Report) (*Report, MergeStats) {
 	ms := MergeStats{Reports: len(reports)}
 
 	type row struct {
@@ -90,14 +230,10 @@ func MergeReports(reports ...*Report) (*Report, MergeStats) {
 			continue
 		}
 		for _, ir := range rep.Instances {
-			origin := ir.Origin
-			if origin == "" {
-				origin = rep.Origin
-			}
+			key := rowKey(rep, ir)
 			// Rows are copied so the merged view owns its Origin stamps.
 			cp := *ir
-			cp.Origin = origin
-			key := mergeKey{origin, cp.Profile.Instance.ID}
+			cp.Origin = key.origin
 			if b := rowBound(&cp); b > bounds[key] {
 				bounds[key] = b
 			}
@@ -124,11 +260,7 @@ func MergeReports(reports ...*Report) (*Report, MergeStats) {
 			instances[key] = have
 		}
 		for i, inst := range rep.Registered {
-			origin := rep.Origin
-			if rep.RegisteredFrom != nil && i < len(rep.RegisteredFrom) {
-				origin = rep.RegisteredFrom[i]
-			}
-			key := mergeKey{origin, inst.ID}
+			key := registryKey(rep, i)
 			have, ok := registry[key]
 			if !ok {
 				registry[key] = regRow{inst: inst}
@@ -158,7 +290,7 @@ func MergeReports(reports ...*Report) (*Report, MergeStats) {
 	for i, k := range keys {
 		ir := instances[k].ir
 		if b := bounds[k]; b > 0 {
-			widenMergedRow(ir, b, sampled[k])
+			widenRow(ir, b, sampled[k])
 		}
 		merged.Instances[i] = ir
 		events += ir.Profile.Len()
@@ -182,12 +314,7 @@ func MergeReports(reports ...*Report) (*Report, MergeStats) {
 }
 
 func sortKeys(keys []mergeKey) {
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].origin != keys[j].origin {
-			return keys[i].origin < keys[j].origin
-		}
-		return keys[i].id < keys[j].id
-	})
+	sort.Slice(keys, func(i, j int) bool { return keys[i].compare(keys[j]) < 0 })
 }
 
 // encodeRow is the equality witness and conflict tiebreak: the row's
@@ -252,12 +379,11 @@ func betterSampling(a, b *sample.InstanceSampling) bool {
 	return bytes.Compare(ae, be) > 0
 }
 
-// widenMergedRow stamps a merged row (already a private copy at the struct
-// level) with the per-key sampling provenance: the representative record,
-// its bound raised to the per-key maximum, and every detection bound widened
-// to at least that. Slices and nested pointers are cloned first — merge
-// inputs are never mutated.
-func widenMergedRow(ir *InstanceResult, b float64, rec *sample.InstanceSampling) {
+// widenRow stamps a row (already a private copy at the struct level) with
+// sampling provenance: a copy of the record rec, its bound raised to b, and
+// every detection bound widened to at least b. Slices and nested pointers
+// are cloned first — the rows they came from are never mutated.
+func widenRow(ir *InstanceResult, b float64, rec *sample.InstanceSampling) {
 	ir.UseCases = append([]usecase.UseCase(nil), ir.UseCases...)
 	if ir.Summary != nil {
 		cp := *ir.Summary

@@ -11,10 +11,12 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"dsspy/internal/core"
 	"dsspy/internal/corpus"
+	"dsspy/internal/sample"
 	"dsspy/internal/trace"
 )
 
@@ -255,4 +257,114 @@ func TestSnapshotRoundTripPreservesRendering(t *testing.T) {
 			}
 		})
 	}
+}
+
+// degradedTenantView streams a corpus program through a daemon tenant in
+// small windows. With shed set, the collector counters it is given report
+// half of every delivery as shed, so every window is stamped degraded and
+// carries bounds and sampling records.
+func degradedTenantView(t *testing.T, tenant string, p corpus.DynamicProgram, shed bool) *core.Report {
+	t.Helper()
+	s, events := recordProgram(p)
+	var delivered uint64
+	cfg := core.DaemonConfig{WindowEvents: len(events)/3 + 1, MaxWindows: 8}
+	if shed {
+		cfg.TenantSampling = func(string) (uint64, uint64) { return 2 * delivered, delivered }
+	}
+	dm := core.New().NewDaemon(cfg)
+	for _, inst := range s.Instances() {
+		dm.TenantInstance(tenant, inst)
+	}
+	for lo := 0; lo < len(events); lo += 256 {
+		part := events[lo:min(lo+256, len(events))]
+		delivered += uint64(len(part))
+		dm.TenantEvents(tenant, part)
+	}
+	return dm.TenantReport(tenant)
+}
+
+// TestMergeMatchesKeyedOverCorpus: the map-free path MergeReports takes when
+// no key repeats must produce what the keyed path produces — rendering,
+// snapshot encoding and stats — over the corpus, sampled runs, and daemon
+// tenant views whose windows are degraded (bounds and sampling records).
+func TestMergeMatchesKeyedOverCorpus(t *testing.T) {
+	reports := corpusReports(t)
+	lossy := sample.Config{Mode: sample.ModeStatic, StaticRate: 4, Window: 32, Burst: 4, MaxCredit: 64}
+	progs := corpusPrograms()
+	for i, p := range progs[:6] {
+		rep := streamGated(t, p, sample.NewController(lossy))
+		rep.Origin = fmt.Sprintf("sampled-%s#%d", p.Name, i)
+		reports = append(reports, rep)
+	}
+	degraded := degradedTenantView(t, "shed", progs[19], true)
+	sampled := 0
+	for _, ir := range degraded.Instances {
+		if ir.Sampling != nil && ir.Sampling.State == "degraded" {
+			sampled++
+		}
+	}
+	if sampled == 0 {
+		t.Fatal("the shedding tenant's windows carry no degraded rows")
+	}
+	reports = append(reports, degraded, degradedTenantView(t, "clean", progs[19], false))
+
+	snapshot := func(rep *core.Report) []byte {
+		var buf bytes.Buffer
+		if err := core.SaveReport(&buf, rep); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	check := func(name string, disjoint bool, in []*core.Report) {
+		t.Helper()
+		if got := core.MergesDisjoint(in...); got != disjoint {
+			t.Fatalf("%s: map-free path taken = %v, want %v", name, got, disjoint)
+		}
+		got, gotStats := core.MergeReports(in...)
+		want, wantStats := core.MergeKeyed(in...)
+		if gotStats != wantStats {
+			t.Fatalf("%s: stats %+v, keyed path %+v", name, gotStats, wantStats)
+		}
+		if !bytes.Equal(reportBytes(t, got), reportBytes(t, want)) {
+			t.Fatalf("%s: rendering differs from the keyed path", name)
+		}
+		if !bytes.Equal(snapshot(got), snapshot(want)) {
+			t.Fatalf("%s: snapshot encoding differs from the keyed path", name)
+		}
+	}
+	check("corpus", true, reports)
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 3; trial++ {
+		perm := make([]*core.Report, len(reports))
+		for i, j := range rng.Perm(len(reports)) {
+			perm[i] = reports[j]
+		}
+		check(fmt.Sprintf("permutation %d", trial), true, perm)
+	}
+	// Merged views are inputs too. Halves split by origin keep disjoint key
+	// ranges and stay map-free; halves whose origins interleave take the
+	// keyed path.
+	byOrigin := append([]*core.Report(nil), reports...)
+	origin := func(rep *core.Report) string {
+		if rep.Origin == "" && len(rep.Instances) > 0 {
+			return rep.Instances[0].Origin
+		}
+		return rep.Origin
+	}
+	sort.Slice(byOrigin, func(i, j int) bool { return origin(byOrigin[i]) < origin(byOrigin[j]) })
+	lo, _ := core.MergeReports(byOrigin[:len(byOrigin)/2]...)
+	hi, _ := core.MergeReports(byOrigin[len(byOrigin)/2:]...)
+	check("merged halves", true, []*core.Report{hi, lo})
+	var halves [2][]*core.Report
+	for i, rep := range reports {
+		halves[i%2] = append(halves[i%2], rep)
+	}
+	even, _ := core.MergeReports(halves[0]...)
+	odd, _ := core.MergeReports(halves[1]...)
+	check("interleaved halves", false, []*core.Report{odd, even})
+	// Repeated keys take the keyed path, and so must agree with it.
+	check("duplicates", false, append(reports[:5:5], reports[:5]...))
+	clash := *reports[3]
+	clash.Origin = reports[2].Origin
+	check("conflicts", false, []*core.Report{reports[2], &clash})
 }

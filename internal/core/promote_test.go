@@ -173,7 +173,7 @@ func checkAgainstEvents(t *testing.T, s *trace.Session, cfg Config, rep *Report,
 func checkInterleaved(t *testing.T, a *StreamAnalyzer, st *instanceStream, events []trace.Event, at string) {
 	t.Helper()
 	c := st.clone()
-	c.finalize(a.d, a.session)
+	c.finalize(a.d, a.registry())
 	got := c.regularitySummary()
 	want := foldEvents(profile.Build(a.session, events)[0], a.d.cfg).interleaved
 	got.Patterns = nil

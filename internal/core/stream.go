@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -81,6 +82,12 @@ type instanceStream struct {
 	// vanishing blindly. They feed the sampling row and its bound, never
 	// the reducers — detectors keep a consistent kept-only event universe.
 	agg trace.AggRecord
+	// last is the row the latest snapshot built for this instance, over its
+	// first lastN events. The next snapshot reuses it instead of cloning and
+	// finalizing again while the instance has folded nothing since and is
+	// still registered the same (reusable).
+	last  *InstanceResult
+	lastN int
 }
 
 func newInstanceStream(d *DSspy, id trace.InstanceID) *instanceStream {
@@ -222,7 +229,8 @@ func (st *instanceStream) openRuns() int {
 }
 
 // clone returns an independent copy; Snapshot finalizes clones so the live
-// reducers keep folding.
+// reducers keep folding. The per-thread pattern lists are shared, not copied
+// (StreamDetector.CloneAs): finalize only reads them.
 func (st *instanceStream) clone() *instanceStream {
 	out := &instanceStream{
 		id:        st.id,
@@ -251,29 +259,30 @@ func (st *instanceStream) clone() *instanceStream {
 }
 
 // finalize flushes the open runs and applies the detectors, producing the
-// instance's report row.
-func (st *instanceStream) finalize(d *DSspy, s *trace.Session) *InstanceResult {
+// instance's report row, named from the registry copy registered.
+func (st *instanceStream) finalize(d *DSspy, registered []trace.Instance) *InstanceResult {
 	// Flush per-thread detectors in ascending thread-id order and merge their
 	// summaries, so the pattern list does not depend on map order.
-	tids := make([]trace.ThreadID, 0, len(st.perThread))
+	var tidBuf [4]trace.ThreadID
+	tids := tidBuf[:0]
 	for tid := range st.perThread {
 		tids = append(tids, tid)
 	}
-	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
-	soloRuns := st.global == nil && st.runSeg == nil
-	sum := &pattern.Summary{}
+	slices.Sort(tids)
+	var detBuf [4]*pattern.StreamDetector
+	dets := detBuf[:0]
 	for _, tid := range tids {
-		det := st.perThread[tid]
-		if c, ok := det.Finish(); ok {
-			if c.Type != pattern.None {
-				st.uc.Pattern(c.Type, &c.Run)
-			}
-			if soloRuns {
-				st.uc.Run(&c.Run)
-			}
-		}
-		sum.Merge(det.Summary())
+		dets = append(dets, st.perThread[tid])
 	}
+	soloRuns := st.global == nil && st.runSeg == nil
+	sum := pattern.FinishMerged(dets, func(r *profile.Run, t pattern.Type) {
+		if t != pattern.None {
+			st.uc.Pattern(t, r)
+		}
+		if soloRuns {
+			st.uc.Run(r)
+		}
+	})
 
 	if st.global != nil {
 		if c, ok := st.global.Finish(); ok && st.runSeg == nil {
@@ -293,14 +302,7 @@ func (st *instanceStream) finalize(d *DSspy, s *trace.Session) *InstanceResult {
 	if stats.Threads > 1 {
 		ct = st.ct.Snapshot()
 	}
-	var inst trace.Instance
-	ok := false
-	if s != nil {
-		inst, ok = s.Instance(st.id)
-	}
-	if !ok {
-		inst = trace.Instance{ID: st.id, TypeName: "<unregistered>"}
-	}
+	inst := instanceAt(registered, st.id)
 	p := profile.NewStreamed(inst, st.n, stats)
 	res := &InstanceResult{
 		Profile:    p,
@@ -579,28 +581,124 @@ func (a *StreamAnalyzer) Feed(events ...trace.Event) {
 // Snapshot builds a consistent report over everything fed so far without
 // disturbing the live reducers: it waits for the batches handed over before
 // the call to be folded, clones per-shard state under the shard lock, then
-// finalizes the clones outside it.
+// finalizes the clones outside it. An instance that has folded nothing since
+// the previous snapshot gets that snapshot's row again; the report's rows
+// are shallow copies, so a caller may replace their fields.
 func (a *StreamAnalyzer) Snapshot() *Report {
+	rep := a.capture().build()
+	owned := make([]InstanceResult, len(rep.Instances))
+	for i, ir := range rep.Instances {
+		owned[i] = *ir
+		rep.Instances[i] = &owned[i]
+	}
+	return rep
+}
+
+// rowSource is where one row of a report comes from: a stream to finalize
+// (a clone, or at Close the live stream), or a row an earlier snapshot built
+// and the instance has not changed since. The figures are the live stream's
+// when the source was taken.
+type rowSource struct {
+	st       *instanceStream // finalized into row when row is nil
+	row      *InstanceResult
+	live     *instanceStream
+	shard    int
+	n        int
+	openRuns int
+	ooo      uint64
+}
+
+func sourceOf(live *instanceStream, shard int) rowSource {
+	return rowSource{live: live, shard: shard, n: live.n, openRuns: live.openRuns(), ooo: live.ooo}
+}
+
+// snapshotState is a consistent copy of an analyzer's state: the row
+// sources of every instance and a copy of the session registry. Building
+// the report from it touches the live analyzer only to keep the rows it
+// built, under the shard locks, so a caller that feeds under a lock of its
+// own (the daemon's tenant lock) captures under that lock and builds after
+// releasing it.
+type snapshotState struct {
+	a          *StreamAnalyzer
+	sources    []rowSource
+	registered []trace.Instance
+	t0         time.Time
+	span       obs.Span
+}
+
+// capture waits for the batches handed over before the call to be folded,
+// copies the registry, and takes every instance's row source under its
+// shard lock: the row of the previous snapshot when it is reusable, a clone
+// of the stream otherwise.
+func (a *StreamAnalyzer) capture() *snapshotState {
 	a.settle()
-	t0 := time.Now()
-	sp := a.d.cfg.Tracer.Begin("snapshot", "stream")
-	var streams []*instanceStream
-	for _, sh := range a.shards {
+	ss := &snapshotState{a: a, t0: time.Now(), span: a.d.cfg.Tracer.Begin("snapshot", "stream")}
+	ss.registered = a.registry()
+	for i, sh := range a.shards {
 		sh.mu.Lock()
 		for _, st := range sh.byInst {
-			streams = append(streams, st.clone())
+			src := sourceOf(st, i)
+			if a.reusable(st, ss.registered) {
+				src.row = st.last
+			} else {
+				src.st = st.clone()
+			}
+			ss.sources = append(ss.sources, src)
 		}
 		sh.mu.Unlock()
 	}
-	rep := a.buildReport(streams)
-	sp.End("instances", fmt.Sprint(len(streams)))
+	return ss
+}
+
+// reusable reports whether st's last snapshot row still stands: the
+// instance has folded nothing since and its registry entry is unchanged.
+// Under a sampling controller a row also reads the controller's state,
+// which moves without the instance folding, so rows are never reused there.
+func (a *StreamAnalyzer) reusable(st *instanceStream, registered []trace.Instance) bool {
+	return st.last != nil && st.lastN == st.n && a.ctrl == nil &&
+		st.last.Profile.Instance == instanceAt(registered, st.id)
+}
+
+// build finalizes the captured clones into the snapshot report and keeps
+// each row it built on its live stream for the next snapshot.
+func (ss *snapshotState) build() *Report {
+	a := ss.a
+	rep := a.buildReport(ss.sources, ss.registered)
+	for _, src := range ss.sources {
+		if src.st == nil {
+			continue
+		}
+		sh := a.shards[src.shard]
+		sh.mu.Lock()
+		src.live.last, src.live.lastN = src.row, src.n
+		sh.mu.Unlock()
+	}
+	ss.span.End("instances", fmt.Sprint(len(ss.sources)))
 	a.snapMu.Lock()
 	a.snapshots++
-	a.snapNS += int64(time.Since(t0))
+	a.snapNS += int64(time.Since(ss.t0))
 	rep.Stats.Streaming.Snapshots = a.snapshots
 	rep.Stats.Streaming.SnapshotTime = time.Duration(a.snapNS)
 	a.snapMu.Unlock()
 	return rep
+}
+
+// registry copies the attached session's instance registry; nil when no
+// session is attached.
+func (a *StreamAnalyzer) registry() []trace.Instance {
+	if a.session == nil {
+		return nil
+	}
+	return a.session.Instances()
+}
+
+// instanceAt names instance id from a registry copy (trace.Session.Instances
+// holds instance N at index N-1).
+func instanceAt(registered []trace.Instance, id trace.InstanceID) trace.Instance {
+	if id > 0 && int(id) <= len(registered) {
+		return registered[id-1]
+	}
+	return trace.Instance{ID: id, TypeName: "<unregistered>"}
 }
 
 // Close waits for every handed-over batch to be folded, flushes all reducers
@@ -617,54 +715,57 @@ func (a *StreamAnalyzer) Close() *Report {
 		}
 		a.settle()
 		sp := a.d.cfg.Tracer.Begin("finalize", "stream")
-		var streams []*instanceStream
-		for _, sh := range a.shards {
+		var sources []rowSource
+		for i, sh := range a.shards {
 			sh.mu.Lock()
 			for _, st := range sh.byInst {
-				streams = append(streams, st)
+				src := sourceOf(st, i)
+				src.st = st
+				sources = append(sources, src)
 			}
 			sh.mu.Unlock()
 		}
-		a.final = a.buildReport(streams)
-		sp.End("instances", fmt.Sprint(len(streams)))
+		a.final = a.buildReport(sources, a.registry())
+		sp.End("instances", fmt.Sprint(len(sources)))
 	})
 	return a.final
 }
 
-// buildReport finalizes the given instance streams into a Report ordered by
-// instance id, fanning per-instance finalization across the worker pool.
-func (a *StreamAnalyzer) buildReport(streams []*instanceStream) *Report {
-	sort.Slice(streams, func(i, j int) bool { return streams[i].id < streams[j].id })
+// buildReport builds a Report from row sources ordered by instance id,
+// naming rows from registered and fanning the finalization of the streams
+// across the worker pool.
+func (a *StreamAnalyzer) buildReport(sources []rowSource, registered []trace.Instance) *Report {
+	slices.SortFunc(sources, func(x, y rowSource) int { return cmp.Compare(x.live.id, y.live.id) })
 
 	folded, openRuns := 0, 0
 	var ooo uint64
-	for _, st := range streams {
-		folded += st.n
-		openRuns += st.openRuns()
-		ooo += st.ooo
+	for _, src := range sources {
+		folded += src.n
+		openRuns += src.openRuns
+		ooo += src.ooo
 	}
 
-	results := make([]*InstanceResult, len(streams))
-	par.For(len(streams), a.d.workers(), func(i int) {
-		results[i] = streams[i].finalize(a.d, a.session)
+	results := make([]*InstanceResult, len(sources))
+	par.For(len(sources), a.d.workers(), func(i int) {
+		src := &sources[i]
+		if src.row == nil {
+			src.row = src.st.finalize(a.d, registered)
+		}
+		results[i] = src.row
 	})
 
-	var registered []trace.Instance
-	if a.session != nil {
-		registered = a.session.Instances()
-	}
 	rep := &Report{
 		Instances:  results,
 		Registered: registered,
 		Stats: &metrics.PipelineStats{
 			Events:    folded,
-			Instances: len(streams),
+			Instances: len(sources),
 			Workers:   len(a.shards),
 			Wall:      time.Since(a.start),
 			Streaming: &metrics.StreamingStats{
 				Shards:     len(a.shards),
 				Folded:     uint64(folded),
-				Instances:  len(streams),
+				Instances:  len(sources),
 				OpenRuns:   openRuns,
 				OutOfOrder: ooo,
 			},

@@ -167,10 +167,15 @@ func (s *Summary) add(t Type, r *profile.Run) {
 	}
 }
 
-// Merge folds another summary in; per-thread streaming detectors finalize
-// into one merged summary the same way.
+// Merge folds another summary in. FinishMerged merges per-thread streaming
+// detectors the same way.
 func (s *Summary) Merge(sub *Summary) {
 	s.Patterns = append(s.Patterns, sub.Patterns...)
+	s.mergeCounts(sub)
+}
+
+// mergeCounts is Merge without the pattern list: the aggregates only.
+func (s *Summary) mergeCounts(sub *Summary) {
 	for i := range sub.ByType {
 		s.ByType[i] += sub.ByType[i]
 		s.EventsIn[i] += sub.EventsIn[i]

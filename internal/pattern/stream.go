@@ -77,28 +77,81 @@ func (d *StreamDetector) FeedBatch(b *trace.ColumnBatch, i, j int, emit func(Clo
 // single implementation behind FeedRuns and the value adapters. The run is
 // copied only when the detector keeps its pattern list.
 func (d *StreamDetector) classify(r *profile.Run) Type {
+	t := d.fold(r)
+	if t != None && d.keep {
+		d.sum.Patterns = append(d.sum.Patterns, Pattern{Type: t, Run: *r})
+	}
+	return t
+}
+
+// fold classifies one closed run and folds its aggregates into the summary
+// without listing it.
+func (d *StreamDetector) fold(r *profile.Run) Type {
 	if r.Len() < d.cfg.MinLen {
 		return None
 	}
 	t := Classify(r)
 	if t != None {
 		d.sum.add(t, r)
-		if d.keep {
-			d.sum.Patterns = append(d.sum.Patterns, Pattern{Type: t, Run: *r})
-		}
 	}
 	return t
 }
 
 // Finish flushes the still-open run, if any, classifying and folding it. The
-// detector stays usable afterwards (the next Feed starts a fresh run), which
-// is what lets snapshots finalize a clone while the live detector keeps going.
+// detector stays usable afterwards (the next Feed starts a fresh run).
 func (d *StreamDetector) Finish() (Closed, bool) {
 	r, ok := d.seg.Finish()
 	if !ok {
 		return Closed{}, false
 	}
 	return Closed{Run: r, Type: d.classify(&r)}, true
+}
+
+// FinishMerged flushes every detector's open run, in the order given, lending
+// each flushed run and its classification to emit, and returns the merged
+// summary: Summary.Merge over the finished detectors' summaries in that
+// order. The pattern list is built once, at its exact length, and the
+// flushed runs go into it rather than into the detectors' own lists; a lone
+// detector's list with nothing to add and no spare capacity is used as it
+// is. So a detector's list is only ever read here, which is what lets a
+// clone share it with the live detector (CloneAs). Afterwards each
+// detector's summary counts its flushed run but does not list it.
+func FinishMerged(dets []*StreamDetector, emit func(*profile.Run, Type)) *Summary {
+	// tails[i] is detector i's flushed pattern; Type None when it had none.
+	var tailBuf [4]Pattern
+	tails := tailBuf[:0]
+	sum := &Summary{}
+	n := 0
+	for _, d := range dets {
+		tail := Pattern{Type: None}
+		if r, ok := d.seg.Finish(); ok {
+			t := d.fold(&r)
+			emit(&r, t)
+			if t != None && d.keep {
+				tail = Pattern{Type: t, Run: r}
+				n++
+			}
+		}
+		tails = append(tails, tail)
+		n += len(d.sum.Patterns)
+		sum.mergeCounts(&d.sum)
+	}
+	switch {
+	case n == 0:
+	case len(dets) == 1 && tails[0].Type == None && cap(dets[0].sum.Patterns) == n:
+		// One list with nothing to add and no spare capacity — a clone's —
+		// is taken as it is: sharing it pins nothing.
+		sum.Patterns = dets[0].sum.Patterns
+	default:
+		sum.Patterns = make([]Pattern, 0, n)
+		for i, d := range dets {
+			sum.Patterns = append(sum.Patterns, d.sum.Patterns...)
+			if tails[i].Type != None {
+				sum.Patterns = append(sum.Patterns, tails[i])
+			}
+		}
+	}
+	return sum
 }
 
 // Open reports whether a run is currently held open.
@@ -118,11 +171,16 @@ func (d *StreamDetector) Clone() *StreamDetector { return d.CloneAs(d.keep) }
 // on only if keepPatterns is set; without it the copy starts with none. A
 // non-keeping copy of a detector is exactly the detector a caller would hold
 // had it fed the same events with keepPatterns unset.
+//
+// A keeping copy shares the pattern list instead of copying it: patterns
+// are never rewritten once listed, and the copy's slice is cut at its
+// length, so an append on either side never writes where the other reads.
 func (d *StreamDetector) CloneAs(keepPatterns bool) *StreamDetector {
 	out := &StreamDetector{cfg: d.cfg, seg: d.seg.Clone(), sum: d.sum, keep: keepPatterns}
 	out.sum.Patterns = nil
 	if keepPatterns {
-		out.sum.Patterns = append([]Pattern(nil), d.sum.Patterns...)
+		n := len(d.sum.Patterns)
+		out.sum.Patterns = d.sum.Patterns[:n:n]
 	}
 	return out
 }
