@@ -199,13 +199,16 @@ func (r *Report) AttachEvents(s *trace.Session, events []trace.Event) {
 	for _, p := range profile.Build(s, events) {
 		byID[p.Instance.ID] = p
 	}
-	for _, ir := range r.Instances {
+	for i, ir := range r.Instances {
 		p := byID[ir.Profile.Instance.ID]
 		if p == nil {
 			continue
 		}
 		p.PrimeStats(ir.Profile.Stats())
-		ir.Profile = p
+		// A copy: the row may be shared with the report a merge took it from.
+		cp := *ir
+		cp.Profile = p
+		r.Instances[i] = &cp
 	}
 }
 
@@ -303,9 +306,9 @@ func (r *Report) FilterMinConfidence(min float64) int {
 		return 0
 	}
 	dropped := 0
-	for _, ir := range r.Instances {
-		// A fresh slice: the row's use cases may be shared with the report
-		// a merge or a snapshot took them from.
+	for i, ir := range r.Instances {
+		// A fresh slice on a copy of the row: the row and its use cases may
+		// be shared with the report a merge or a snapshot took them from.
 		kept := ir.UseCases[:0:0]
 		for _, u := range ir.UseCases {
 			if u.Confidence() >= min {
@@ -314,7 +317,9 @@ func (r *Report) FilterMinConfidence(min float64) int {
 				dropped++
 			}
 		}
-		ir.UseCases = kept
+		cp := *ir
+		cp.UseCases = kept
+		r.Instances[i] = &cp
 	}
 	return dropped
 }
@@ -336,16 +341,14 @@ func (r *Report) InstancesWithUseCases() []trace.Instance {
 
 // Write renders the report in the paper's Table V layout: one block per use
 // case with the class/method, position, data structure and use-case name,
-// followed by the recommended action. The text is rendered into one buffer
-// of exactly its size and handed to w in a single Write call; a
-// bytes.Buffer destination is grown to that size and rendered into in
-// place, so the text is allocated once.
+// followed by the recommended action. textLen sizes the text without
+// rendering it; the text is then rendered once into one buffer of exactly
+// that size and handed to w in a single Write call. A bytes.Buffer
+// destination is grown to that size and rendered into in place, so the text
+// is allocated once.
 func (r *Report) Write(w io.Writer) error {
 	ss := r.SearchSpace()
-	// Measure first: each block is rendered into one reused scratch buffer,
-	// which ends up as large as the largest block.
-	size := 0
-	r.appendText(nil, ss, func(b []byte) []byte { size += len(b); return b[:0] })
+	size := r.textLen(ss)
 	var text []byte
 	if buf, ok := w.(*bytes.Buffer); ok {
 		buf.Grow(size)
@@ -353,69 +356,123 @@ func (r *Report) Write(w io.Writer) error {
 	} else {
 		text = make([]byte, 0, size)
 	}
-	text = r.appendText(text, ss, func(b []byte) []byte { return b })
+	text = r.appendText(text, ss)
 	_, err := w.Write(text)
 	return err
 }
 
-// appendText appends the report's text to b one block at a time — a use
-// case, a contention note, the search-space line — handing the buffer to
-// next after each block and going on with the buffer next returns.
-func (r *Report) appendText(b []byte, ss SearchSpace, next func([]byte) []byte) []byte {
+// appendText appends the report's text to b: the use-case blocks, the
+// contention notes and the search-space line.
+func (r *Report) appendText(b []byte, ss SearchSpace) []byte {
 	n := 0
 	for _, ir := range r.Instances {
 		for k := range ir.UseCases {
 			n++
-			b = next(appendUseCase(b, n, &ir.UseCases[k]))
+			b = appendUseCase(b, n, &ir.UseCases[k])
 		}
 	}
 	if n == 0 {
-		return next(append(b, "No use cases detected.\n"...))
+		return append(b, noUseCases...)
 	}
 	for _, ir := range r.Instances {
 		if ir.Shared.Contended() {
-			b = next(appendContention(b, ir))
+			b = appendContention(b, ir)
 		}
 	}
-	b = append(b, "Search space: "...)
-	b = appendInt(b, ss.Flagged)
-	b = append(b, " of "...)
-	b = appendInt(b, ss.Total)
-	b = append(b, " list/array instances remain (reduction "...)
-	b = strconv.AppendFloat(b, 100*ss.Reduction(), 'f', 2, 64)
-	return next(append(b, "%).\n"...))
+	return appendSearchSpace(b, ss)
+}
+
+// textLen is the length of the text appendText renders, walked the same way
+// without rendering: string lengths and digit counts, with the rarer
+// confidence lines, contention notes and labels that need escaping
+// formatted into a stack scratch. render_test.go holds it to Write's
+// output.
+func (r *Report) textLen(ss SearchSpace) int {
+	size, n := 0, 0
+	for _, ir := range r.Instances {
+		for k := range ir.UseCases {
+			n++
+			size += useCaseLen(n, &ir.UseCases[k])
+		}
+	}
+	if n == 0 {
+		return len(noUseCases)
+	}
+	var scratch [512]byte
+	for _, ir := range r.Instances {
+		if ir.Shared.Contended() {
+			size += len(appendContention(scratch[:0], ir))
+		}
+	}
+	return size + len(appendSearchSpace(scratch[:0], ss))
+}
+
+const noUseCases = "No use cases detected.\n"
+
+// The fixed parts of a use-case block, shared by the renderer and
+// useCaseLen.
+const (
+	ucHead      = "Use Case "
+	ucFunction  = "\n  Function:       "
+	ucPosition  = "\n  Position:       "
+	ucData      = "\n  Data structure: "
+	ucKind      = "\n  Use Case:       "
+	ucEvidence  = "\n  Evidence:       "
+	ucRecommend = "\n  Recommendation: "
+)
+
+// useCaseLen is the length of appendUseCase(nil, i, u).
+func useCaseLen(i int, u *usecase.UseCase) int {
+	site := &u.Instance.Site
+	size := len(ucHead) + intLen(i) +
+		len(ucFunction) + len(orUnknown(site.Function)) +
+		len(ucPosition) + len(filepath.Base(orUnknown(site.File))) + 1 + intLen(site.Line) +
+		len(ucData) + instanceNameLen(u.Instance.TypeName, u.Instance.Label) +
+		len(ucKind) + len(u.Kind.String()) +
+		len(ucEvidence) + len(u.Evidence) +
+		len(ucRecommend) + len(u.Recommendation) + 2
+	if u.Bound > 0 {
+		var scratch [64]byte
+		size += len(appendConfidence(scratch[:0], u))
+	}
+	return size
 }
 
 // appendUseCase renders use case number i as one Table V block.
 func appendUseCase(b []byte, i int, u *usecase.UseCase) []byte {
-	site := u.Instance.Site
-	b = append(b, "Use Case "...)
+	site := &u.Instance.Site
+	b = append(b, ucHead...)
 	b = appendInt(b, i)
-	b = append(b, "\n  Function:       "...)
+	b = append(b, ucFunction...)
 	b = append(b, orUnknown(site.Function)...)
-	b = append(b, "\n  Position:       "...)
+	b = append(b, ucPosition...)
 	b = append(b, filepath.Base(orUnknown(site.File))...)
 	b = append(b, ':')
 	b = appendInt(b, site.Line)
-	b = append(b, "\n  Data structure: "...)
+	b = append(b, ucData...)
 	b = appendInstanceName(b, u.Instance.TypeName, u.Instance.Label)
-	b = append(b, "\n  Use Case:       "...)
+	b = append(b, ucKind...)
 	b = append(b, u.Kind.String()...)
-	b = append(b, "\n  Evidence:       "...)
+	b = append(b, ucEvidence...)
 	b = append(b, u.Evidence...)
-	b = append(b, "\n  Recommendation: "...)
+	b = append(b, ucRecommend...)
 	b = append(b, u.Recommendation...)
 	b = append(b, '\n')
 	// Only lossy streams print a confidence line: a full-fidelity detection
 	// is exact, and its block stays byte-identical.
 	if u.Bound > 0 {
-		b = append(b, "  Confidence:     "...)
-		b = strconv.AppendFloat(b, 100*u.Confidence(), 'f', 1, 64)
-		b = append(b, "% (sampling error bound "...)
-		b = strconv.AppendFloat(b, u.Bound, 'f', 4, 64)
-		b = append(b, ")\n"...)
+		b = appendConfidence(b, u)
 	}
 	return append(b, '\n')
+}
+
+// appendConfidence renders the confidence line of a sampled detection.
+func appendConfidence(b []byte, u *usecase.UseCase) []byte {
+	b = append(b, "  Confidence:     "...)
+	b = strconv.AppendFloat(b, 100*u.Confidence(), 'f', 1, 64)
+	b = append(b, "% (sampling error bound "...)
+	b = strconv.AppendFloat(b, u.Bound, 'f', 4, 64)
+	return append(b, ")\n"...)
 }
 
 // appendContention renders the note on a contended instance, plus its
@@ -453,7 +510,31 @@ func appendContention(b []byte, ir *InstanceResult) []byte {
 	return append(b, " thread pair(s) potentially concurrent.\n"...)
 }
 
+// appendSearchSpace renders the closing search-space line.
+func appendSearchSpace(b []byte, ss SearchSpace) []byte {
+	b = append(b, "Search space: "...)
+	b = appendInt(b, ss.Flagged)
+	b = append(b, " of "...)
+	b = appendInt(b, ss.Total)
+	b = append(b, " list/array instances remain (reduction "...)
+	b = strconv.AppendFloat(b, 100*ss.Reduction(), 'f', 2, 64)
+	return append(b, "%).\n"...)
+}
+
 func appendInt(b []byte, v int) []byte { return strconv.AppendInt(b, int64(v), 10) }
+
+// intLen is the length of appendInt(nil, v).
+func intLen(v int) int {
+	n := 1
+	if v < 0 {
+		n++
+	}
+	for v >= 10 || v <= -10 {
+		v /= 10
+		n++
+	}
+	return n
+}
 
 // appendInstanceName renders a data structure as its type name followed,
 // when it has a label, by the label quoted Go-style in parentheses.
@@ -467,17 +548,38 @@ func appendInstanceName(b []byte, typeName, label string) []byte {
 	return append(b, ')')
 }
 
+// instanceNameLen is the length of appendInstanceName(nil, typeName, label).
+func instanceNameLen(typeName, label string) int {
+	if label == "" {
+		return len(typeName)
+	}
+	if !plainLabel(label) {
+		var scratch [64]byte
+		return len(typeName) + 3 + len(strconv.AppendQuote(scratch[:0], label))
+	}
+	return len(typeName) + 3 + len(label) + 2
+}
+
 // appendQuoted is strconv.AppendQuote with a fast path for the usual label:
 // printable ASCII with nothing to escape quotes as itself.
 func appendQuoted(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
-			return strconv.AppendQuote(b, s)
-		}
+	if !plainLabel(s) {
+		return strconv.AppendQuote(b, s)
 	}
 	b = append(b, '"')
 	b = append(b, s...)
 	return append(b, '"')
+}
+
+// plainLabel reports whether s is printable ASCII with nothing to escape, so
+// it quotes as itself.
+func plainLabel(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return false
+		}
+	}
+	return true
 }
 
 func orUnknown(s string) string {

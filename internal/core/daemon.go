@@ -129,9 +129,12 @@ func (dm *Daemon) newTenantWindowsLocked(name string) *tenantWindows {
 	return tw
 }
 
-// TenantEvents folds admitted events into the tenant's open window,
-// rotating it when full. Calls for one connection arrive in stream order;
-// the per-tenant mutex serializes concurrent connections of one tenant.
+// TenantEvents hands admitted events to the tenant's open window, rotating
+// it when full. The analyzer's Feed copies the events and returns before
+// they are folded, so the connection decodes its next frame while the
+// shards fold this one; the caller may reuse the slice at once. Calls for
+// one connection arrive in stream order; the per-tenant mutex serializes
+// concurrent connections of one tenant.
 func (dm *Daemon) TenantEvents(tenant string, events []trace.Event) {
 	tw := dm.tenant(tenant)
 	tw.mu.Lock()

@@ -532,16 +532,22 @@ func TestFeedConcurrentCallers(t *testing.T) {
 	}
 }
 
-// fleetTenant returns a daemon at daemon-fleet's tenant steady state: a
-// full ring of eight closed windows plus a half-full open window, each over
-// the same 330-instance corpus stream, which it returns too.
-func fleetTenant() (*core.Daemon, []trace.Event) {
+// fleetStream records daemon-fleet's tenant stream: a 330-instance corpus
+// mix.
+func fleetStream() (*trace.Session, []trace.Event) {
 	mix := corpus.Mix{
 		LI: 40, IQ: 40, FS: 10, FLR: 40, SAIDual: 20, LIFLR: 20,
 		RegularOnly: 40, Irregular: 40,
 		CM: 20, MQ: 20, RMT: 20, PRW: 20,
 	}
-	s, events := recordProgram(corpus.DynamicProgram{Name: "fleet", Mix: mix})
+	return recordProgram(corpus.DynamicProgram{Name: "fleet", Mix: mix})
+}
+
+// fleetTenant returns a daemon at daemon-fleet's tenant steady state: a
+// full ring of eight closed windows plus a half-full open window, each over
+// the same 330-instance corpus stream, which it returns too.
+func fleetTenant() (*core.Daemon, []trace.Event) {
+	s, events := fleetStream()
 	dm := core.New().NewDaemon(core.DaemonConfig{WindowEvents: len(events), MaxWindows: 8})
 	for _, inst := range s.Instances() {
 		dm.TenantInstance("t0", inst)
@@ -627,4 +633,92 @@ func BenchmarkDaemonTenantReport(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkDaemonIngest measures the daemon's ingest layer at daemon-fleet's
+// shape: one op delivers fleetStream to each of two tenants in 1024-event
+// frames through TenantEvents, tenants alternating frame by frame, into a
+// daemon with the default windows, while a reader renders a tenant report
+// every 5 ms, alternating tenants. The frames are copied into one slice that
+// is reused for the next frame, as the server's is. The timed region ends
+// with a report per tenant, which waits for everything fed to be folded, so
+// no fold is left outside it. B/event includes the reader's allocations;
+// reads/op says how many reads they come from.
+func BenchmarkDaemonIngest(b *testing.B) {
+	s, events := fleetStream()
+	tenants := [2]string{"t0", "t1"}
+	dm := core.New().NewDaemon(core.DaemonConfig{})
+	for _, tenant := range tenants {
+		for _, inst := range s.Instances() {
+			dm.TenantInstance(tenant, inst)
+		}
+	}
+	frame := make([]trace.Event, 1024)
+	ingest := func() {
+		for lo := 0; lo < len(events); lo += len(frame) {
+			for _, tenant := range tenants {
+				part := frame[:copy(frame, events[lo:min(lo+len(frame), len(events))])]
+				dm.TenantEvents(tenant, part)
+			}
+		}
+	}
+	ingest() // warm-up: both tenants have an open window to read
+
+	stop := make(chan struct{})
+	var reads int
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var buf bytes.Buffer
+		for k := 0; ; k++ {
+			select {
+			case <-stop:
+				return
+			case <-time.After(5 * time.Millisecond):
+			}
+			buf.Reset()
+			if err := dm.TenantReport(tenants[k%2]).Write(&buf); err != nil {
+				panic(err)
+			}
+			reads++
+		}
+	}()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ingest()
+	}
+	close(stop)
+	wg.Wait()
+	for _, tenant := range tenants {
+		if got, want := distinctInstances(dm.TenantReport(tenant)), distinctEventInstances(events); got != want {
+			b.Fatalf("tenant %s report covers %d instances, its stream %d", tenant, got, want)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&m1)
+	n := float64(b.N) * float64(len(tenants)*len(events))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/event")
+	b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/n, "B/event")
+	b.ReportMetric(float64(reads)/float64(b.N), "reads/op")
+}
+
+// distinctInstances counts the instance ids among a report's rows.
+func distinctInstances(rep *core.Report) int {
+	ids := make(map[trace.InstanceID]bool)
+	for _, ir := range rep.Instances {
+		ids[ir.Profile.Instance.ID] = true
+	}
+	return len(ids)
+}
+
+// distinctEventInstances counts the instance ids among events.
+func distinctEventInstances(events []trace.Event) int {
+	ids := make(map[trace.InstanceID]bool)
+	for _, e := range events {
+		ids[e.Instance] = true
+	}
+	return len(ids)
 }

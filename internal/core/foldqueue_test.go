@@ -175,12 +175,181 @@ func TestSnapshotConcurrentWithFeedColumns(t *testing.T) {
 	}
 }
 
+// feedFrames feeds events to sa the way the daemon's server delivers a
+// connection's frames: each frame is copied into one caller-owned slice,
+// fed, and the slice overwritten with junk as soon as Feed returns, as the
+// server's next frame overwrites it. It closes done when every frame is fed.
+func feedFrames(sa *core.StreamAnalyzer, events []trace.Event, frame int, done chan<- struct{}) {
+	defer close(done)
+	buf := make([]trace.Event, frame)
+	junk := trace.Event{Seq: 1, Instance: 1, Op: trace.OpWrite, Thread: 99, Index: -1, Size: -1}
+	for lo := 0; lo < len(events); lo += frame {
+		part := buf[:copy(buf, events[lo:min(lo+frame, len(events))])]
+		sa.Feed(part...)
+		for i := range part {
+			part[i] = junk
+		}
+	}
+}
+
+// waitInFlight polls until the feeder is done or holds cap pieces in
+// flight, failing if it ever holds more than cap.
+func waitInFlight(t *testing.T, sa *core.StreamAnalyzer, done <-chan struct{}) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		n := sa.PiecesInFlight()
+		if n > sa.FeedCap() {
+			t.Fatalf("%d pieces in flight, cap %d", n, sa.FeedCap())
+		}
+		select {
+		case <-done:
+			return
+		default:
+		}
+		if n == sa.FeedCap() {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("feeder neither finished nor reached the cap: %d of %d pieces in flight", n, sa.FeedCap())
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestFeedOwnershipOverwrite: Feed copies the caller's events into pieces
+// the analyzer owns until every shard has folded them, so a caller that
+// overwrites its slice after every Feed — as the server does — still gets
+// the report of a FeedColumns over the same events, at 1, 2, 3 and 8 shards.
+// The last shard's worker is held while the others run ahead, until the
+// feeder reaches the in-flight cap or runs out of frames: a piece returned
+// to the pool before that shard folded it would be reused and overwritten
+// under it.
+func TestFeedOwnershipOverwrite(t *testing.T) {
+	s, flat := corpusReplayLog(t)
+	want := reportBytes(t, foldBatches(s, 1, []*trace.ColumnBatch{flat}))
+	events := flat.Events(nil)
+	for _, shards := range []int{1, 2, 3, 8} {
+		sa := core.New().NewStreamAnalyzer(shards)
+		sa.Attach(s)
+		release := sa.HoldShard(shards - 1)
+		done := make(chan struct{})
+		go feedFrames(sa, events, 512, done)
+		waitInFlight(t, sa, done)
+		release()
+		<-done
+		if got := reportBytes(t, sa.Close()); !bytes.Equal(got, want) {
+			t.Fatalf("%d shards: report after overwriting every fed frame differs from a FeedColumns of the same events", shards)
+		}
+		if n := sa.PiecesInFlight(); n != 0 {
+			t.Fatalf("%d shards: %d pieces still in flight after Close", shards, n)
+		}
+	}
+}
+
+// TestFeedPiecesInFlightCap: while a shard's worker is held, Feed takes at
+// most FeedCap pieces from its pool and then waits for the oldest to be
+// folded instead of taking more; released, it finishes and the report is
+// whole.
+func TestFeedPiecesInFlightCap(t *testing.T) {
+	s, flat := corpusReplayLog(t)
+	want := reportBytes(t, foldBatches(s, 1, []*trace.ColumnBatch{flat}))
+	events := flat.Events(nil)
+	for _, shards := range []int{2, 3} {
+		sa := core.New().NewStreamAnalyzer(shards)
+		sa.Attach(s)
+		if len(events)/256 <= sa.FeedCap() {
+			t.Fatalf("%d frames cannot reach the cap of %d pieces", len(events)/256, sa.FeedCap())
+		}
+		release := sa.HoldShard(0)
+		done := make(chan struct{})
+		go feedFrames(sa, events, 256, done)
+		waitInFlight(t, sa, done)
+		time.Sleep(20 * time.Millisecond)
+		select {
+		case <-done:
+			t.Fatalf("%d shards: Feed went on with a shard held and %d pieces in flight", shards, sa.PiecesInFlight())
+		default:
+		}
+		if n := sa.PiecesInFlight(); n != sa.FeedCap() {
+			t.Fatalf("%d shards: %d pieces in flight while held, cap %d", shards, n, sa.FeedCap())
+		}
+		release()
+		<-done
+		if got := reportBytes(t, sa.Close()); !bytes.Equal(got, want) {
+			t.Fatalf("%d shards: report after a held shard differs from a FeedColumns of the same events", shards)
+		}
+	}
+}
+
+// TestFeedConcurrentWithSnapshots: two feeders of disjoint instance sets
+// and a snapshot loop share one analyzer while shard 0's worker is held and
+// released over and over, so feeders wait at the in-flight cap while
+// snapshots settle and recycle. Every piece must go back to the pool once
+// and only after every shard folded it, whoever recycles it: the final
+// report equals a FeedColumns of the same events.
+func TestFeedConcurrentWithSnapshots(t *testing.T) {
+	s, flat := corpusReplayLog(t)
+	want := reportBytes(t, foldBatches(s, 1, []*trace.ColumnBatch{flat}))
+	var parts [2][]trace.Event
+	for _, e := range flat.Events(nil) {
+		parts[e.Instance%2] = append(parts[e.Instance%2], e)
+	}
+	sa := core.New().NewStreamAnalyzer(2)
+	sa.Attach(s)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			release := sa.HoldShard(0)
+			time.Sleep(200 * time.Microsecond)
+			release()
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			sa.Snapshot()
+		}
+	}()
+	var feeders sync.WaitGroup
+	for _, part := range parts {
+		feeders.Add(1)
+		go func() {
+			defer feeders.Done()
+			done := make(chan struct{})
+			feedFrames(sa, part, 128, done)
+		}()
+	}
+	feeders.Wait()
+	close(stop)
+	wg.Wait()
+	if got := reportBytes(t, sa.Close()); !bytes.Equal(got, want) {
+		t.Fatal("report after concurrent feeders and snapshots differs from a FeedColumns of the same events")
+	}
+}
+
 // TestFoldWorkersExit: fold workers run only while their queues hold
 // batches, so the goroutine count returns to its baseline after Close, and
-// also after an analyzer is abandoned unclosed once its queues drain.
+// also after an analyzer is abandoned unclosed once its queues drain —
+// whether FeedColumns or Feed handed the batches over.
 func TestFoldWorkersExit(t *testing.T) {
 	s, flat := corpusReplayLog(t)
 	batches := randomCuts(flat, 16, rand.New(rand.NewSource(16)))
+	events := flat.Events(nil)
 	settled := func(base int) bool {
 		deadline := time.Now().Add(5 * time.Second)
 		for runtime.NumGoroutine() > base {
@@ -205,6 +374,19 @@ func TestFoldWorkersExit(t *testing.T) {
 	}
 	if !settled(base) {
 		t.Fatalf("abandoned analyzer: %d goroutines, baseline %d", runtime.NumGoroutine(), base)
+	}
+
+	fed := core.New().NewStreamAnalyzer(4)
+	fed.Attach(s)
+	for lo := 0; lo < len(events); lo += 1024 {
+		fed.Feed(events[lo:min(lo+1024, len(events))]...)
+	}
+	if !settled(base) {
+		t.Fatalf("abandoned Feed-only analyzer: %d goroutines, baseline %d", runtime.NumGoroutine(), base)
+	}
+	fed.Close()
+	if !settled(base) {
+		t.Fatalf("after closing a Feed-only analyzer: %d goroutines, baseline %d", runtime.NumGoroutine(), base)
 	}
 }
 

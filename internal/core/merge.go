@@ -81,10 +81,12 @@ func (k mergeKey) compare(o mergeKey) int {
 }
 
 // MergeReports folds any number of reports into one fleet view. Inputs are
-// not mutated. Instances and registry rows are keyed by (origin, id) — a
-// report-level Origin is inherited by rows that carry none — and the merged
-// report is ordered by (origin, id), so the output is independent of input
-// order.
+// not mutated, and the merged view may share rows with them: rows are
+// read-only once in a report (FilterMinConfidence and AttachEvents replace a
+// row rather than change it). Instances and registry rows are keyed by
+// (origin, id) — a report-level Origin is inherited by rows that carry none —
+// and the merged report is ordered by (origin, id), so the output is
+// independent of input order.
 //
 // When each input lists its rows in key order and no two inputs' key ranges
 // overlap — every set of daemon windows, every set of single-origin reports
@@ -151,28 +153,38 @@ func disjointSpans(reports []*Report, n func(*Report) int, key func(*Report, int
 
 // mergeDisjoint is the merge of inputs whose keys never repeat, given the
 // reports with rows and with registry rows in key order (disjointSpans).
-// Each row is its own key's only row: it is copied with its Origin stamped
-// and its detection bounds widened to its own largest, as the keyed path
-// does for a key with one row.
+// Each row is its own key's only row: it gets its Origin stamped and its
+// detection bounds widened to its own largest, as the keyed path does for a
+// key with one row. A row that already carries its origin and no bound —
+// every row of a closed daemon window — would come out unchanged, so the
+// merged view shares it instead of copying it; the others are copied.
 func mergeDisjoint(rows, regs []*Report) *Report {
-	n := 0
+	n, copies := 0, 0
 	for _, rep := range rows {
 		n += len(rep.Instances)
+		for _, ir := range rep.Instances {
+			if !mergesAsIs(rep, ir) {
+				copies++
+			}
+		}
 	}
-	// The merged view owns its rows, so it can stamp their Origin.
-	owned := make([]InstanceResult, n)
+	owned := make([]InstanceResult, copies)
 	merged := &Report{Instances: make([]*InstanceResult, n)}
 	events, k := 0, 0
 	for _, rep := range rows {
 		for _, ir := range rep.Instances {
-			cp := &owned[k]
-			*cp = *ir
-			cp.Origin = rowKey(rep, ir).origin
-			if b := rowBound(cp); b > 0 {
-				widenRow(cp, b, cp.Sampling)
+			if !mergesAsIs(rep, ir) {
+				cp := &owned[0]
+				owned = owned[1:]
+				*cp = *ir
+				cp.Origin = rowKey(rep, ir).origin
+				if b := rowBound(cp); b > 0 {
+					widenRow(cp, b, cp.Sampling)
+				}
+				ir = cp
 			}
-			merged.Instances[k] = cp
-			events += cp.Profile.Len()
+			merged.Instances[k] = ir
+			events += ir.Profile.Len()
 			k++
 		}
 	}
@@ -191,6 +203,12 @@ func mergeDisjoint(rows, regs []*Report) *Report {
 	}
 	merged.Stats = &metrics.PipelineStats{Events: events, Instances: len(merged.Instances)}
 	return merged
+}
+
+// mergesAsIs reports whether row ir of rep enters a merged view unchanged:
+// it names its own origin and carries no detection bound to widen.
+func mergesAsIs(rep *Report, ir *InstanceResult) bool {
+	return ir.Origin == rowKey(rep, ir).origin && rowBound(ir) == 0
 }
 
 // mergeKeyed is the general merge: one map per key for rows, their bounds

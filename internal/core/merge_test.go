@@ -368,3 +368,40 @@ func TestMergeMatchesKeyedOverCorpus(t *testing.T) {
 	clash.Origin = reports[2].Origin
 	check("conflicts", false, []*core.Report{reports[2], &clash})
 }
+
+// TestMergeSharesUnchangedRows: a row that already names its origin and
+// carries no bound — every row of a closed daemon window — enters the merged
+// view as is, and the row mutators replace a merged row instead of changing
+// it, so filtering the merged view leaves its inputs' bytes alone.
+func TestMergeSharesUnchangedRows(t *testing.T) {
+	reports := corpusReports(t)[:4]
+	for _, rep := range reports[:2] {
+		for _, ir := range rep.Instances {
+			ir.Origin = rep.Origin
+		}
+	}
+	before := make([][]byte, len(reports))
+	for i, rep := range reports {
+		before[i] = reportBytes(t, rep)
+	}
+	merged, _ := core.MergeReports(reports...)
+	shared := make(map[*core.InstanceResult]bool)
+	for _, ir := range merged.Instances {
+		shared[ir] = true
+	}
+	for i, rep := range reports {
+		for _, ir := range rep.Instances {
+			if got, want := shared[ir], i < 2; got != want {
+				t.Fatalf("report %d (%s): row %d shared = %v, want %v", i, rep.Origin, ir.Profile.Instance.ID, got, want)
+			}
+		}
+	}
+	if merged.FilterMinConfidence(2) == 0 {
+		t.Fatal("a confidence floor above 1 dropped nothing")
+	}
+	for i, rep := range reports {
+		if !bytes.Equal(reportBytes(t, rep), before[i]) {
+			t.Fatalf("report %d (%s) changed when the merged view was filtered", i, rep.Origin)
+		}
+	}
+}

@@ -339,9 +339,11 @@ type streamShard struct {
 
 // StreamAnalyzer computes reports incrementally from a live event stream. It
 // plugs into the sharded collector's drain path (Collector / FeedShard), or
-// consumes replayed streams via FeedColumns or Feed, which fold on one worker
-// goroutine per shard. Snapshot returns a consistent report at any time;
-// Close flushes everything and returns the final report.
+// consumes replayed and daemon streams via FeedColumns or Feed, which hand
+// their batches to one fold worker goroutine per shard and return before the
+// fold, so the caller decodes or scatters the next batch while the shards
+// fold this one. Snapshot returns a consistent report at any time; Close
+// flushes everything and returns the final report.
 //
 // Callers draining through a collector must close the collector first, so
 // every delivered event has been folded before Close builds the report.
@@ -355,12 +357,15 @@ type StreamAnalyzer struct {
 	// (sampling.go) and stamps finalized rows with bounds.
 	ctrl *sample.Controller
 
-	// qmu guards handed and every shard's fold queue; qdone is signalled
-	// each time a fold worker finishes a batch. Every handed-over batch
-	// joins every shard's queue, so handed is each queue's total too.
+	// qmu guards handed, pieces and every shard's fold queue; qdone is
+	// signalled each time a fold worker finishes a batch. Every handed-over
+	// batch joins every shard's queue, so handed is each queue's total too.
 	qmu    sync.Mutex
 	qdone  sync.Cond
 	handed uint64
+	// pieces are Feed's scratch batches not yet back in feedPool, oldest
+	// first, each with its hand-over number: the pieces in flight.
+	pieces []feedPiece
 
 	snapMu    sync.Mutex
 	snapshots int
@@ -481,15 +486,16 @@ func (a *StreamAnalyzer) feedShardCols(shard int, b *trace.ColumnBatch, own bool
 // replay runs satisfy that.
 func (a *StreamAnalyzer) FeedColumns(b *trace.ColumnBatch) {
 	if b.Len() > 0 {
-		a.handOff(b)
+		a.qmu.Lock()
+		a.handOffLocked(b)
+		a.qmu.Unlock()
 	}
 }
 
-// handOff appends b to every shard's fold queue, starts the worker of each
-// shard whose queue was empty, and returns b's hand-over number.
-func (a *StreamAnalyzer) handOff(b *trace.ColumnBatch) uint64 {
-	a.qmu.Lock()
-	defer a.qmu.Unlock()
+// handOffLocked appends b to every shard's fold queue, starts the worker of
+// each shard whose queue was empty, and returns b's hand-over number. qmu is
+// held.
+func (a *StreamAnalyzer) handOffLocked(b *trace.ColumnBatch) uint64 {
 	a.handed++
 	for shard, sh := range a.shards {
 		sh.queue = append(sh.queue, b)
@@ -522,26 +528,30 @@ func (a *StreamAnalyzer) foldQueue(shard int) {
 	a.qmu.Unlock()
 }
 
-// waitFolded waits until every shard has folded the first hand batches
-// handed over.
-func (a *StreamAnalyzer) waitFolded(hand uint64) {
-	a.qmu.Lock()
+// foldedLocked reports whether every shard has folded the batch with
+// hand-over number hand. Queues fold in hand-over order, so a shard whose
+// done count has reached hand has folded it and every batch before it. qmu
+// is held.
+func (a *StreamAnalyzer) foldedLocked(hand uint64) bool {
 	for _, sh := range a.shards {
-		for sh.done < hand {
-			a.qdone.Wait()
+		if sh.done < hand {
+			return false
 		}
 	}
-	a.qmu.Unlock()
+	return true
 }
 
-// settle waits until every batch handed over before the call is folded.
-// It is safe against concurrent FeedColumns callers: batches handed over
-// while it waits are not waited for.
+// settle waits until every batch handed over before the call is folded, and
+// returns Feed's pieces among them to feedPool. It is safe against
+// concurrent feeders: batches handed over while it waits are not waited for.
 func (a *StreamAnalyzer) settle() {
 	a.qmu.Lock()
 	hand := a.handed
+	for !a.foldedLocked(hand) {
+		a.qdone.Wait()
+	}
+	a.recycleLocked(len(a.pieces))
 	a.qmu.Unlock()
-	a.waitFolded(hand)
 }
 
 // feedChunk bounds each scratch batch Feed scatters onto, so a long event
@@ -549,32 +559,73 @@ func (a *StreamAnalyzer) settle() {
 // workers start on the first piece while the rest are scattered.
 const feedChunk = 4096
 
+// feedPiecesPerShard caps Feed's pieces in flight — taken from feedPool and
+// not yet folded by every shard — at feedPiecesPerShard per analyzer shard.
+// Instances map to shards by id, and a piece is often one instance's run (a
+// producer flush is), so a piece's fold work may all land on one shard. With
+// 8n such pieces queued on n shards, the chance that a given shard finds
+// none of its own work among them is (1−1/n)^(8n) ≤ e^−8 < 0.1%: while the
+// feeder keeps ahead, no fold worker idles for want of queued work. The cap
+// also bounds what a Feed that has returned leaves unfolded — at most
+// 8n·feedChunk events — and the memory the pieces pin.
+const feedPiecesPerShard = 8
+
 // feedPool recycles Feed's scratch batches across calls and analyzers, so a
-// scatter writes into warm memory instead of fresh pages.
+// scatter writes into warm memory instead of fresh pages. A piece is the
+// analyzer's from Get until every shard has folded it (recycleLocked); only
+// then does it go back.
 var feedPool = sync.Pool{New: func() any { return new(trace.ColumnBatch) }}
 
-// Feed folds struct events from any source: it scatters them onto pooled
+// feedPiece is one of Feed's scratch batches in flight and its hand-over
+// number.
+type feedPiece struct {
+	b    *trace.ColumnBatch
+	hand uint64
+}
+
+// Feed folds struct events from any source. It scatters them onto pooled
 // scratch column batches, a feedChunk piece at a time, hands each piece over
-// as FeedColumns does as soon as it is filled, and returns once every piece
-// is folded — so unlike FeedColumns it is synchronous, and the caller may
-// reuse the events at once. Reducers never retain a batch, so the pieces go
-// back to the pool then. Events must arrive in per-thread program order;
-// sequence-sorted replay streams satisfy that.
+// as FeedColumns does as soon as it is filled, and returns without waiting
+// for the fold. The pieces hold a copy of the events, so the caller may
+// reuse its slice as soon as Feed returns; each piece goes back to feedPool
+// once every shard has folded it. While feedPiecesPerShard pieces per shard
+// are in flight, Feed waits for the oldest before it scatters the next.
+// Snapshot and Close wait for every piece handed over before them. Events
+// must arrive in per-thread program order; sequence-sorted replay streams
+// satisfy that.
 func (a *StreamAnalyzer) Feed(events ...trace.Event) {
-	var pieces []*trace.ColumnBatch
-	var last uint64
+	limit := feedPiecesPerShard * len(a.shards)
 	for len(events) > 0 {
 		n := min(len(events), feedChunk)
 		b := feedPool.Get().(*trace.ColumnBatch)
 		b.Reset()
 		b.AppendEvents(events[:n])
-		pieces = append(pieces, b)
-		last = a.handOff(b)
 		events = events[n:]
+		a.qmu.Lock()
+		a.pieces = append(a.pieces, feedPiece{b, a.handOffLocked(b)})
+		// Leave room for the next piece, so no more than limit are ever
+		// taken from the pool at once.
+		a.recycleLocked(limit - 1)
+		a.qmu.Unlock()
 	}
-	a.waitFolded(last)
-	for _, b := range pieces {
-		feedPool.Put(b)
+}
+
+// recycleLocked returns Feed's pieces that every shard has folded to
+// feedPool, oldest first, waiting for the oldest while more than keep are in
+// flight. qmu is held. Each piece leaves pieces as it goes back, before any
+// wait: the wait releases qmu, and another Feed or a settle may recycle then.
+func (a *StreamAnalyzer) recycleLocked(keep int) {
+	for len(a.pieces) > 0 {
+		p := a.pieces[0]
+		if !a.foldedLocked(p.hand) {
+			if len(a.pieces) <= keep {
+				return
+			}
+			a.qdone.Wait()
+			continue
+		}
+		feedPool.Put(p.b)
+		a.pieces = slices.Delete(a.pieces, 0, 1)
 	}
 }
 
@@ -636,6 +687,7 @@ func (a *StreamAnalyzer) capture() *snapshotState {
 	ss.registered = a.registry()
 	for i, sh := range a.shards {
 		sh.mu.Lock()
+		ss.sources = slices.Grow(ss.sources, len(sh.byInst))
 		for _, st := range sh.byInst {
 			src := sourceOf(st, i)
 			if a.reusable(st, ss.registered) {

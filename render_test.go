@@ -1,10 +1,11 @@
 package dsspy_test
 
-// Renderer parity: Report.Write renders the Table V text with strconv
-// appends into one buffer and hands it over in one Write call. fmtWrite
-// below is the fmt renderer it replaced, kept verbatim as the reference;
-// the two must agree byte for byte on every golden report and on generated
-// reports that reach every branch of the layout.
+// Renderer parity: Report.Write sizes the Table V text with a length walk,
+// renders it with strconv appends into one buffer of that size and hands it
+// over in one Write call. fmtWrite below is the fmt renderer it replaced,
+// kept verbatim as the reference; the two must agree byte for byte, and the
+// computed size must equal the text's length, on every golden report and on
+// generated reports that reach every branch of the layout.
 
 import (
 	"bytes"
@@ -100,15 +101,18 @@ func fmtLabelSuffix(label string) string {
 	return fmt.Sprintf(" (%q)", label)
 }
 
-// countingWriter counts Write calls and keeps what they wrote. It is not a
-// bytes.Buffer, so Write takes its general path.
+// countingWriter counts Write calls and keeps what they wrote, and the
+// capacity of the last slice handed to it. It is not a bytes.Buffer, so
+// Write takes its general path.
 type countingWriter struct {
-	calls int
-	buf   bytes.Buffer
+	calls   int
+	lastCap int
+	buf     bytes.Buffer
 }
 
 func (w *countingWriter) Write(p []byte) (int, error) {
 	w.calls++
+	w.lastCap = cap(p)
 	return w.buf.Write(p)
 }
 
@@ -137,6 +141,13 @@ func checkRenderParity(t *testing.T, name string, rep *core.Report) {
 	}
 	if !bytes.Equal(cw.buf.Bytes(), want.Bytes()) {
 		t.Fatalf("%s: Write into a plain writer differs from the fmt renderer", name)
+	}
+	// Write allocates the text at the size its length walk computed and
+	// renders into it without growing it, so the slice it hands over is as
+	// long as it was made: a walk that miscounts leaves spare capacity or
+	// makes the render reallocate.
+	if cw.lastCap != cw.buf.Len() {
+		t.Fatalf("%s: Write sized the text at %d bytes, rendered %d", name, cw.lastCap, cw.buf.Len())
 	}
 }
 
