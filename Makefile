@@ -50,11 +50,13 @@ race:
 ## EXPERIMENTS.md (the live-heap-MB metric must stay flat when the event
 ## count doubles from 1M to 2M), the overload-policy producer-latency
 ## comparison, the daemon's tenant read (merge and render of a full
-## closed-window ring plus the open window), and the daemon's ingest (two
+## closed-window ring plus the open window), the daemon's ingest (two
 ## tenants' 1024-event frames through TenantEvents beside a report reader;
-## ns/event and B/event).
+## ns/event and B/event), and the Table IV hot path (BindDefault's sole
+## producer into a 2-shard streaming collector and analyzer on CPU Benchmarks
+## and Mandelbrot, a GC before each op; ns/event and B/event).
 bench:
-	$(GO) test -run xxx -bench 'Collect1M|Pipeline[12]MStreamed|Overload|DaemonTenantReport|DaemonIngest' -benchmem -benchtime 5x -count 5 . ./internal/core/
+	$(GO) test -run xxx -bench 'Collect1M|Pipeline[12]MStreamed|Overload|DaemonTenantReport|DaemonIngest|SoleProducerPipeline' -benchmem -benchtime 5x -count 5 . ./internal/core/
 
 ## bench-smoke: every benchmark of the module for one iteration. The timings
 ## mean nothing; it fails when a benchmark's own answer check (b.Fatal) does,

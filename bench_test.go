@@ -8,6 +8,7 @@ package dsspy_test
 import (
 	"io"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -581,6 +582,54 @@ func BenchmarkPipeline1MStreamed(b *testing.B) {
 
 func BenchmarkPipeline2MStreamed(b *testing.B) {
 	benchPipelineStreamed(b, pipeBenchProducers, 2*pipeBenchPerProducer)
+}
+
+// --- Sole-producer hand-off: the Table IV hot path ---------------------------
+
+// BenchmarkSoleProducerPipeline is the path every Table IV profile takes:
+// BindDefault → 2-shard streaming collector → stream analyzer, on CPU
+// Benchmarks (drain-bound: one instance carries most of its events) and
+// Mandelbrot. Each op starts after two GCs — sync.Pool keeps a victim cache
+// across one — so the column pool starts cold as it does in the apps-full
+// benchmark, which collects before each profiled run and before each twin;
+// the GCs and the allocation count sit outside the timer. Reports ns/event and B/event over producer, collector
+// and fold, and fails if a report loses a parallel use case.
+func BenchmarkSoleProducerPipeline(b *testing.B) {
+	for _, name := range []string{"CPU Benchmarks", "Mandelbrot"} {
+		app := apps.ByName(name)
+		b.Run(strings.ReplaceAll(name, " ", ""), func(b *testing.B) {
+			d := core.New()
+			var events, allocs uint64
+			var ms runtime.MemStats
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				runtime.GC()
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				before := ms.TotalAlloc
+				b.StartTimer()
+				sa := d.NewStreamAnalyzer(2)
+				col := sa.Collector(trace.DefaultAsyncBuffer, trace.Block(), false)
+				s := trace.NewSessionWith(trace.Options{Recorder: col, CaptureSites: true})
+				sa.Attach(s)
+				p := s.BindDefault()
+				app.Instrumented(s)
+				p.Close()
+				col.Close()
+				rep := sa.Close()
+				b.StopTimer()
+				runtime.ReadMemStats(&ms)
+				allocs += ms.TotalAlloc - before
+				events += col.Stats().Events
+				if uc := len(rep.ParallelUseCases()); uc != app.WantUseCases {
+					b.Fatalf("%s: %d parallel use cases, want %d", name, uc, app.WantUseCases)
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+			b.ReportMetric(float64(allocs)/float64(events), "B/event")
+		})
+	}
 }
 
 // --- App-level end-to-end benches (the Table IV rows as single targets) -----

@@ -185,9 +185,9 @@ func main() {
 			sp := tracer.Begin("workload", "run")
 			t0 := time.Now()
 			// The -app/-demo workloads are single-goroutine by construction,
-			// so route their per-event Emit calls through a bound batched
+			// so route their per-event Emit calls through the session's sole
 			// producer: thread id cached once, sequence numbers reserved in
-			// blocks, events delivered 64 at a time.
+			// blocks, each shard's events handed over 1024 at a time.
 			p := s.BindDefault()
 			workload(s)
 			p.Close()

@@ -63,10 +63,13 @@ type BatchRecorder = trace.BatchRecorder
 // atomic sequencing, collector handoff) is amortized by the batch size.
 // Reports are byte-identical to per-event Emit. A Producer must stay on the
 // goroutine that created it; call Close (or Flush) before synchronizing
-// with readers of the recorder.
+// with readers of the recorder. The session's sole producer
+// (Session.BindDefault) hands each shard's batch over at 1024 events
+// instead of flushing every DefaultBatchSize.
 type Producer = trace.Producer
 
-// DefaultBatchSize is the events-per-flush capacity of a Producer batch.
+// DefaultBatchSize is the events-per-flush capacity of a Bind producer's
+// batch: the unit in which its events interleave with other goroutines'.
 const DefaultBatchSize = trace.DefaultBatchSize
 
 // BatchStats summarizes producer-batching effectiveness (flush count, events

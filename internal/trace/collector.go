@@ -18,8 +18,13 @@ import (
 // minus Dropped is exactly the number of events in the store — nothing is
 // ever silently lost.
 type CollectorStats struct {
-	Shards    int           // number of shards
-	Buffer    int           // per-shard buffer in events (buf/DefaultBatchSize channel slots)
+	Shards int // number of shards
+	// Buffer is the per-shard buffer in events. The queue holds
+	// Buffer/DefaultBatchSize slots, so it holds Buffer events only when
+	// every slot is a full 64-event Bind flush: a per-event Record slot
+	// holds one event. A sole producer's batches fill at most half of it
+	// (see DefaultAsyncBuffer).
+	Buffer    int
 	Policy    string        // overload policy: block, drop, or sample:N
 	Events    uint64        // total events recorded (delivered + dropped)
 	Dropped   uint64        // events not stored: overload drops + after-close drops

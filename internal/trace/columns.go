@@ -28,6 +28,11 @@ type ColumnBatch struct {
 	Thread   []ThreadID
 	Index    []int
 	Size     []int
+
+	// sole marks a batch handed over by a session's sole producer
+	// (BindDefault): the sharded collector queues it only with a room
+	// token, which bounds the sole producer's queued events per shard.
+	sole bool
 }
 
 // minColumnCap is the smallest non-zero column capacity Grow allocates; it
@@ -186,6 +191,7 @@ func (b *ColumnBatch) Slice(i, j int) ColumnBatch {
 
 // Reset truncates all columns to zero length, keeping capacity.
 func (b *ColumnBatch) Reset() {
+	b.sole = false
 	b.Seq = b.Seq[:0]
 	b.Instance = b.Instance[:0]
 	b.Op = b.Op[:0]

@@ -33,15 +33,28 @@ import (
 
 // DefaultAsyncBuffer is the default per-shard buffer, in events. A shard's
 // channel holds buf/DefaultBatchSize slots (at least 2), each carrying one
-// producer flush's share for the shard or one single event, so the buffer
-// is buf events when producers batch. Large enough that bursts (tight
-// instrumented loops) rarely block the producer, small enough not to
-// dominate memory.
+// Bind producer flush's share for the shard or one single event, so the
+// buffer is buf events when Bind producers flush full batches. A sole
+// producer's batches (BindDefault, up to soleBatchSize events each) also
+// need a room token (soleRoom), so they never fill more than half the
+// buffer — or one batch when that is smaller. Large enough that bursts
+// (tight instrumented loops) rarely block the producer, small enough not
+// to dominate memory.
 const DefaultAsyncBuffer = 1 << 16
+
+// soleRoom is the number of a sole producer's batches a shard with a
+// buf-event buffer queues: enough for half the buffer, at least one. At the
+// default buffer that is 32 batches of 1024 events. The depth is measured
+// (EXPERIMENTS.md, "Sole-producer hand-off"): 16 batches block the producer
+// often enough to cost throughput on the Table IV apps, while 64 buy none
+// over 32 and allocate about a fifth more per event, because each GC
+// empties the column pool and every batch then in flight is fresh memory.
+func soleRoom(buf int) int { return max(1, buf/(2*soleBatchSize)) }
 
 // OverloadPolicy decides what happens when a producer finds its shard's
 // buffer full — all buf/DefaultBatchSize slots taken, each holding one
-// batch or one event. The policy applies per slot: a flush's share for one
+// batch or one event, or, for a sole producer's batch, all room tokens
+// taken. The policy applies per slot: a flush's share for one
 // shard is blocked on, dropped or sampled as a unit. Whatever the choice,
 // every event is accounted for: delivered events land in the store,
 // everything else increments the drop counters in CollectorStats, so
@@ -170,6 +183,10 @@ func (s slot) release() {
 type shard struct {
 	ch   chan slot
 	done chan struct{}
+	// room holds one token per sole-producer batch in ch: a sender puts
+	// one in before sending such a batch, the drain takes it out on
+	// receipt, so its capacity bounds the sole producer's queued events.
+	room chan struct{}
 
 	// id, sink and retain configure the drain destination: with a sink the
 	// drain hands each batch to it; with retain the batch also lands in the
@@ -221,6 +238,7 @@ func newShard(id, buf int, sink ShardSink, retain bool, tracer *atomic.Pointer[o
 		// producer can queue one while the drain works on another.
 		ch:     make(chan slot, max(2, buf/DefaultBatchSize)),
 		done:   make(chan struct{}),
+		room:   make(chan struct{}, soleRoom(buf)),
 		id:     id,
 		sink:   sink,
 		retain: retain,
@@ -246,12 +264,13 @@ func (sh *shard) markHighWater(q int64) {
 
 // send enqueues a slot, tracking producer block time and the queue
 // high-water mark. The fast path is a single non-blocking send attempt; only
-// when the channel is full does the overload policy decide between taking a
+// when the queue is full does the overload policy decide between taking a
 // timestamp and blocking, dropping, or sampling — applied to the slot as a
 // unit (Sample delivers one in n overflowing slots). Accounting is per event
 // either way: delivered + dropped == recorded.
 func (sh *shard) send(s slot, pol OverloadPolicy) {
 	n := uint64(s.len())
+	sole := s.b != nil && s.b.sole
 	sh.closeMu.RLock()
 	defer sh.closeMu.RUnlock()
 	sh.count.Add(n)
@@ -260,9 +279,7 @@ func (sh *shard) send(s slot, pol OverloadPolicy) {
 		s.release()
 		return
 	}
-	select {
-	case sh.ch <- s:
-	default:
+	if !sh.trySend(s, sole) {
 		switch pol.kind {
 		case overloadDrop:
 			sh.dropped.Add(n)
@@ -277,12 +294,37 @@ func (sh *shard) send(s slot, pol OverloadPolicy) {
 			fallthrough
 		default:
 			start := time.Now()
+			if sole {
+				sh.room <- struct{}{}
+			}
 			sh.ch <- s
 			sh.blockNS.Add(int64(time.Since(start)))
 		}
 	}
 	if q := sh.inflight.Add(int64(n)); q > sh.highWater.Load() {
 		sh.markHighWater(q)
+	}
+}
+
+// trySend enqueues s without blocking and reports whether it did. A sole
+// producer's batch first takes a room token, and gives it back if the
+// channel turns out full.
+func (sh *shard) trySend(s slot, sole bool) bool {
+	if sole {
+		select {
+		case sh.room <- struct{}{}:
+		default:
+			return false
+		}
+	}
+	select {
+	case sh.ch <- s:
+		return true
+	default:
+		if sole {
+			<-sh.room
+		}
+		return false
 	}
 }
 
@@ -303,6 +345,11 @@ func (sh *shard) take(work *ColumnBatch, s slot) {
 	}
 	n := s.b.Len()
 	sh.inflight.Add(-int64(n))
+	if s.b.sole {
+		// After the count: a sender the token frees must not see this
+		// batch's events still queued.
+		<-sh.room
+	}
 	sh.columnar.Add(uint64(n))
 	sh.deliver(s.b)
 	releaseColumns(s.b)
@@ -384,7 +431,8 @@ func NewShardedCollector(n int) *ShardedCollector {
 
 // NewShardedCollectorSize starts a collector with n shards (0 means
 // GOMAXPROCS) whose buffers each hold up to buf events (buf/DefaultBatchSize
-// slots, see DefaultAsyncBuffer), using the lossless Block overload policy.
+// slots, of which a sole producer's batches may fill half, see
+// DefaultAsyncBuffer), using the lossless Block overload policy.
 func NewShardedCollectorSize(n, buf int) *ShardedCollector {
 	return NewShardedCollectorOpts(n, buf, Block())
 }
