@@ -176,6 +176,9 @@ chaos:
 ## regressions that crash or mis-account the salvaging loaders. Each fuzzer
 ## replays its seeds first; FuzzRecoverSessionLog's include a registry frame
 ## naming instance ID 8·10⁸, which must be skipped, not restored.
+## FuzzLoadReport covers the report snapshot loader, seeded with a version-1
+## daemon checkpoint; its minimization is bounded to 50 runs per input, since
+## shrinking a 31 KB snapshot by the default 60 s would use up the whole pass.
 fuzz-smoke:
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzStreamReader$$' -fuzztime 10s
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzRecoverSessionLog$$' -fuzztime 10s
@@ -184,6 +187,7 @@ fuzz-smoke:
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzColumnarFoldDifferential$$' -fuzztime 10s
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzHelloHandshake$$' -fuzztime 10s
 	$(GO) test ./internal/sample/ -run '^$$' -fuzz '^FuzzSampleController$$' -fuzztime 10s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzLoadReport$$' -fuzztime 10s -fuzzminimizetime 50x
 
 clean:
 	$(GO) clean ./...

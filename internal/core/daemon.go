@@ -5,6 +5,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -180,6 +181,11 @@ func (dm *Daemon) rotateLocked(tw *tenantWindows) {
 		return
 	}
 	rep := tw.analyzer.Close()
+	if n := len(tw.closed); n > 0 && slices.Equal(tw.closed[n-1].Registered, rep.Registered) {
+		// The registry rarely changes between windows: the ring keeps one
+		// copy of it while it does not. Reports never write to theirs.
+		rep.Registered = tw.closed[n-1].Registered
+	}
 	stampOrigin(rep, windowOrigin(tw.name, tw.seq))
 	if b := dm.shedBoundLocked(tw, true); b > 0 {
 		stampDegraded(rep, b)

@@ -608,6 +608,63 @@ func TestTenantReportAllocGate(t *testing.T) {
 	}
 }
 
+// TestClosedWindowPatternListsExact: every row of every closed window keeps
+// its pattern list at its length, so the ring holds no growth slack.
+func TestClosedWindowPatternListsExact(t *testing.T) {
+	dm, _ := fleetTenant()
+	windows := dm.ClosedWindows("t0")
+	if len(windows) != 8 {
+		t.Fatalf("ring holds %d windows, want 8", len(windows))
+	}
+	for i, w := range windows {
+		checkExactPatternLists(t, w, fmt.Sprintf("window %d", i))
+	}
+}
+
+// ringRetainedBefore is the heap TestDaemonRingRetainedHeap read when each
+// listed pattern was a copy of its 88-byte segmenter run: 6.13 MiB. The
+// compact record and the registry copy the ring shares across windows take
+// it to 4.00 MiB (0.65×). Patterns were half of the old figure on
+// fleetTenant; the rest is per-row state — stats, profile, use cases,
+// evidence, contention — which the record does not touch.
+const (
+	ringRetainedBefore = 6_423_000
+	ringRetainedShare  = 0.70
+)
+
+// heapAfterGC is the live heap after two collections: the first moves
+// sync.Pool caches to their victim lists, the second frees them.
+func heapAfterGC() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestDaemonRingRetainedHeap bounds what a daemon at fleetTenant's steady
+// state keeps alive — a full ring of eight closed windows plus a half-full
+// open window — as the heap with the daemon alive minus the heap after it is
+// dropped.
+func TestDaemonRingRetainedHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap gate; the race build allocates more")
+	}
+	live := func() uint64 {
+		dm, _ := fleetTenant()
+		dm.TenantReport("t0") // waits for the open window's folds
+		h := heapAfterGC()
+		runtime.KeepAlive(dm)
+		return h
+	}()
+	retained := float64(live) - float64(heapAfterGC())
+	t.Logf("the daemon retains %.2f MiB; %.2f MiB before the compact pattern record (%.2f×, bound %.2f×)",
+		retained/(1<<20), float64(ringRetainedBefore)/(1<<20), retained/ringRetainedBefore, ringRetainedShare)
+	if retained > ringRetainedShare*ringRetainedBefore {
+		t.Fatalf("the daemon retains %.2f MiB, bound %.2f MiB", retained/(1<<20), ringRetainedShare*ringRetainedBefore/(1<<20))
+	}
+}
+
 // BenchmarkDaemonTenantReport measures one tenant read at the daemon's steady
 // state: a full ring of eight closed windows plus the open window, each over
 // the same 330-instance corpus stream (daemon-fleet's tenant shape). "merge"

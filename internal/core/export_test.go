@@ -29,3 +29,11 @@ func (a *StreamAnalyzer) HoldShard(shard int) (release func()) {
 	sh.mu.Lock()
 	return sh.mu.Unlock
 }
+
+// ClosedWindows returns the tenant's ring of closed-window reports.
+func (dm *Daemon) ClosedWindows(tenant string) []*Report {
+	tw := dm.tenant(tenant)
+	tw.mu.Lock()
+	defer tw.mu.Unlock()
+	return append([]*Report(nil), tw.closed...)
+}

@@ -129,8 +129,8 @@ func foldEvents(p *profile.Profile, cfg Config) eventOracle {
 		d.Finish()
 		sum.Merge(d.Summary())
 	}
-	for i := range sum.Patterns {
-		u.Pattern(sum.Patterns[i].Type, &sum.Patterns[i].Run)
+	for _, p := range sum.Patterns {
+		u.Pattern(p)
 	}
 	st := ss.Snapshot()
 	var ct *profile.Contention

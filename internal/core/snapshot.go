@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"dsspy/internal/metrics"
 	"dsspy/internal/pattern"
@@ -21,9 +22,13 @@ import (
 // is not retained (profiles come back event-free via profile.NewStreamed),
 // so a snapshot is O(instances), never O(events).
 
-// snapshotVersion is the codec version; a loader rejects versions it does
-// not know instead of guessing.
-const snapshotVersion = 1
+// snapshotVersion is the codec version SaveReport writes; a loader rejects
+// versions it does not know instead of guessing. Version 2 lists each
+// pattern as its compact record ({"Start","End","Cover","Type"}); version 1
+// listed it as the segmenter's run ({"Type","Run":{...}}) and is still read,
+// each run converted to its record on load, so checkpoints written before
+// the change keep loading.
+const snapshotVersion = 2
 
 type savedInstance struct {
 	Origin   string               `json:"origin,omitempty"`
@@ -74,6 +79,11 @@ func (si savedInstance) restore() *InstanceResult {
 	if sum == nil {
 		sum = &pattern.Summary{}
 	}
+	if pats := sum.Patterns; cap(pats) > len(pats) {
+		// The decoder grows the list as it goes; a restored window keeps
+		// it at its length, as a closed window does.
+		sum.Patterns = slices.Clone(pats)
+	}
 	return &InstanceResult{
 		Origin:     si.Origin,
 		Profile:    p,
@@ -102,17 +112,77 @@ func SaveReport(w io.Writer, r *Report) error {
 	return enc.Encode(&sr)
 }
 
-// LoadReport reads one snapshot back into a Report. The result carries a
-// fresh minimal PipelineStats (the original run's timings are not part of
-// the findings and are not preserved).
+// Version 1's shapes: savedReportV1 is savedReport with each summary's
+// pattern list in the run-shaped form; the outer fields shadow the embedded
+// ones of the same JSON name.
+type (
+	patternV1 struct {
+		Type pattern.Type
+		Run  profile.Run
+	}
+	summaryV1 struct {
+		pattern.Summary
+		Patterns []patternV1
+	}
+	savedInstanceV1 struct {
+		savedInstance
+		Summary *summaryV1 `json:"summary"`
+	}
+	savedReportV1 struct {
+		savedReport
+		Instances []savedInstanceV1 `json:"instances"`
+	}
+)
+
+// upgrade converts a version-1 snapshot to the current shape, recording
+// each listed run as its pattern.
+func (old *savedReportV1) upgrade() savedReport {
+	sr := old.savedReport
+	sr.Instances = make([]savedInstance, len(old.Instances))
+	for i, oi := range old.Instances {
+		si := oi.savedInstance
+		if oi.Summary != nil {
+			sum := oi.Summary.Summary
+			if oi.Summary.Patterns != nil {
+				sum.Patterns = make([]pattern.Pattern, len(oi.Summary.Patterns))
+				for k := range oi.Summary.Patterns {
+					p := &oi.Summary.Patterns[k]
+					sum.Patterns[k] = pattern.New(p.Type, &p.Run)
+				}
+			}
+			si.Summary = &sum
+		}
+		sr.Instances[i] = si
+	}
+	return sr
+}
+
+// LoadReport reads one snapshot, of the current version or version 1, back
+// into a Report. The result carries a fresh minimal PipelineStats (the
+// original run's timings are not part of the findings and are not
+// preserved).
 func LoadReport(r io.Reader) (*Report, error) {
-	var sr savedReport
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&sr); err != nil {
+	var raw json.RawMessage
+	if err := json.NewDecoder(r).Decode(&raw); err != nil {
 		return nil, fmt.Errorf("core: decoding report snapshot: %w", err)
 	}
-	if sr.Version != snapshotVersion {
-		return nil, fmt.Errorf("core: report snapshot version %d not supported (want %d)", sr.Version, snapshotVersion)
+	// A version-1 pattern decodes into the current record as its type
+	// alone (the run is an unknown field), so the version is read first
+	// and a version-1 snapshot decoded again in its own shape.
+	var sr savedReport
+	if err := json.Unmarshal(raw, &sr); err != nil {
+		return nil, fmt.Errorf("core: decoding report snapshot: %w", err)
+	}
+	switch sr.Version {
+	case snapshotVersion:
+	case 1:
+		var old savedReportV1
+		if err := json.Unmarshal(raw, &old); err != nil {
+			return nil, fmt.Errorf("core: decoding report snapshot: %w", err)
+		}
+		sr = old.upgrade()
+	default:
+		return nil, fmt.Errorf("core: report snapshot version %d not supported (want 1 or %d)", sr.Version, snapshotVersion)
 	}
 	if sr.RegisteredFrom != nil && len(sr.RegisteredFrom) != len(sr.Registered) {
 		return nil, fmt.Errorf("core: report snapshot registry origins (%d) do not match registry (%d)",

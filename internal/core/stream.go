@@ -128,30 +128,37 @@ func (st *instanceStream) feedBatch(d *DSspy, b *trace.ColumnBatch, i, j int) {
 
 	// Promotion is decided for the whole span before any detector folds it,
 	// so the global detector starts from the state just before the span.
-	if st.global == nil && !st.soloSpan(b, i, j) {
+	// The span keeps the instance single-threaded when its first thread run
+	// is all of it and that thread is the one, if any, seen before.
+	k, e := i, b.ThreadRun(i, j)
+	det := st.perThread[b.Thread[i]]
+	if st.global == nil && (e < j || det == nil && len(st.perThread) > 0) {
 		st.promote(d)
 	}
 	soloRuns := st.global == nil && st.runSeg == nil
-	for k := i; k < j; {
-		e := b.ThreadRun(k, j)
-		det := st.perThread[b.Thread[k]]
+	emit := func(r *profile.Run, p pattern.Pattern) {
+		if p.Type != pattern.None {
+			st.uc.Pattern(p)
+		}
+		if soloRuns {
+			st.uc.Run(r)
+		}
+	}
+	for {
 		if det == nil {
 			det = pattern.NewStreamDetector(d.cfg.Pattern, true)
 			st.perThread[b.Thread[k]] = det
 		}
-		det.FeedRuns(b, k, e, func(r *profile.Run, t pattern.Type) {
-			if t != pattern.None {
-				st.uc.Pattern(t, r)
-			}
-			if soloRuns {
-				st.uc.Run(r)
-			}
-		})
-		k = e
+		det.FeedRuns(b, k, e, emit)
+		if e == j {
+			break
+		}
+		k, e = e, b.ThreadRun(e, j)
+		det = st.perThread[b.Thread[k]]
 	}
 
 	if st.global != nil {
-		st.global.FeedRuns(b, i, j, func(r *profile.Run, _ pattern.Type) {
+		st.global.FeedRuns(b, i, j, func(r *profile.Run, _ pattern.Pattern) {
 			if st.runSeg == nil {
 				st.uc.Run(r)
 			}
@@ -167,17 +174,6 @@ func (st *instanceStream) feedBatch(d *DSspy, b *trace.ColumnBatch, i, j int) {
 		}
 		sp.tick(st, d)
 	}
-}
-
-// soloSpan reports whether the non-empty span [i, j) keeps the instance
-// single-threaded: one thread wrote all of it, and that thread is the one
-// (if any) seen before.
-func (st *instanceStream) soloSpan(b *trace.ColumnBatch, i, j int) bool {
-	if b.ThreadRun(i, j) < j {
-		return false
-	}
-	_, seen := st.perThread[b.Thread[i]]
-	return seen || len(st.perThread) == 0
 }
 
 // promote starts the global detector when a second thread arrives. Until
@@ -275,9 +271,9 @@ func (st *instanceStream) finalize(d *DSspy, registered []trace.Instance) *Insta
 		dets = append(dets, st.perThread[tid])
 	}
 	soloRuns := st.global == nil && st.runSeg == nil
-	sum := pattern.FinishMerged(dets, func(r *profile.Run, t pattern.Type) {
-		if t != pattern.None {
-			st.uc.Pattern(t, r)
+	sum := pattern.FinishMerged(dets, func(r *profile.Run, p pattern.Pattern) {
+		if p.Type != pattern.None {
+			st.uc.Pattern(p)
 		}
 		if soloRuns {
 			st.uc.Run(r)

@@ -67,17 +67,30 @@ func Types() []Type {
 	}
 }
 
-// Pattern is one detected access pattern: a classified run.
+// Pattern is one detected access pattern: what a report keeps of a
+// classified run. Every reader — the text report, the JSON export, the
+// figures, the use-case and advisor layers — needs only the type, the length
+// and the coverage, so the record holds those in 32 bytes rather than a copy
+// of the segmenter's run state.
 type Pattern struct {
-	Type Type
-	Run  profile.Run
+	// Start and End are the ordinals of the run's first and last event
+	// (inclusive) in the stream it was segmented from.
+	Start, End int
+	// Cover is the run's Coverage, computed once when it was classified.
+	Cover float64
+	Type  Type
+}
+
+// New records run r, classified as t.
+func New(t Type, r *profile.Run) Pattern {
+	return Pattern{Start: r.Start, End: r.End, Cover: r.Coverage(), Type: t}
 }
 
 // Len returns the number of access events in the pattern.
-func (p Pattern) Len() int { return p.Run.Len() }
+func (p Pattern) Len() int { return p.End - p.Start + 1 }
 
 // Coverage returns the fraction of the structure the pattern traversed.
-func (p Pattern) Coverage() float64 { return p.Run.Coverage() }
+func (p Pattern) Coverage() float64 { return p.Cover }
 
 func (p Pattern) String() string {
 	return fmt.Sprintf("%s[len=%d cov=%.0f%%]", p.Type, p.Len(), 100*p.Coverage())
@@ -152,11 +165,11 @@ type Summary struct {
 	Bound float64 `json:",omitempty"`
 }
 
-// add folds the aggregates of one pattern of type t over run r in, for the
-// StreamDetector that classified it. It does not append to Patterns —
-// retention is the detector's choice.
-func (s *Summary) add(t Type, r *profile.Run) {
-	n := r.Len()
+// add folds the aggregates of pattern p in, for the StreamDetector that
+// classified it. It does not append to Patterns — retention is the
+// detector's choice.
+func (s *Summary) add(p *Pattern) {
+	t, n := p.Type, p.Len()
 	s.ByType[t]++
 	s.EventsIn[t] += n
 	if t == ReadForward || t == ReadBackward {

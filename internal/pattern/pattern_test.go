@@ -1,7 +1,9 @@
 package pattern
 
 import (
+	"fmt"
 	"testing"
+	"unsafe"
 
 	"dsspy/internal/dstruct"
 	"dsspy/internal/profile"
@@ -24,7 +26,7 @@ func summarize(t *testing.T, rec *trace.MemRecorder, cfg Config) *Summary {
 		t.Fatalf("recorded events span more than one instance")
 	}
 	d := NewStreamDetector(cfg, true)
-	d.FeedRuns(&b, 0, b.Len(), func(*profile.Run, Type) {})
+	d.FeedRuns(&b, 0, b.Len(), func(*profile.Run, Pattern) {})
 	d.Finish()
 	return d.Summary()
 }
@@ -53,6 +55,34 @@ func typesOf(pats []Pattern) []Type {
 		out[i] = p.Type
 	}
 	return out
+}
+
+// TestPatternRecordSize: a listed pattern is the compact record — start,
+// end, coverage and type — not a copy of the segmenter's 88-byte run.
+func TestPatternRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(Pattern{}); got > 32 {
+		t.Fatalf("pattern.Pattern is %d bytes, want <= 32", got)
+	}
+}
+
+// TestPatternRecordMatchesRun: the record answers Len, Coverage and String
+// as the run it was built from does.
+func TestPatternRecordMatchesRun(t *testing.T) {
+	runs := []profile.Run{
+		{Op: trace.OpRead, Start: 3, End: 12, Direction: profile.DirForward, FirstIndex: 0, LastIndex: 9, MinIndex: 0, MaxIndex: 9, MaxSeenSize: 40},
+		{Op: trace.OpInsert, Start: 0, End: 0, FirstIndex: trace.NoIndex, MaxSeenSize: 5},
+		{Op: trace.OpDelete, Start: 7, End: 9, FirstIndex: 0, AllFront: true},
+	}
+	for _, r := range runs {
+		p := New(Classify(&r), &r)
+		if p.Len() != r.Len() || p.Coverage() != r.Coverage() {
+			t.Errorf("%v: record len %d cov %v, run len %d cov %v", r, p.Len(), p.Coverage(), r.Len(), r.Coverage())
+		}
+		want := fmt.Sprintf("%s[len=%d cov=%.0f%%]", p.Type, r.Len(), 100*r.Coverage())
+		if p.String() != want {
+			t.Errorf("String = %q, want %q", p, want)
+		}
+	}
 }
 
 func TestFigure2Patterns(t *testing.T) {

@@ -7,9 +7,11 @@
 // for the regularity check.
 //
 // Closed runs are lent by pointer (FeedRuns, and the segmenter's borrow
-// contract behind it): a run is copied only where it is retained, into a
-// keeping detector's pattern list. The value forms — Feed, FeedBatch with a
-// Closed callback and Finish — are adapters over the same fold.
+// contract behind it) together with their Pattern record, built once when
+// the run is classified: the record, not the run, is what a keeping
+// detector's pattern list retains and what the use-case reducer folds. The
+// value forms — Feed, FeedBatch with a Closed callback and Finish — are
+// adapters over the same fold.
 package pattern
 
 import (
@@ -19,8 +21,8 @@ import (
 
 // Closed is what the value-form adapters (Feed, FeedBatch, Finish) return
 // when a run closes: a copy of the run plus its classification (None when
-// the run is below MinLen or matches no type). FeedRuns lends the same pair
-// without the copy.
+// the run is below MinLen or matches no type). FeedRuns lends the run
+// without the copy, with its Pattern record in place of the type.
 type Closed struct {
 	Run  profile.Run
 	Type Type
@@ -58,43 +60,46 @@ func (d *StreamDetector) Feed(e trace.Event) (Closed, bool) {
 	if !ok {
 		return Closed{}, false
 	}
-	return Closed{Run: r, Type: d.classify(&r)}, true
+	return Closed{Run: r, Type: d.classify(&r).Type}, true
 }
 
 // FeedRuns folds events [i, j) of a column batch, lending every closed run
-// and its classification to emit. The run pointer follows the segmenter's
-// borrow contract: it is valid only during the callback.
-func (d *StreamDetector) FeedRuns(b *trace.ColumnBatch, i, j int, emit func(*profile.Run, Type)) {
+// and its pattern record to emit; the record's Type is None, and its other
+// fields unset, when the run is no pattern. The run pointer follows the
+// segmenter's borrow contract: it is valid only during the callback.
+func (d *StreamDetector) FeedRuns(b *trace.ColumnBatch, i, j int, emit func(*profile.Run, Pattern)) {
 	d.seg.FeedRuns(b, i, j, func(r *profile.Run) { emit(r, d.classify(r)) })
 }
 
 // FeedBatch is FeedRuns for callers that want each closed run by value.
 func (d *StreamDetector) FeedBatch(b *trace.ColumnBatch, i, j int, emit func(Closed)) {
-	d.FeedRuns(b, i, j, func(r *profile.Run, t Type) { emit(Closed{Run: *r, Type: t}) })
+	d.FeedRuns(b, i, j, func(r *profile.Run, p Pattern) { emit(Closed{Run: *r, Type: p.Type}) })
 }
 
 // classify classifies one closed run and folds it into the summary: the
-// single implementation behind FeedRuns and the value adapters. The run is
-// copied only when the detector keeps its pattern list.
-func (d *StreamDetector) classify(r *profile.Run) Type {
-	t := d.fold(r)
-	if t != None && d.keep {
-		d.sum.Patterns = append(d.sum.Patterns, Pattern{Type: t, Run: *r})
+// single implementation behind FeedRuns and the value adapters. The record
+// is listed only when the detector keeps its pattern list.
+func (d *StreamDetector) classify(r *profile.Run) Pattern {
+	p := d.fold(r)
+	if p.Type != None && d.keep {
+		d.sum.Patterns = append(d.sum.Patterns, p)
 	}
-	return t
+	return p
 }
 
-// fold classifies one closed run and folds its aggregates into the summary
-// without listing it.
-func (d *StreamDetector) fold(r *profile.Run) Type {
+// fold classifies one closed run, records it when it is a pattern and folds
+// the record's aggregates into the summary without listing it.
+func (d *StreamDetector) fold(r *profile.Run) Pattern {
 	if r.Len() < d.cfg.MinLen {
-		return None
+		return Pattern{}
 	}
 	t := Classify(r)
-	if t != None {
-		d.sum.add(t, r)
+	if t == None {
+		return Pattern{}
 	}
-	return t
+	p := New(t, r)
+	d.sum.add(&p)
+	return p
 }
 
 // Finish flushes the still-open run, if any, classifying and folding it. The
@@ -104,11 +109,11 @@ func (d *StreamDetector) Finish() (Closed, bool) {
 	if !ok {
 		return Closed{}, false
 	}
-	return Closed{Run: r, Type: d.classify(&r)}, true
+	return Closed{Run: r, Type: d.classify(&r).Type}, true
 }
 
 // FinishMerged flushes every detector's open run, in the order given, lending
-// each flushed run and its classification to emit, and returns the merged
+// each flushed run and its pattern record to emit, and returns the merged
 // summary: Summary.Merge over the finished detectors' summaries in that
 // order. The pattern list is built once, at its exact length, and the
 // flushed runs go into it rather than into the detectors' own lists; a lone
@@ -116,19 +121,19 @@ func (d *StreamDetector) Finish() (Closed, bool) {
 // is. So a detector's list is only ever read here, which is what lets a
 // clone share it with the live detector (CloneAs). Afterwards each
 // detector's summary counts its flushed run but does not list it.
-func FinishMerged(dets []*StreamDetector, emit func(*profile.Run, Type)) *Summary {
+func FinishMerged(dets []*StreamDetector, emit func(*profile.Run, Pattern)) *Summary {
 	// tails[i] is detector i's flushed pattern; Type None when it had none.
 	var tailBuf [4]Pattern
 	tails := tailBuf[:0]
 	sum := &Summary{}
 	n := 0
 	for _, d := range dets {
-		tail := Pattern{Type: None}
+		var tail Pattern
 		if r, ok := d.seg.Finish(); ok {
-			t := d.fold(&r)
-			emit(&r, t)
-			if t != None && d.keep {
-				tail = Pattern{Type: t, Run: r}
+			p := d.fold(&r)
+			emit(&r, p)
+			if p.Type != None && d.keep {
+				tail = p
 				n++
 			}
 		}

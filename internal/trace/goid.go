@@ -142,9 +142,16 @@ func ExplicitThreadID() ThreadID {
 }
 
 // EmitAs records an event like Session.Emit but with a caller-supplied
-// thread id, bypassing goroutine-id capture entirely.
+// thread id, bypassing goroutine-id capture entirely. Under a bound sole
+// producer (BindDefault) the event joins the producer's batch with its own
+// thread id, so it is stamped in program order among the producer's
+// buffered events, as with per-event delivery.
 func (s *Session) EmitAs(id InstanceID, op Op, index, size int, thread ThreadID) {
 	if g := s.gate; g != nil && !g.Admit(id, thread) {
+		return
+	}
+	if p := s.bound; p != nil {
+		p.append(id, op, index, size, thread)
 		return
 	}
 	s.rec.Record(Event{

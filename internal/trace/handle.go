@@ -115,7 +115,7 @@ func (h *Handle) Emit(op Op, index, size int) {
 func (h *Handle) deliver(op Op, index, size int) {
 	s := h.s
 	if p := s.bound; p != nil {
-		p.append(h.id, op, index, size)
+		p.append(h.id, op, index, size, p.thread)
 		return
 	}
 	var thr ThreadID

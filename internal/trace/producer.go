@@ -206,14 +206,16 @@ func (p *Producer) Emit(id InstanceID, op Op, index, size int) {
 	if p.gate != nil && !p.admit(id, op, index, size) {
 		return
 	}
-	p.append(id, op, index, size)
+	p.append(id, op, index, size, p.thread)
 }
 
-// append adds one already-admitted event to the batch of its shard, handing
-// batches over when the shard's batch fills or the producer's clock reaches
-// due. It is the delivery half of Emit, and the entry point for container
-// handles (handle.go), whose events carry their own gate verdict.
-func (p *Producer) append(id InstanceID, op Op, index, size int) {
+// append adds one already-admitted event of the given thread to the batch of
+// its shard, handing batches over when the shard's batch fills or the
+// producer's clock reaches due. It is the delivery half of Emit, and the
+// entry point for container handles (handle.go), whose events carry their
+// own gate verdict, and for Session.EmitAs under a bound producer, whose
+// events carry their own thread id.
+func (p *Producer) append(id InstanceID, op Op, index, size int, thread ThreadID) {
 	sh := int(uint(id) % uint(len(p.cols)))
 	b := p.cols[sh]
 	if b == nil {
@@ -223,7 +225,7 @@ func (p *Producer) append(id InstanceID, op Op, index, size int) {
 	b.Seq[k] = uint64(p.n)
 	b.Instance[k] = id
 	b.Op[k] = op
-	b.Thread[k] = p.thread
+	b.Thread[k] = thread
 	b.Index[k] = index
 	b.Size[k] = size
 	p.fill[sh] = k + 1

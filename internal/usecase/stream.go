@@ -189,12 +189,14 @@ func (u *Stream) Run(r *profile.Run) {
 	}
 }
 
-// Pattern folds one detected pattern of type t over run r (from the
-// per-thread detectors, any order; the aggregates are sums and maxes). Like
-// Run it only reads r, so a borrowed run may be passed.
-func (u *Stream) Pattern(t pattern.Type, r *profile.Run) {
-	n := r.Len()
-	switch t {
+// Pattern folds one detected pattern (from the per-thread detectors, any
+// order; the aggregates are sums and maxes). It reads the record the
+// detector built when it classified the run — the same record the report
+// lists — so the live fold and a fold over a finished summary's pattern list
+// agree by construction.
+func (u *Stream) Pattern(p pattern.Pattern) {
+	n := p.Len()
+	switch p.Type {
 	case pattern.InsertFront, pattern.InsertBack:
 		u.liInsEvents += n
 		if n > u.liInsLongest {
@@ -207,7 +209,7 @@ func (u *Stream) Pattern(t pattern.Type, r *profile.Run) {
 		}
 	case pattern.ReadForward, pattern.ReadBackward:
 		u.fsDirReadEvents += n
-		if r.Coverage() >= u.th.FLRMinCoverage {
+		if p.Coverage() >= u.th.FLRMinCoverage {
 			u.flrLongReads++
 		}
 	}

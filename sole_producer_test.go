@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dsspy/internal/apps"
@@ -14,19 +15,20 @@ import (
 )
 
 // soleWorkloads are the single-goroutine programs a sole producer
-// (BindDefault) serves: the seven Table IV apps and the corpus programs of
-// the pattern and use-case studies. The contention study is left out: its
-// programs emit simulated threads through Session.EmitAs, which delivers per
-// event past a bound producer, so where they mix it with container emission
-// their Seq order under BindDefault differs from program order at any batch
-// size.
+// (BindDefault) serves: the seven Table IV apps, the corpus programs of the
+// pattern and use-case studies, and the contention-study programs that mix
+// container emission with simulated threads emitted through
+// Session.EmitAs, which joins the sole producer's batch.
 func soleWorkloads() map[string]func(*trace.Session) {
 	w := map[string]func(*trace.Session){}
 	for _, app := range apps.Apps() {
 		w["app-"+app.Name] = app.Instrumented
 	}
+	mixed := slices.DeleteFunc(corpus.ContentionStudyPrograms(), func(p corpus.DynamicProgram) bool {
+		return p.Name != "ingest-pipeline" && p.Name != "simulation-grid"
+	})
 	for _, progs := range [][]corpus.DynamicProgram{
-		corpus.PatternStudyPrograms(), corpus.UseCaseStudyPrograms(),
+		corpus.PatternStudyPrograms(), corpus.UseCaseStudyPrograms(), mixed,
 	} {
 		for _, p := range progs {
 			p := p
