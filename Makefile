@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet fmt-check test race bench bench-smoke bench-obs bench-hotpath bench-columnar bench-contend bench-sample bench-floor inline-guard smoke-obs chaos fuzz-smoke clean
+.PHONY: check build vet fmt-check test race bench bench-smoke bench-obs bench-hotpath bench-columnar bench-contend bench-sample bench-floor inline-guard smoke-obs chaos fuzz-smoke loc clean
 
 ## check: everything CI runs — build, vet, gofmt, full tests, race tests on the
 ## concurrent packages, the golden reports and the lane and hot-path
@@ -188,6 +188,12 @@ fuzz-smoke:
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzHelloHandshake$$' -fuzztime 10s
 	$(GO) test ./internal/sample/ -run '^$$' -fuzz '^FuzzSampleController$$' -fuzztime 10s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzLoadReport$$' -fuzztime 10s -fuzzminimizetime 50x
+
+## loc: the production Go line count — tracked .go files outside bench/,
+## tests excluded. A simplification is measured by this figure going down.
+loc:
+	@n=$$(git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^bench/' | xargs cat | wc -l); \
+	echo "loc: $$n production Go lines (tracked .go files outside bench/, tests excluded)"
 
 clean:
 	$(GO) clean ./...

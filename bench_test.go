@@ -241,14 +241,12 @@ func BenchmarkSegmentationTolerant(b *testing.B) {
 // --- Ablation: pattern detection and the full pipeline ----------------------
 
 func BenchmarkPatternDetection(b *testing.B) {
-	_, events := experiments.Figure3Events()
-	var cb trace.ColumnBatch
-	cb.AppendEvents(events)
+	_, cb := experiments.Figure3Events()
 	cfg := pattern.DefaultConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := pattern.NewStreamDetector(cfg, true)
-		d.FeedBatch(&cb, 0, cb.Len(), func(pattern.Closed) {})
+		d.FeedBatch(cb, 0, cb.Len(), func(pattern.Closed) {})
 		d.Finish()
 		if d.Summary().SequentialReads == 0 {
 			b.Fatal("no patterns")
@@ -526,7 +524,7 @@ func benchOverload(b *testing.B, policy trace.OverloadPolicy) {
 		if st.Events != overloadProducers*overloadPerProducer {
 			b.Fatalf("recorded %d events, want %d", st.Events, overloadProducers*overloadPerProducer)
 		}
-		if delivered := uint64(len(col.Events())); delivered+st.Dropped != st.Events {
+		if delivered := uint64(col.MergedColumns().Len()); delivered+st.Dropped != st.Events {
 			b.Fatalf("delivered %d + dropped %d != recorded %d", delivered, st.Dropped, st.Events)
 		}
 		blockNS += float64(st.BlockTime)

@@ -54,17 +54,17 @@ func checkPin(t *testing.T, name string, got []byte) {
 
 // memRun runs workload on a session recording into memory, as
 // examples/quickstart does, and returns the session and its events.
-func memRun(workload func(*trace.Session)) (*trace.Session, []trace.Event) {
+func memRun(workload func(*trace.Session)) (*trace.Session, *trace.ColumnBatch) {
 	rec := trace.NewMemRecorder()
 	s := trace.NewSessionWith(trace.Options{Recorder: rec, CaptureSites: true})
 	workload(s)
-	return s, rec.Events()
+	return s, columnsOf(rec.Events())
 }
 
 // threadsRun is examples/threads' workload with its interleaving fixed: one
 // thread fills a 64-element list, then two scanner threads each make eight
 // full passes over it, taking turns every 16 reads.
-func threadsRun() (*trace.Session, []trace.Event) {
+func threadsRun() (*trace.Session, *trace.ColumnBatch) {
 	rec := trace.NewMemRecorder()
 	s := trace.NewSessionWith(trace.Options{Recorder: rec})
 	id := s.Register(trace.KindList, "List[int]", "shared series", 0)
@@ -78,7 +78,7 @@ func threadsRun() (*trace.Session, []trace.Event) {
 			}
 		}
 	}
-	return s, rec.Events()
+	return s, columnsOf(rec.Events())
 }
 
 func TestChartPins(t *testing.T) {
@@ -95,36 +95,40 @@ func TestChartPins(t *testing.T) {
 
 	for _, w := range []struct {
 		name string
-		run  func() (*trace.Session, []trace.Event)
+		run  func() (*trace.Session, *trace.ColumnBatch)
 	}{
 		{"demo-figure3", experiments.Figure3Events},
-		{"app-Gpdotnet", func() (*trace.Session, []trace.Event) { return memRun(apps.ByName("Gpdotnet").Instrumented) }},
+		{"app-Gpdotnet", func() (*trace.Session, *trace.ColumnBatch) { return memRun(apps.ByName("Gpdotnet").Instrumented) }},
 	} {
 		t.Run(w.name, func(t *testing.T) {
-			rep := core.New().Analyze(w.run())
+			s, events := w.run()
+			rep := core.New().Analyze(s, events)
 			var charts, svgs bytes.Buffer
+			byInstance := viz.ByInstance(events)
 			for _, ir := range rep.Instances {
 				if len(ir.UseCases) == 0 {
 					continue
 				}
-				fmt.Fprintf(&charts, "== %s %q\n", ir.Profile.Instance.TypeName, ir.Profile.Instance.Label)
-				charts.WriteString(viz.ASCIIChart(ir.Profile.Events, viz.DefaultChartOptions()))
-				if err := viz.WriteSVG(&svgs, ir.Profile.Events, 1000, 320); err != nil {
+				inst := ir.Profile.Instance
+				fmt.Fprintf(&charts, "== %s %q\n", inst.TypeName, inst.Label)
+				charts.WriteString(viz.ASCIIChart(byInstance.Events(inst.ID), viz.DefaultChartOptions()))
+				if err := viz.WriteSVG(&svgs, byInstance.Events(inst.ID), 1000, 320); err != nil {
 					t.Fatal(err)
 				}
 			}
 			checkPin(t, w.name+".charts.txt", charts.Bytes())
 			checkPin(t, w.name+".svg.sha256", svgs.Bytes())
 			var page bytes.Buffer
-			if err := viz.WriteHTMLReport(&page, rep, viz.HTMLOptions{IncludeUnflagged: true}); err != nil {
+			if err := viz.WriteHTMLReport(&page, rep, events, viz.HTMLOptions{IncludeUnflagged: true}); err != nil {
 				t.Fatal(err)
 			}
 			checkPin(t, w.name+".html.sha256", page.Bytes())
 		})
 	}
 
-	rep := core.New().Analyze(threadsRun())
-	checkPin(t, "threads.lanes.txt", []byte(viz.ThreadLanes(rep.Instances[0].Profile, viz.ChartOptions{MaxWidth: 80, MaxHeight: 8})))
+	s, events := threadsRun()
+	rep := core.New().Analyze(s, events)
+	checkPin(t, "threads.lanes.txt", []byte(viz.ThreadLanes(rep.Instances[0].Profile.Instance, events, viz.ChartOptions{MaxWidth: 80, MaxHeight: 8})))
 }
 
 // TestCLIChartPins pins what the dsspy command prints and writes for its

@@ -60,6 +60,13 @@ func exit(code int) {
 	os.Exit(code)
 }
 
+// fatal prints err and ends the process with status 1.
+func fatal(err error) {
+	stdout.Flush() // best effort: the command is failing with err anyway
+	fmt.Fprintln(os.Stderr, "dsspy:", err)
+	os.Exit(1)
+}
+
 func main() {
 	defer flushStdout()
 	o, err := parseFlags(os.Args[1:], os.Stderr)
@@ -129,15 +136,15 @@ func main() {
 	}
 
 	// Every path below ends in the one analysis engine: the workload's
-	// collector drains into it, a replayed or salvaged log is fed to it as
-	// column batches, and -collect's local copy is fed to it as events.
+	// collector drains into it, and a replayed or salvaged log and
+	// -collect's local copy are fed to it as column batches.
 	sa := analyzer.NewStreamAnalyzer(o.shards)
-	// The trace renderers draw per-event profiles, so only they make the
-	// run retain its events (attached to the report below).
+	// The trace renderers draw the run's events, so only they (and -log)
+	// make the run retain them.
 	charts := o.chart || o.svgPath != "" || o.htmlPath != ""
 	var (
 		s         *trace.Session
-		evs       []trace.Event // retained events, for -log and the trace renderers
+		events    *trace.ColumnBatch // retained events in Seq order, for -log and the trace renderers
 		scol      *trace.ShardedCollector
 		resilient *trace.ResilientRecorder
 		timed     *trace.TimedRecorder
@@ -171,8 +178,13 @@ func main() {
 		sa.Attach(s)
 		for _, b := range cols {
 			sa.FeedColumns(b)
-			if charts {
-				evs = b.Events(evs)
+		}
+		if charts {
+			// The normalized runs are ascending and disjoint, so appended
+			// in order they are the run in Seq order.
+			events = &trace.ColumnBatch{}
+			for _, b := range cols {
+				events.AppendRange(b, 0, b.Len())
 			}
 		}
 	default:
@@ -222,15 +234,17 @@ func main() {
 				srv.AddSource(s)
 			}
 			runWorkload(s)
-			evs = mem.Events()
+			events = &trace.ColumnBatch{}
+			events.AppendEvents(mem.Events())
 			if err := resilient.FinishSession(s); err != nil {
 				slog.Warn("collector link failed; report uses the local copy", "err", err)
 			}
-			sa.Feed(evs...)
+			sa.FeedColumns(events)
 		} else {
 			// The collector's drain goroutines feed the analyzer's reducers
 			// directly; the event stores stay empty unless -log or a trace
-			// renderer asks for the events.
+			// renderer asks for the events, which the collector then merges
+			// into one batch at Close.
 			scol = sa.Collector(trace.DefaultAsyncBuffer, policy, o.logPath != "" || charts)
 			scol.SetTracer(tracer)
 			if sampling {
@@ -281,9 +295,7 @@ func main() {
 				close(stop)
 				<-ticked
 			}
-			if charts {
-				evs = scol.Events()
-			}
+			events = scol.MergedColumns()
 		}
 		if o.stats && app != nil && app.PlainTwin != nil {
 			// Paper §V baseline: the same workload at the same input size on
@@ -294,20 +306,10 @@ func main() {
 			plainWall = time.Since(t0)
 		}
 		if o.logPath != "" {
-			// The collector already merged into columns; -collect's local
-			// copy is scattered once. Either way the log is encoded to v3
-			// frames straight from columns.
-			var cb *trace.ColumnBatch
-			if scol != nil {
-				cb = scol.MergedColumns()
-			} else {
-				cb = &trace.ColumnBatch{}
-				cb.AppendEvents(evs)
-			}
-			if err := trace.SaveSessionColumns(o.logPath, s, cb); err != nil {
+			if err := trace.SaveSessionColumns(o.logPath, s, events); err != nil {
 				fatal(err)
 			}
-			fmt.Fprintf(stdout, "session log written to %s (%d events) — re-analyze with -replay\n\n", o.logPath, cb.Len())
+			fmt.Fprintf(stdout, "session log written to %s (%d events) — re-analyze with -replay\n\n", o.logPath, events.Len())
 		}
 	}
 
@@ -315,9 +317,6 @@ func main() {
 	if scol != nil {
 		cs := scol.Stats()
 		rep.Stats.Collector = &cs
-	}
-	if charts {
-		rep.AttachEvents(s, evs)
 	}
 	if timed != nil && rep.Stats != nil {
 		rep.Stats.Overhead = overheadStats(timed, wall, plainWall)
@@ -386,7 +385,7 @@ func main() {
 		} else if o.demo != "" {
 			title = "DSspy report — demo " + o.demo
 		}
-		if err := viz.WriteHTMLReport(f, rep, viz.HTMLOptions{Title: title}); err != nil {
+		if err := viz.WriteHTMLReport(f, rep, events, viz.HTMLOptions{Title: title}); err != nil {
 			f.Close()
 			fatal(err)
 		}
@@ -397,13 +396,14 @@ func main() {
 	}
 
 	if o.chart {
+		byInstance := viz.ByInstance(events)
 		for _, ir := range rep.Instances {
 			if len(ir.UseCases) == 0 {
 				continue
 			}
 			fmt.Fprintf(stdout, "\nProfile of %s %q (%d events):\n",
 				ir.Profile.Instance.TypeName, ir.Profile.Instance.Label, ir.Profile.Len())
-			fmt.Fprint(stdout, viz.ASCIIChart(ir.Profile.Events, viz.DefaultChartOptions()))
+			fmt.Fprint(stdout, viz.ASCIIChart(byInstance.Events(ir.Profile.Instance.ID), viz.DefaultChartOptions()))
 		}
 	}
 	if o.svgPath != "" {
@@ -415,7 +415,7 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			if err := viz.WriteSVG(f, ir.Profile.Events, 1000, 320); err != nil {
+			if err := viz.WriteSVG(f, viz.ByInstance(events).Events(ir.Profile.Instance.ID), 1000, 320); err != nil {
 				f.Close()
 				fatal(err)
 			}
@@ -633,10 +633,4 @@ func printLive(rep *core.Report) {
 			inst.Kind, name, ir.Profile.Len(), len(ir.Patterns()), strings.Join(shorts, ","))
 	}
 	flushStdout()
-}
-
-func fatal(err error) {
-	stdout.Flush() // best effort: the command is failing with err anyway
-	fmt.Fprintln(os.Stderr, "dsspy:", err)
-	os.Exit(1)
 }

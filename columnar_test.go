@@ -19,7 +19,7 @@ import (
 
 // The columnar differential suite: a v3 session log replayed as column
 // batches (zero []Event inflation) must render byte-identical reports to the
-// event-slice lane (Analyze, which folds through Feed), across every corpus
+// event-slice lane (Feed, through feedEvents), across every corpus
 // workload and shard shape. Feed scatters onto column batches too, so these
 // tests referee batch boundaries — decoder frames vs Feed's scratch chunks —
 // and the golden reports pin the results; the reducers' column walks are
@@ -28,8 +28,8 @@ import (
 
 // TestColumnarReplayDifferentialCorpus saves every dynamic-study program to a
 // v3 session log, replays it through LoadSessionColumns + FeedColumns at
-// several shard counts, and compares the rendered bytes against Analyze of
-// the same events.
+// several shard counts, and compares the rendered bytes against Feed of the
+// same events.
 func TestColumnarReplayDifferentialCorpus(t *testing.T) {
 	progs := append(corpus.PatternStudyPrograms(), corpus.UseCaseStudyPrograms()...)
 	dir := t.TempDir()
@@ -42,7 +42,7 @@ func TestColumnarReplayDifferentialCorpus(t *testing.T) {
 				b(s)
 			}
 			events := mem.Events()
-			batch := NewReportBytes(t, core.New().Analyze(s, events))
+			batch := NewReportBytes(t, feedEvents(s, events))
 
 			path := filepath.Join(dir, p.Name+".dslog")
 			saveEvents(t, path, s, events)
@@ -114,7 +114,7 @@ func TestColumnarReplaySnapshotMidRun(t *testing.T) {
 		sa.FeedColumns(b)
 	}
 	final := NewReportBytes(t, sa.Close())
-	batch := NewReportBytes(t, core.New().Analyze(s, events))
+	batch := NewReportBytes(t, feedEvents(s, events))
 	if !bytes.Equal(batch, final) {
 		t.Fatalf("final report after mid-batch snapshot differs from batch:\n--- batch ---\n%s\n--- columnar ---\n%s",
 			batch, final)
@@ -123,7 +123,7 @@ func TestColumnarReplaySnapshotMidRun(t *testing.T) {
 
 // TestColumnarRecoverDamagedLog chops the tail off a concurrent workload's v3
 // log and replays the salvage through RecoverSessionColumns + FeedColumns:
-// the report must match Analyze (the Feed lane) of the same salvaged events.
+// the report must match the Feed lane of the same salvaged events.
 func TestColumnarRecoverDamagedLog(t *testing.T) {
 	mem := trace.NewMemRecorder()
 	s := trace.NewSessionWith(trace.Options{Recorder: mem, CaptureSites: true})
@@ -167,7 +167,7 @@ func TestColumnarRecoverDamagedLog(t *testing.T) {
 	if len(revs) != rec.Events {
 		t.Fatalf("columnar salvage returned %d events, diagnostic says %d", len(revs), rec.Events)
 	}
-	batch := NewReportBytes(t, core.New().Analyze(cs, revs))
+	batch := NewReportBytes(t, feedEvents(cs, revs))
 	sa := core.New().NewStreamAnalyzer(0)
 	sa.Attach(cs)
 	for _, b := range cols {
@@ -337,13 +337,18 @@ func TestColumnarFoldThroughputGate(t *testing.T) {
 	}
 }
 
+// columnsOf scatters events onto one column batch.
+func columnsOf(events []trace.Event) *trace.ColumnBatch {
+	b := &trace.ColumnBatch{}
+	b.AppendEvents(events)
+	return b
+}
+
 // saveEvents writes events as a session log: scattered once onto columns,
 // then saved by SaveSessionColumns.
 func saveEvents(t testing.TB, path string, s *trace.Session, events []trace.Event) {
 	t.Helper()
-	var cb trace.ColumnBatch
-	cb.AppendEvents(events)
-	if err := dsspy.SaveSessionColumns(path, s, &cb); err != nil {
+	if err := dsspy.SaveSessionColumns(path, s, columnsOf(events)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -205,18 +205,16 @@ func TestContentionOverheadEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The events the reducer folds: recorded once, with the per-event
-	// profile view attached by Analyze, then laid out as the column batch
-	// the pipeline's drain goroutines fold.
+	// The events the reducer folds: recorded once, then laid out as the
+	// column batch the pipeline's drain goroutines fold.
 	mem := trace.NewMemRecorder()
 	s := trace.NewSessionWith(trace.Options{Recorder: mem})
 	workload(s)
-	events := core.New().Analyze(s, mem.Events()).Instances[0].Profile.Events
-	if len(events) != n {
-		t.Fatalf("captured %d events, want %d", len(events), n)
-	}
 	var cols trace.ColumnBatch
-	cols.AppendEvents(events)
+	cols.AppendEvents(mem.Events())
+	if cols.Len() != n {
+		t.Fatalf("captured %d events, want %d", cols.Len(), n)
+	}
 
 	bestOf3 := func(run func()) time.Duration {
 		best := time.Duration(1<<62 - 1)

@@ -25,9 +25,11 @@ import (
 )
 
 func main() {
-	rec := trace.NewMemRecorder()
+	// The collector keeps the events; Close merges them into one batch in
+	// sequence order.
+	col := trace.NewShardedCollector(0)
 	s := trace.NewSessionWith(trace.Options{
-		Recorder:       rec,
+		Recorder:       col,
 		CaptureSites:   true,
 		CaptureThreads: true, // goroutine ids on every event
 	})
@@ -97,7 +99,9 @@ func main() {
 	close(done)
 	cwg.Wait()
 
-	rep := core.New().Analyze(s, rec.Events())
+	col.Close()
+	events := col.MergedColumns()
+	rep := core.New().Analyze(s, events)
 	if err := rep.Write(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

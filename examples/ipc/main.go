@@ -51,8 +51,8 @@ func main() {
 		fatal(err)
 	}
 
-	events := srv.Events()
-	fmt.Printf("collector received %d events over the wire\n\n", len(events))
+	events := srv.Columns()
+	fmt.Printf("collector received %d events over the wire\n\n", events.Len())
 
 	// Post-mortem analysis on the collector side.
 	rep := core.New().Analyze(s, events)

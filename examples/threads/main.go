@@ -20,9 +20,11 @@ import (
 )
 
 func main() {
-	rec := trace.NewMemRecorder()
+	// The collector keeps the events; Close merges them into one batch in
+	// sequence order.
+	col := trace.NewShardedCollector(0)
 	s := trace.NewSessionWith(trace.Options{
-		Recorder:       rec,
+		Recorder:       col,
 		CaptureSites:   true,
 		CaptureThreads: true, // goroutine ids on every event
 	})
@@ -54,7 +56,9 @@ func main() {
 	}
 	wg.Wait()
 
-	rep := core.New().Analyze(s, rec.Events())
+	col.Close()
+	events := col.MergedColumns()
+	rep := core.New().Analyze(s, events)
 	if err := rep.Write(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -65,7 +69,7 @@ func main() {
 		res.Shared.Threads, res.Shared.WritingThreads, res.Shared.ReadingThreads)
 	fmt.Printf("Patterns (thread-aware): %d\n\n", len(res.Patterns()))
 
-	// Per-thread lanes make the interleaved scans visible; Analyze attached
-	// the per-event profile they are drawn from.
-	fmt.Print(viz.ThreadLanes(res.Profile, viz.ChartOptions{MaxWidth: 80, MaxHeight: 8}))
+	// Per-thread lanes make the interleaved scans visible; they are drawn
+	// from the run's events, which are all the shared list's.
+	fmt.Print(viz.ThreadLanes(res.Profile.Instance, events, viz.ChartOptions{MaxWidth: 80, MaxHeight: 8}))
 }

@@ -51,7 +51,7 @@ func goldenCases() []goldenCase {
 		app := app
 		cases = append(cases, goldenCase{"app-" + app.Name, func() *core.Report { return core.New().Run(app.Instrumented) }})
 	}
-	for name, events := range map[string]func() (*trace.Session, []trace.Event){
+	for name, events := range map[string]func() (*trace.Session, *trace.ColumnBatch){
 		"figure2": experiments.Figure2Events,
 		"figure3": experiments.Figure3Events,
 	} {

@@ -57,13 +57,14 @@ func TestHotPathDifferentialCorpus(t *testing.T) {
 				b(s)
 			}
 			events := mem.Events()
-			want := NewReportBytes(t, core.New().Analyze(s, events))
+			want := NewReportBytes(t, core.New().Analyze(s, columnsOf(events)))
 
 			for _, shape := range shapes {
 				col := trace.NewShardedCollectorOpts(shape.shards, 1024, trace.Block())
 				replayBatched(events, col, shape.batch)
 				col.Close()
-				got := col.Events()
+				merged := col.MergedColumns()
+				got := merged.Events(nil)
 				if len(got) != len(events) {
 					t.Fatalf("batch=%d shards=%d: replay delivered %d events, want %d",
 						shape.batch, shape.shards, len(got), len(events))
@@ -74,7 +75,7 @@ func TestHotPathDifferentialCorpus(t *testing.T) {
 							shape.batch, shape.shards, i, got[i], events[i])
 					}
 				}
-				rep := NewReportBytes(t, core.New().Analyze(s, got))
+				rep := NewReportBytes(t, core.New().Analyze(s, merged))
 				if !bytes.Equal(want, rep) {
 					t.Fatalf("%s: batched report (batch=%d shards=%d) differs from per-event report",
 						p.Name, shape.batch, shape.shards)
@@ -98,7 +99,7 @@ func TestHotPathDifferentialStream(t *testing.T) {
 				b(s)
 			}
 			events := mem.Events()
-			want := NewReportBytes(t, core.New().Analyze(s, events))
+			want := NewReportBytes(t, core.New().Analyze(s, columnsOf(events)))
 
 			sa := core.New().NewStreamAnalyzer(2)
 			scol := sa.Collector(512, trace.Block(), false)
@@ -154,7 +155,7 @@ func TestHotPathRecoverReplay(t *testing.T) {
 		if len(revs) != len(evs) {
 			t.Fatalf("tail damage lost event frames: salvaged %d of %d", len(revs), len(evs))
 		}
-		return NewReportBytes(t, core.New().Analyze(rs, revs))
+		return NewReportBytes(t, core.New().Analyze(rs, columnsOf(revs)))
 	}
 
 	want := damaged(t, events, "perevent.dslog")
@@ -198,20 +199,20 @@ func TestHotPathBatchedConcurrentProducers(t *testing.T) {
 	wg.Wait()
 	sharded.Close()
 
-	merged := sharded.Events()
-	if len(merged) != mem.Len() {
-		t.Fatalf("sharded collector holds %d events, tee twin holds %d", len(merged), mem.Len())
+	merged := sharded.MergedColumns()
+	if merged.Len() != mem.Len() {
+		t.Fatalf("sharded collector holds %d events, tee twin holds %d", merged.Len(), mem.Len())
 	}
-	for i, e := range merged {
-		if e.Seq != uint64(i+1) {
-			t.Fatalf("merged stream has a gap at %d: seq %d", i, e.Seq)
+	for i, seq := range merged.Seq {
+		if seq != uint64(i+1) {
+			t.Fatalf("merged stream has a gap at %d: seq %d", i, seq)
 		}
 	}
 
 	cfg := core.DefaultConfig()
 	cfg.Workers = 1
-	seq := NewReportBytes(t, core.NewWith(cfg).Analyze(s, mem.Events()))
-	par := NewReportBytes(t, analyzeColumns(s, sharded))
+	seq := NewReportBytes(t, core.NewWith(cfg).Analyze(s, columnsOf(mem.Events())))
+	par := NewReportBytes(t, core.New().Analyze(s, merged))
 	if !bytes.Equal(seq, par) {
 		t.Fatal("parallel report over batched producers differs from sequential tee-twin report")
 	}

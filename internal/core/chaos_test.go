@@ -83,7 +83,7 @@ func TestChaosFlakyAccepts(t *testing.T) {
 	for _, e := range chaosEvents(300) {
 		rr.Record(e)
 	}
-	waitCond(t, 5*time.Second, func() bool { return len(cs.TenantEvents("alpha")) == 300 })
+	waitCond(t, 5*time.Second, func() bool { return cs.TenantColumns("alpha").Len() == 300 })
 	if err := rr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +128,8 @@ func TestChaosMidFrameCut(t *testing.T) {
 	// batches, so the server may hold duplicates of a torn batch's survivors.
 	waitCond(t, 10*time.Second, func() bool {
 		seen := map[uint64]bool{}
-		for _, e := range cs.TenantEvents("alpha") {
-			seen[e.Seq] = true
+		for _, seq := range cs.TenantColumns("alpha").Seq {
+			seen[seq] = true
 		}
 		return len(seen) == 500
 	})
@@ -194,9 +194,9 @@ func TestChaosCorruptFrames(t *testing.T) {
 	}
 	// Whatever the server kept is a subset of what was sent — no invented
 	// events.
-	for _, e := range cs.TenantEvents("alpha") {
-		if e.Seq == 0 || e.Seq > 400 {
-			t.Fatalf("corrupt link invented event seq %d", e.Seq)
+	for _, seq := range cs.TenantColumns("alpha").Seq {
+		if seq == 0 || seq > 400 {
+			t.Fatalf("corrupt link invented event seq %d", seq)
 		}
 	}
 }

@@ -6,11 +6,11 @@
 //
 // There is one analysis engine, the StreamAnalyzer: every report is built by
 // folding events into per-instance reducers (FeedShard from a collector's
-// drain goroutines, FeedColumns from columnar replay, Feed from event slices)
-// and finalizing them at Close. Run and Analyze are drivers over it. The
-// paper's post-mortem profile → pattern → use-case stages survive as those
-// reducers; a per-event Profile is an on-demand view (Report.AttachEvents)
-// for the renderers that draw the trace.
+// drain goroutines, FeedColumns from column batches, Feed from the daemon's
+// event slices) and finalizing them at Close. Run and Analyze are drivers
+// over it. The paper's post-mortem profile → pattern → use-case stages
+// survive as those reducers; the renderers that draw the trace read the
+// run's column batch.
 package core
 
 import (
@@ -134,18 +134,15 @@ func (d *DSspy) workers() int {
 	return par.DefaultParallelism()
 }
 
-// Analyze folds a recorded event stream through the streaming analyzer and
-// returns its report with per-event profiles attached (AttachEvents), for
-// callers that hold the events anyway: replayed logs, memory recorders, the
-// figure renderers. Events must be in sequence order, as every trace source
-// returns them; the report does not depend on Config.Workers.
-func (d *DSspy) Analyze(s *trace.Session, events []trace.Event) *Report {
+// Analyze folds a recorded run, held as one column batch, through the
+// streaming analyzer and returns its report. The events must be in sequence
+// order, as every trace source returns them; the report does not depend on
+// Config.Workers.
+func (d *DSspy) Analyze(s *trace.Session, b *trace.ColumnBatch) *Report {
 	a := d.NewStreamAnalyzer(0)
 	a.Attach(s)
-	a.Feed(events...)
-	rep := a.Close()
-	rep.AttachEvents(s, events)
-	return rep
+	a.FeedColumns(b)
+	return a.Close()
 }
 
 // contentionStats aggregates the per-instance cross-thread summaries for the
@@ -186,30 +183,6 @@ func (d *DSspy) Run(workload func(*trace.Session)) *Report {
 	cs := col.Stats()
 	rep.Stats.Collector = &cs
 	return rep
-}
-
-// AttachEvents swaps each instance's event-free streamed profile for the
-// per-event view profile.Build derives from events, matched by instance id,
-// so renderers that draw the trace (charts, SVG, HTML, Figures 2 and 3) can
-// read Profile.Events. The folded statistics carry over unchanged (the
-// contention summary stays on InstanceResult.Contention); instances without
-// events in the slice keep their profile.
-func (r *Report) AttachEvents(s *trace.Session, events []trace.Event) {
-	byID := make(map[trace.InstanceID]*profile.Profile)
-	for _, p := range profile.Build(s, events) {
-		byID[p.Instance.ID] = p
-	}
-	for i, ir := range r.Instances {
-		p := byID[ir.Profile.Instance.ID]
-		if p == nil {
-			continue
-		}
-		p.PrimeStats(ir.Profile.Stats())
-		// A copy: the row may be shared with the report a merge took it from.
-		cp := *ir
-		cp.Profile = p
-		r.Instances[i] = &cp
-	}
 }
 
 // UseCases returns every detected use case across instances, in instance

@@ -154,7 +154,7 @@ func TestMultithreadedAnalysis(t *testing.T) {
 			s2.EmitAs(id, trace.OpRead, i, n, 3)
 		}
 	}
-	rep := New().Analyze(s2, rec.Events())
+	rep := New().Analyze(s2, columnsOf(rec.Events()))
 	res := rep.Instances[0]
 	if !res.Shared.Shared() || !res.Shared.Contended() {
 		t.Errorf("shared access = %+v", res.Shared)
@@ -175,6 +175,35 @@ func TestMultithreadedAnalysis(t *testing.T) {
 	}
 }
 
+// columnsOf scatters events onto one column batch.
+func columnsOf(events []trace.Event) *trace.ColumnBatch {
+	b := &trace.ColumnBatch{}
+	b.AppendEvents(events)
+	return b
+}
+
+// TestReportRowProfileString: a report row's profile is stream-built, and
+// its String gives the folded event count.
+func TestReportRowProfileString(t *testing.T) {
+	s := trace.NewSession()
+	id := s.Register(trace.KindList, "List[int]", "rows", 0)
+	var events []trace.Event
+	for i := 0; i < 120; i++ {
+		events = append(events, trace.Event{Seq: uint64(i + 1), Instance: id, Op: trace.OpInsert, Index: i, Size: i + 1})
+	}
+	run := New().Run(func(s *trace.Session) {
+		id := s.Register(trace.KindList, "List[int]", "rows", 0)
+		for i := 0; i < 120; i++ {
+			s.Emit(id, trace.OpInsert, i, i+1)
+		}
+	})
+	for _, rep := range []*Report{New().Analyze(s, columnsOf(events)), run} {
+		if got, want := rep.Instances[0].Profile.String(), "Profile{List[int] rows, 120 events}"; got != want {
+			t.Errorf("String = %q, want %q", got, want)
+		}
+	}
+}
+
 func TestAnalyzeDirectEvents(t *testing.T) {
 	s := trace.NewSession()
 	id := s.Register(trace.KindList, "List[int]", "", 0)
@@ -184,7 +213,7 @@ func TestAnalyzeDirectEvents(t *testing.T) {
 			Seq: uint64(i + 1), Instance: id, Op: trace.OpInsert, Index: i, Size: i + 1,
 		})
 	}
-	rep := New().Analyze(s, events)
+	rep := New().Analyze(s, columnsOf(events))
 	if len(rep.Instances) != 1 || len(rep.UseCases()) != 1 {
 		t.Fatalf("analyze = %d instances, %v use cases", len(rep.Instances), rep.UseCases())
 	}

@@ -411,7 +411,6 @@ func TestSnapshotReusesUnchangedRows(t *testing.T) {
 	want := reportBytes(t, first)
 
 	// The caller's edits to the rows it was handed stay its own.
-	first.AttachEvents(s, events[:half])
 	first.FilterMinConfidence(2)
 	for _, ir := range first.Instances {
 		ir.Origin = "edited"

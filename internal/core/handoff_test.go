@@ -43,7 +43,7 @@ func handoffRun(t *testing.T, shards int, adapter bool, scenario func(*trace.Ses
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return col.Events(), buf.Bytes()
+	return col.MergedColumns().Events(nil), buf.Bytes()
 }
 
 // handoffEvents interleaves every instance through emit: 200 rounds of

@@ -82,8 +82,8 @@ func (k mergeKey) compare(o mergeKey) int {
 
 // MergeReports folds any number of reports into one fleet view. Inputs are
 // not mutated, and the merged view may share rows with them: rows are
-// read-only once in a report (FilterMinConfidence and AttachEvents replace a
-// row rather than change it). Instances and registry rows are keyed by
+// read-only once in a report (FilterMinConfidence replaces a row rather than
+// change it). Instances and registry rows are keyed by
 // (origin, id) — a report-level Origin is inherited by rows that carry none —
 // and the merged report is ordered by (origin, id), so the output is
 // independent of input order.

@@ -59,7 +59,7 @@ func TestAnalyzeWorkerCountInvariant(t *testing.T) {
 	mem := trace.NewMemRecorder()
 	s := trace.NewSessionWith(trace.Options{Recorder: mem, CaptureSites: true})
 	parallelWorkload(s)
-	events := mem.Events()
+	events := columnsOf(mem.Events())
 
 	cfg := DefaultConfig()
 	cfg.Workers = 1

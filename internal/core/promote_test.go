@@ -7,8 +7,10 @@ package core
 // and pin the open-run count the single segmentation implies.
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dsspy/internal/pattern"
@@ -91,8 +93,8 @@ func promoteStream(id trace.InstanceID, soloLen, block, bStart int) []trace.Even
 
 // eventOracle is the retained-events reference a streamed row is held to:
 // every reducer driven one event at a time through its per-event form over
-// the per-event profile view, with patterns judged per profile.ByThread
-// slice and merged in the order ByThread returns them.
+// the instance's events, with patterns judged per thread (byThread) and
+// merged in thread-id order.
 type eventOracle struct {
 	summary     *pattern.Summary // thread-aware, what the row reports
 	interleaved *pattern.Summary // the whole instance stream, what regularity reads
@@ -100,14 +102,45 @@ type eventOracle struct {
 	useCases    []usecase.UseCase
 }
 
-// foldEvents computes the eventOracle of one instance's profile.
-func foldEvents(p *profile.Profile, cfg Config) eventOracle {
+// instanceEvents returns the events of instance id in sequence order.
+func instanceEvents(events []trace.Event, id trace.InstanceID) []trace.Event {
+	var out []trace.Event
+	for _, e := range events {
+		if e.Instance == id {
+			out = append(out, e)
+		}
+	}
+	slices.SortStableFunc(out, func(a, b trace.Event) int { return cmp.Compare(a.Seq, b.Seq) })
+	return out
+}
+
+// byThread splits one instance's events per thread, ordered by thread id,
+// each thread's events in stream order.
+func byThread(events []trace.Event) [][]trace.Event {
+	m := make(map[trace.ThreadID][]trace.Event)
+	for _, e := range events {
+		m[e.Thread] = append(m[e.Thread], e)
+	}
+	ids := make([]trace.ThreadID, 0, len(m))
+	for th := range m {
+		ids = append(ids, th)
+	}
+	slices.Sort(ids)
+	out := make([][]trace.Event, len(ids))
+	for i, th := range ids {
+		out[i] = m[th]
+	}
+	return out
+}
+
+// foldEvents computes the eventOracle of one instance's events.
+func foldEvents(inst trace.Instance, events []trace.Event, cfg Config) eventOracle {
 	var ss profile.StreamStats
 	var sc profile.StreamContention
 	u := usecase.NewStream(cfg.Thresholds)
 	global := pattern.NewStreamDetector(cfg.Pattern, false)
 	runs := profile.NewStreamSegmenter(profile.DefaultSegmentOptions())
-	for _, e := range p.Events {
+	for _, e := range events {
 		ss.Fold(e)
 		sc.Fold(e)
 		u.Event(e)
@@ -121,9 +154,9 @@ func foldEvents(p *profile.Profile, cfg Config) eventOracle {
 		u.Run(&r)
 	}
 	sum := &pattern.Summary{}
-	for _, ts := range p.ByThread() {
+	for _, thread := range byThread(events) {
 		d := pattern.NewStreamDetector(cfg.Pattern, true)
-		for _, e := range ts.Profile.Events {
+		for _, e := range thread {
 			d.Feed(e)
 		}
 		d.Finish()
@@ -141,18 +174,18 @@ func foldEvents(p *profile.Profile, cfg Config) eventOracle {
 		summary:     sum,
 		interleaved: global.Summary(),
 		regular:     pattern.RegularityFrom(global.Summary(), st, cfg.Regularity),
-		useCases:    u.Finish(p.Instance, st, ct),
+		useCases:    u.Finish(inst, st, ct),
 	}
 }
 
 // checkAgainstEvents compares every row of rep with the retained-events
 // reference over events: the thread-aware pattern summary, the regularity
 // verdict and the use cases.
-func checkAgainstEvents(t *testing.T, s *trace.Session, cfg Config, rep *Report, events []trace.Event, at string) {
+func checkAgainstEvents(t *testing.T, cfg Config, rep *Report, events []trace.Event, at string) {
 	t.Helper()
-	rep.AttachEvents(s, events)
 	for _, ir := range rep.Instances {
-		want := foldEvents(ir.Profile, cfg)
+		inst := ir.Profile.Instance
+		want := foldEvents(inst, instanceEvents(events, inst.ID), cfg)
 		if !reflect.DeepEqual(ir.Summary, want.summary) {
 			t.Fatalf("%s: pattern summary diverged:\n stream: %+v\n   want: %+v", at, ir.Summary, want.summary)
 		}
@@ -175,7 +208,8 @@ func checkInterleaved(t *testing.T, a *StreamAnalyzer, st *instanceStream, event
 	c := st.clone()
 	c.finalize(a.d, a.registry())
 	got := c.regularitySummary()
-	want := foldEvents(profile.Build(a.session, events)[0], a.d.cfg).interleaved
+	inst, _ := a.session.Instance(st.id)
+	want := foldEvents(inst, instanceEvents(events, st.id), a.d.cfg).interleaved
 	got.Patterns = nil
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: interleaved-stream summary diverged:\n stream: %+v\n   want: %+v", at, got, want)
@@ -244,10 +278,10 @@ func TestPromotionDifferential(t *testing.T) {
 					}
 					at := fmt.Sprintf("snapshot at %d", hi)
 					checkInterleaved(t, a, st, events[:hi], at)
-					checkAgainstEvents(t, s, cc.cfg, a.Snapshot(), events[:hi], at)
+					checkAgainstEvents(t, cc.cfg, a.Snapshot(), events[:hi], at)
 				}
 				rep := a.Close()
-				checkAgainstEvents(t, s, cc.cfg, rep, events, "close")
+				checkAgainstEvents(t, cc.cfg, rep, events, "close")
 				if len(rep.UseCases()) == 0 || !rep.Instances[0].Regular {
 					t.Fatalf("scenario detects nothing; the differential is vacuous: %v", rep.UseCases())
 				}

@@ -22,8 +22,8 @@ import (
 // usecase wired into the collector's drain path, so the full report is
 // computed during execution in O(instances) memory instead of post-mortem
 // over a retained O(events) trace. This is the only analysis engine: Run
-// drives it from a live collector, Analyze from an event slice, and replay
-// from column batches.
+// drives it from a live collector, Analyze and replay from column batches,
+// and the daemon from event slices.
 //
 // Ordering contract: a shard's drain goroutine delivers each producer
 // goroutine's events in program order, so per-thread figures are always

@@ -15,7 +15,7 @@ import (
 //	List<int> list = new List<int>(10);
 //	for (int i=0; i<10; i++) list.Add(i);
 //	for (int i=9; i>=0; i--) Debug.Write(list[i]);
-func Figure2Events() (*trace.Session, []trace.Event) {
+func Figure2Events() (*trace.Session, *trace.ColumnBatch) {
 	rec := trace.NewMemRecorder()
 	s := trace.NewSessionWith(trace.Options{Recorder: rec, CaptureSites: true})
 	list := dstruct.NewListCap[int](s, 10)
@@ -25,7 +25,7 @@ func Figure2Events() (*trace.Session, []trace.Event) {
 	for i := 9; i >= 0; i-- {
 		_ = list.Get(i)
 	}
-	return s, rec.Events()
+	return s, recorded(rec)
 }
 
 // Figure2 renders the runtime profile of the snippet: ten insertions into a
@@ -58,7 +58,7 @@ func Figure2(w io.Writer) error {
 
 // Figure3Events produces the §III.A profile: repeated append-scan-clear
 // cycles on one list.
-func Figure3Events() (*trace.Session, []trace.Event) {
+func Figure3Events() (*trace.Session, *trace.ColumnBatch) {
 	rec := trace.NewMemRecorder()
 	s := trace.NewSessionWith(trace.Options{Recorder: rec, CaptureSites: true})
 	l := dstruct.NewListLabeled[int](s, "producer/scanner")
@@ -72,7 +72,7 @@ func Figure3Events() (*trace.Session, []trace.Event) {
 		}
 		l.Clear()
 	}
-	return s, rec.Events()
+	return s, recorded(rec)
 }
 
 // Figure3 renders the Insert-Back/Read-Forward cycle profile and the two
@@ -106,4 +106,11 @@ func Figure3(w io.Writer) error {
 	}
 	_, err := fmt.Fprintf(w, "Paper reference: this profile leads to the two use cases Long-Insert and Frequent-Long-Read.\n\n")
 	return err
+}
+
+// recorded scatters rec's events, in sequence order, onto one column batch.
+func recorded(rec *trace.MemRecorder) *trace.ColumnBatch {
+	b := &trace.ColumnBatch{}
+	b.AppendEvents(rec.Events())
+	return b
 }

@@ -15,6 +15,13 @@ import (
 	"dsspy/internal/trace"
 )
 
+// analyze folds the events through the StreamAnalyzer.
+func analyze(s *trace.Session, events []trace.Event) *core.Report {
+	b := &trace.ColumnBatch{}
+	b.AppendEvents(events)
+	return core.New().Analyze(s, b)
+}
+
 // interleaved folds every event of the one instance through a single
 // detector, blind to threads.
 func interleaved(events []trace.Event) *pattern.Summary {
@@ -48,7 +55,7 @@ func TestSummarizeThreadsSeparatesScans(t *testing.T) {
 		}
 	}
 	// The analyzer's summary is thread-aware: one full scan per thread.
-	rep := core.New().Analyze(s, events)
+	rep := analyze(s, events)
 	if len(rep.Instances) != 1 {
 		t.Fatalf("got %d instances, want 1", len(rep.Instances))
 	}
@@ -73,7 +80,7 @@ func TestSummarizeThreadsSingleThreadIdentical(t *testing.T) {
 		l.Add(i)
 	}
 	events := rec.Events()
-	rep := core.New().Analyze(s, events)
+	rep := analyze(s, events)
 	if len(rep.Instances) != 1 {
 		t.Fatalf("got %d instances, want 1", len(rep.Instances))
 	}

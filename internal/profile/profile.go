@@ -10,66 +10,27 @@
 // proﬁles", §IV) assigns all access events to their instantiation location
 // and derives per-instance statistics and maximal same-operation runs. The
 // analyzer does both as it folds the stream, so a report's Profile is
-// event-free (NewStreamed); Build derives the per-event view only for the
-// renderers that draw the trace (core's Report.AttachEvents).
+// event-free (NewStreamed).
 package profile
 
 import (
 	"fmt"
-	"sort"
 
 	"dsspy/internal/trace"
 )
 
-// Profile is the runtime profile of one data-structure instance.
+// Profile is the runtime profile of one data-structure instance, as the
+// analyzer folded it: the event count and the aggregate figures, not the
+// events. The renderers draw the events from the run's column batch.
 type Profile struct {
 	Instance trace.Instance
-	Events   []trace.Event
 
-	stats    *Stats // lazily computed
-	streamed int    // event count when built by the stream pipeline (Events nil)
+	n     int
+	stats *Stats
 }
 
-// Build groups events by instance and returns one profile per instance that
-// raised at least one event, ordered by instance id. Events are assumed
-// sequence-sorted (every collector and loader returns them that way); Build
-// re-sorts defensively since correctness of all downstream analyses depends
-// on chronological order.
-func Build(s *trace.Session, events []trace.Event) []*Profile {
-	sorted := make([]trace.Event, len(events))
-	copy(sorted, events)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Seq < sorted[j].Seq })
-
-	byInstance := make(map[trace.InstanceID][]trace.Event)
-	for _, e := range sorted {
-		byInstance[e.Instance] = append(byInstance[e.Instance], e)
-	}
-
-	ids := make([]trace.InstanceID, 0, len(byInstance))
-	for id := range byInstance {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	profiles := make([]*Profile, 0, len(ids))
-	for _, id := range ids {
-		inst, ok := s.Instance(id)
-		if !ok {
-			inst = trace.Instance{ID: id, TypeName: "<unregistered>"}
-		}
-		profiles = append(profiles, &Profile{Instance: inst, Events: byInstance[id]})
-	}
-	return profiles
-}
-
-// Len returns the number of events in the profile. Stream-built profiles
-// (NewStreamed) report the folded count without retaining the events.
-func (p *Profile) Len() int {
-	if p.Events == nil && p.streamed > 0 {
-		return p.streamed
-	}
-	return len(p.Events)
-}
+// Len returns the number of events folded into the profile.
+func (p *Profile) Len() int { return p.n }
 
 // Stats holds per-profile aggregate figures the use-case engine consumes.
 type Stats struct {
@@ -112,18 +73,13 @@ func (ts *threadSet) add(id trace.ThreadID) {
 	*ts = append(s, id)
 }
 
-// Stats computes (and caches) the aggregate figures by folding the view's
-// events through StreamStats; stream-built and attached profiles answer from
-// the primed figures.
+// Stats returns the folded aggregate figures; a zero Profile reports those
+// of an empty stream.
 func (p *Profile) Stats() *Stats {
-	if p.stats != nil {
-		return p.stats
+	if p.stats == nil {
+		var ss StreamStats
+		p.stats = ss.Snapshot()
 	}
-	var ss StreamStats
-	for _, e := range p.Events {
-		ss.Fold(e)
-	}
-	p.stats = ss.Snapshot()
 	return p.stats
 }
 
@@ -145,5 +101,5 @@ func (s *Stats) Fraction(n int) float64 {
 
 func (p *Profile) String() string {
 	return fmt.Sprintf("Profile{%s %s, %d events}",
-		p.Instance.TypeName, p.Instance.Label, len(p.Events))
+		p.Instance.TypeName, p.Instance.Label, p.Len())
 }

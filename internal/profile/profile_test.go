@@ -32,59 +32,15 @@ func segment(events []trace.Event) []Run {
 	return segmentWith(events, DefaultSegmentOptions())
 }
 
-func TestBuildGroupsByInstance(t *testing.T) {
-	s, rec := session()
-	a := dstruct.NewList[int](s)
-	b := dstruct.NewList[int](s)
-	a.Add(1)
-	b.Add(2)
-	a.Add(3)
-	profiles := Build(s, rec.Events())
-	if len(profiles) != 2 {
-		t.Fatalf("got %d profiles, want 2", len(profiles))
+// fold folds one instance's events through StreamStats into the
+// stream-built profile the analyzer reports.
+func fold(s *trace.Session, events []trace.Event) *Profile {
+	var ss StreamStats
+	for _, e := range events {
+		ss.Fold(e)
 	}
-	if profiles[0].Instance.ID != a.ID() || profiles[1].Instance.ID != b.ID() {
-		t.Error("profiles not ordered by instance id")
-	}
-	if profiles[0].Len() != 2 || profiles[1].Len() != 1 {
-		t.Errorf("event counts = %d, %d", profiles[0].Len(), profiles[1].Len())
-	}
-	// Chronological order within a profile.
-	if profiles[0].Events[0].Seq >= profiles[0].Events[1].Seq {
-		t.Error("events out of order")
-	}
-}
-
-func TestBuildUnregisteredInstance(t *testing.T) {
-	s, _ := session()
-	events := []trace.Event{{Seq: 1, Instance: 42, Op: trace.OpRead, Index: 0, Size: 1}}
-	profiles := Build(s, events)
-	if len(profiles) != 1 {
-		t.Fatalf("got %d profiles", len(profiles))
-	}
-	if profiles[0].Instance.TypeName != "<unregistered>" {
-		t.Errorf("type name = %q", profiles[0].Instance.TypeName)
-	}
-}
-
-func TestBuildResortsEvents(t *testing.T) {
-	s, _ := session()
-	id := s.Register(trace.KindList, "List[int]", "", 0)
-	events := []trace.Event{
-		{Seq: 3, Instance: id, Op: trace.OpRead, Index: 2, Size: 3},
-		{Seq: 1, Instance: id, Op: trace.OpRead, Index: 0, Size: 3},
-		{Seq: 2, Instance: id, Op: trace.OpRead, Index: 1, Size: 3},
-	}
-	p := Build(s, events)[0]
-	for i, e := range p.Events {
-		if e.Seq != uint64(i+1) {
-			t.Fatalf("event %d has seq %d", i, e.Seq)
-		}
-	}
-	runs := segment(p.Events)
-	if len(runs) != 1 || runs[0].Direction != DirForward {
-		t.Errorf("runs = %v, want one forward run", runs)
-	}
+	inst, _ := s.Instance(events[0].Instance)
+	return NewStreamed(inst, len(events), ss.Snapshot())
 }
 
 func TestStatsAggregation(t *testing.T) {
@@ -98,7 +54,7 @@ func TestStatsAggregation(t *testing.T) {
 	}
 	l.Contains(5)
 	l.Clear()
-	p := Build(s, rec.Events())[0]
+	p := fold(s, rec.Events())
 	st := p.Stats()
 	if st.Total != 22 {
 		t.Errorf("Total = %d, want 22", st.Total)
@@ -138,7 +94,7 @@ func TestStatsThreadCount(t *testing.T) {
 	s.EmitAs(id, trace.OpRead, 0, 1, 7)
 	s.EmitAs(id, trace.OpRead, 0, 1, 8)
 	s.EmitAs(id, trace.OpRead, 0, 1, 7)
-	p := Build(s, rec.Events())[0]
+	p := fold(s, rec.Events())
 	if got := p.Stats().Threads; got != 2 {
 		t.Errorf("Threads = %d, want 2", got)
 	}
@@ -153,8 +109,8 @@ func TestRunsForwardRead(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		l.Get(i)
 	}
-	p := Build(s, rec.Events())[0]
-	runs := segment(p.Events)
+	events := rec.Events()
+	runs := segment(events)
 	if len(runs) != 2 {
 		t.Fatalf("got %d runs, want 2 (insert phase, read phase): %v", len(runs), runs)
 	}
@@ -186,8 +142,8 @@ func TestRunsDirectionBreaks(t *testing.T) {
 	for i := 5; i >= 3; i-- {
 		l.Get(i)
 	}
-	p := Build(s, rec.Events())[0]
-	runs := segment(p.Events)
+	events := rec.Events()
+	runs := segment(events)
 	// insert, read-fwd(0,1,2), read at 5 breaks (jump of 3) -> the forward
 	// run ends; 5,4,3 is a backward run.
 	if len(runs) != 3 {
@@ -208,12 +164,12 @@ func TestRunsGapTolerance(t *testing.T) {
 	for i := 0; i < 10; i += 2 {
 		a.Get(i)
 	}
-	p := Build(s, rec.Events())[0]
-	strict := segment(p.Events)
+	events := rec.Events()
+	strict := segment(events)
 	if len(strict) != 5 {
 		t.Errorf("strict segmentation produced %d runs, want 5 singletons", len(strict))
 	}
-	loose := segmentWith(p.Events, SegmentOptions{MaxStep: 2})
+	loose := segmentWith(events, SegmentOptions{MaxStep: 2})
 	if len(loose) != 1 || loose[0].Direction != DirForward || loose[0].Len() != 5 {
 		t.Errorf("gap-tolerant runs = %v", loose)
 	}
@@ -225,12 +181,12 @@ func TestRunsStationary(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		a.Get(2)
 	}
-	p := Build(s, rec.Events())[0]
-	strict := segment(p.Events)
+	events := rec.Events()
+	strict := segment(events)
 	if len(strict) != 5 {
 		t.Errorf("strict: %d runs, want 5 (repeats break runs)", len(strict))
 	}
-	loose := segmentWith(p.Events, SegmentOptions{MaxStep: 1, AllowRepeat: true})
+	loose := segmentWith(events, SegmentOptions{MaxStep: 1, AllowRepeat: true})
 	if len(loose) != 1 || loose[0].Direction != DirStationary {
 		t.Errorf("AllowRepeat runs = %v", loose)
 	}
@@ -243,8 +199,8 @@ func TestRunsWholeStructureOpsMerge(t *testing.T) {
 	l.Sort(func(a, b int) bool { return a < b })
 	l.Sort(func(a, b int) bool { return a > b })
 	l.Clear()
-	p := Build(s, rec.Events())[0]
-	runs := segment(p.Events)
+	events := rec.Events()
+	runs := segment(events)
 	// insert, sort+sort merged, clear
 	if len(runs) != 3 {
 		t.Fatalf("got %d runs: %v", len(runs), runs)
@@ -266,8 +222,8 @@ func TestRunsFrontBackFlags(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		q.Dequeue()
 	}
-	p := Build(s, rec.Events())[0]
-	runs := segment(p.Events)
+	events := rec.Events()
+	runs := segment(events)
 	if len(runs) != 2 {
 		t.Fatalf("got %d runs: %v", len(runs), runs)
 	}
@@ -288,8 +244,8 @@ func TestStackRunsAreBack(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		st.Pop()
 	}
-	p := Build(s, rec.Events())[0]
-	runs := segment(p.Events)
+	events := rec.Events()
+	runs := segment(events)
 	if len(runs) != 2 {
 		t.Fatalf("runs = %v", runs)
 	}
@@ -319,12 +275,11 @@ func TestRunsPartitionProperty(t *testing.T) {
 			}
 			s.Emit(id, op, idx, 20)
 		}
-		profiles := Build(s, rec.Events())
+		events := rec.Events()
 		if n == 0 {
-			return len(profiles) == 0
+			return len(events) == 0
 		}
-		p := profiles[0]
-		runs := segment(p.Events)
+		runs := segment(events)
 		pos := 0
 		for _, r := range runs {
 			if r.Start != pos || r.End < r.Start {
@@ -332,7 +287,7 @@ func TestRunsPartitionProperty(t *testing.T) {
 			}
 			pos = r.End + 1
 		}
-		return pos == len(p.Events)
+		return pos == len(events)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -350,11 +305,12 @@ func TestProfileString(t *testing.T) {
 	s, rec := session()
 	l := dstruct.NewListLabeled[int](s, "x")
 	l.Add(1)
-	p := Build(s, rec.Events())[0]
-	if p.String() == "" {
-		t.Error("empty String")
+	events := rec.Events()
+	p := fold(s, events)
+	if got, want := p.String(), `Profile{List[int] x, 1 events}`; got != want {
+		t.Errorf("String = %q, want %q", got, want)
 	}
-	r := segment(p.Events)[0]
+	r := segment(events)[0]
 	if r.String() == "" {
 		t.Error("empty Run.String")
 	}

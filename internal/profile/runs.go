@@ -40,8 +40,8 @@ func (d Direction) String() string {
 // into the eight access-pattern types.
 type Run struct {
 	Op    trace.Op
-	Start int // index of the first event in Profile.Events
-	End   int // index of the last event (inclusive)
+	Start int // position of the first event in the segmented stream
+	End   int // position of the last event (inclusive)
 
 	Direction  Direction
 	FirstIndex int // target position of the first event; NoIndex if none

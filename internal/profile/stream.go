@@ -339,14 +339,9 @@ func (g *StreamSegmenter) Clone() *StreamSegmenter {
 	return &out
 }
 
-// NewStreamed returns an event-free profile standing in for n streamed
-// events: the stream pipeline retains aggregate state instead of the trace,
-// so Len and Stats answer from the folded figures while Events stays nil.
+// NewStreamed returns the profile of n streamed events: the stream pipeline
+// retains aggregate state instead of the trace, so Len and Stats answer from
+// the folded figures.
 func NewStreamed(inst trace.Instance, n int, st *Stats) *Profile {
-	return &Profile{Instance: inst, streamed: n, stats: st}
+	return &Profile{Instance: inst, n: n, stats: st}
 }
-
-// PrimeStats installs precomputed aggregate figures so later Stats calls do
-// not refold the events. The caller asserts st was computed over exactly
-// p.Events.
-func (p *Profile) PrimeStats(st *Stats) { p.stats = st }

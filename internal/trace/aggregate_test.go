@@ -119,7 +119,7 @@ func TestAggRecordMerge(t *testing.T) {
 }
 
 // TestAggregateFrameRoundTrip writes events and aggregate frames onto one v3
-// stream and reads them back: the events via ReadBatch (which must skip the
+// stream and reads them back: the events via ReadColumns (which must skip the
 // aggregate frames), the aggregates via the OnAggregate hook, byte-exact.
 func TestAggregateFrameRoundTrip(t *testing.T) {
 	events := []Event{
@@ -161,7 +161,7 @@ func TestAggregateFrameRoundTrip(t *testing.T) {
 	}
 	var got []AggRecord
 	sr.OnAggregate = func(rec AggRecord) { got = append(got, rec) }
-	back, err := sr.ReadAll()
+	back, err := readAll(sr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,16 +252,16 @@ func TestAggregateFrameSalvage(t *testing.T) {
 	}
 	var aggs []AggRecord
 	sr.OnAggregate = func(r AggRecord) { aggs = append(aggs, r) }
-	if _, err := sr.ReadBatch(); err != nil {
+	if _, err := readBatch(sr); err != nil {
 		t.Fatalf("first event frame: %v", err)
 	}
-	_, err = sr.ReadBatch()
+	_, err = readBatch(sr)
 	if !errors.Is(err, ErrChecksum) && !errors.Is(err, ErrBadStream) {
 		t.Fatalf("corrupt aggregate frame returned %v, want checksum/decode error", err)
 	}
 	if errors.Is(err, ErrChecksum) {
 		// Frame consumed: the stream continues at the next frame.
-		batch, err := sr.ReadBatch()
+		batch, err := readBatch(sr)
 		if err != nil || len(batch) != 1 {
 			t.Fatalf("stream did not continue past corrupt aggregate: %v", err)
 		}

@@ -159,8 +159,8 @@ func (b *ColumnBatch) AppendRange(src *ColumnBatch, i, j int) {
 }
 
 // AppendTo inflates events [i, j) onto dst — the compatibility bridge for
-// consumers that still want []Event (chart renderers, the []Event readers,
-// the producer's RecordAll fallback). When dst lacks room it at least
+// consumers that still want []Event (the producer's RecordAll fallback and
+// the tenant sink's delivery). When dst lacks room it at least
 // doubles, so accumulating many batches onto one slice copies each event a
 // bounded number of times.
 func (b *ColumnBatch) AppendTo(dst []Event, i, j int) []Event {

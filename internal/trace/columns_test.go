@@ -402,7 +402,7 @@ func TestWriteColumnsMatchesWriteBatch(t *testing.T) {
 }
 
 // TestReadColumnsMatchesReadBatch: the zero-copy column reader must see
-// exactly the events the inflating reader sees, on v2 and v3 streams.
+// exactly the events written, batch by batch, on v2 and v3 streams.
 func TestReadColumnsMatchesReadBatch(t *testing.T) {
 	events := fuzzSeedEvents()
 	for _, version := range []int{2, 3} {
@@ -485,8 +485,7 @@ func TestReadColumnsZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkReadColumns measures the zero-copy v3 read path end to end;
-// compare with BenchmarkReadBatch-style inflating reads.
+// BenchmarkReadColumns measures the zero-copy v3 read path end to end.
 func BenchmarkReadColumns(b *testing.B) {
 	var buf bytes.Buffer
 	sw, err := NewStreamWriter(&buf)

@@ -210,7 +210,7 @@ func TestV1StreamReaderCompat(t *testing.T) {
 	if sr.Version() != 1 {
 		t.Fatalf("version = %d, want 1", sr.Version())
 	}
-	got, err := sr.ReadAll()
+	got, err := readAll(sr)
 	if err != nil {
 		t.Fatal(err)
 	}

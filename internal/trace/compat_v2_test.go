@@ -219,7 +219,7 @@ func TestV2ChecksumStillEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sr.ReadBatch(); err != ErrChecksum {
+	if _, err := readBatch(sr); err != ErrChecksum {
 		t.Fatalf("flipped v2 payload byte returned %v, want ErrChecksum", err)
 	}
 }

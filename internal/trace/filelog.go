@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 )
 
@@ -12,8 +11,9 @@ import (
 // factor" (§IV) — and chooses asynchronous IPC instead. FileRecorder
 // implements the rejected alternative anyway: it makes the paper's argument
 // measurable (BenchmarkRecorderFile vs BenchmarkRecorderAsync) and provides
-// durable post-mortem logs that ReadEventsFile can replay into the analysis
-// pipeline long after the program run.
+// durable post-mortem logs that LoadSessionColumns replays into the analysis
+// pipeline long after the program run (an events-only log, so the replay
+// session's registry is empty).
 
 // FileRecorder streams events into a file in the wire format, buffered in
 // columns and batched like the socket recorder.
@@ -94,24 +94,4 @@ func (fr *FileRecorder) Close() error {
 		fr.err = err
 	}
 	return fr.err
-}
-
-// ReadEventsFile loads an event log written by FileRecorder, sorted by
-// sequence number, ready for post-mortem analysis.
-func ReadEventsFile(path string) ([]Event, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("trace: opening event log: %w", err)
-	}
-	defer f.Close()
-	sr, err := NewStreamReader(f)
-	if err != nil {
-		return nil, err
-	}
-	events, err := sr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(events, func(i, j int) bool { return events[i].Seq < events[j].Seq })
-	return events, nil
 }

@@ -9,6 +9,26 @@ import (
 	"testing"
 )
 
+// loadEventLog replays a FileRecorder log through LoadSessionColumns. The
+// log carries events only, so the replay session's registry is empty; the
+// runs come back ascending and disjoint, so their concatenation is in Seq
+// order.
+func loadEventLog(t *testing.T, path string) []Event {
+	t.Helper()
+	s, runs, err := LoadSessionColumns(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := s.NumInstances(); n != 0 {
+		t.Fatalf("an events-only log restored %d instances", n)
+	}
+	var events []Event
+	for _, b := range runs {
+		events = b.Events(events)
+	}
+	return events
+}
+
 func TestFileRecorderRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "events.dslog")
 	fr, err := CreateEventLog(path)
@@ -27,10 +47,7 @@ func TestFileRecorderRoundTrip(t *testing.T) {
 	if err := fr.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	events, err := ReadEventsFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := loadEventLog(t, path)
 	if len(events) != n {
 		t.Fatalf("replayed %d events, want %d", len(events), n)
 	}
@@ -96,10 +113,7 @@ func TestFileRecorderConcurrentProducers(t *testing.T) {
 	if err := fr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	events, err := ReadEventsFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := loadEventLog(t, path)
 	if len(events) != workers*per {
 		t.Fatalf("replayed %d events", len(events))
 	}
@@ -121,24 +135,49 @@ func TestFileRecorderAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	fr.Record(Event{Seq: 2, Op: OpRead}) // dropped, no panic
-	events, err := ReadEventsFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := loadEventLog(t, path)
 	if len(events) != 1 {
 		t.Fatalf("events = %d, want 1", len(events))
 	}
 }
 
-func TestReadEventsFileErrors(t *testing.T) {
-	if _, err := ReadEventsFile(filepath.Join(t.TempDir(), "missing")); err == nil {
+// TestFileRecorderLogLoadsAsSession: a FileRecorder log — several
+// instances and threads, written through Record and RecordBatch, with no
+// registry frames — replays through LoadSessionColumns event for event.
+func TestFileRecorderLogLoadsAsSession(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "events.dslog")
+	fr, err := CreateEventLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := corpusLikeEvents(5000)
+	for _, e := range want[:900] {
+		fr.Record(e)
+	}
+	fr.RecordBatch(want[900:])
+	if err := fr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := loadEventLog(t, path)
+	if len(got) != len(want) {
+		t.Fatalf("replayed %d events, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+func TestLoadSessionColumnsErrors(t *testing.T) {
+	if _, _, err := LoadSessionColumns(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Error("missing file did not error")
 	}
 	bad := filepath.Join(t.TempDir(), "bad")
 	if err := os.WriteFile(bad, []byte("not a log"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadEventsFile(bad); err == nil {
+	if _, _, err := LoadSessionColumns(bad); err == nil {
 		t.Error("corrupt file did not error")
 	}
 }

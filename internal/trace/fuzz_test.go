@@ -61,7 +61,7 @@ func FuzzStreamReader(f *testing.F) {
 		if err != nil {
 			return
 		}
-		events, err := sr.ReadAll()
+		events, err := readAll(sr)
 		if err != nil {
 			return
 		}
@@ -81,7 +81,7 @@ func FuzzStreamReader(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := sr2.ReadAll()
+		back, err := readAll(sr2)
 		if err != nil {
 			t.Fatal(err)
 		}

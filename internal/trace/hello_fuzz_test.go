@@ -65,7 +65,7 @@ func FuzzHelloHandshake(f *testing.F) {
 		// Strict path.
 		var strict []Event
 		if sr, err := NewStreamReader(bytes.NewReader(data)); err == nil {
-			strict, _ = sr.ReadAll()
+			strict, _ = readAll(sr)
 		}
 
 		// Salvage path over the same bytes on disk.

@@ -921,16 +921,6 @@ func (cs *CollectorServer) Columns() *ColumnBatch {
 	return out
 }
 
-// Events is Columns inflated to []Event.
-func (cs *CollectorServer) Events() []Event {
-	return inflate(cs.Columns())
-}
-
-// inflate builds the []Event form of a batch, non-nil even when empty.
-func inflate(b *ColumnBatch) []Event {
-	return b.Events(make([]Event, 0, b.Len()))
-}
-
 // Session rebuilds a replay session from the registry frames producers sent
 // with FinishSession. Instances the registry never named (their frames were
 // lost with a partial stream) appear as placeholders, so analysis can still
@@ -969,19 +959,20 @@ func (cs *CollectorServer) TenantStats() []TenantStats {
 	return out
 }
 
-// TenantEvents returns one tenant's retained events ordered by sequence
-// number (store mode only — with a sink the server retains nothing).
-func (cs *CollectorServer) TenantEvents(name string) []Event {
+// TenantColumns returns a copy of one tenant's retained events as one column
+// batch ordered by sequence number (store mode only — with a sink the server
+// retains nothing).
+func (cs *CollectorServer) TenantColumns(name string) *ColumnBatch {
 	if cs.tenants == nil {
 		return nil
 	}
 	t := cs.tenants.get(name)
-	var out ColumnBatch
+	out := &ColumnBatch{}
 	t.mu.Lock()
 	out.AppendRange(&t.events, 0, t.events.Len())
 	t.mu.Unlock()
 	out.SortBySeq()
-	return inflate(&out)
+	return out
 }
 
 // TenantSession rebuilds a replay session from one tenant's registry frames

@@ -102,11 +102,7 @@ func TestBatchRecorderOwnership(t *testing.T) {
 		if err := fr.Close(); err != nil {
 			t.Fatal(err)
 		}
-		events, err := ReadEventsFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		verify(t, events)
+		verify(t, loadEventLog(t, path))
 	})
 
 	t.Run("async", func(t *testing.T) {
@@ -115,7 +111,7 @@ func TestBatchRecorderOwnership(t *testing.T) {
 		RecordAll(c, batch)
 		clobber(batch)
 		c.Close()
-		verify(t, c.Events())
+		verify(t, inflated(c.MergedColumns()))
 	})
 
 	t.Run("sharded", func(t *testing.T) {
@@ -124,7 +120,7 @@ func TestBatchRecorderOwnership(t *testing.T) {
 		RecordAll(c, batch)
 		clobber(batch)
 		c.Close()
-		verify(t, c.Events())
+		verify(t, inflated(c.MergedColumns()))
 	})
 }
 

@@ -235,7 +235,7 @@ func TestProducerIntoShardedCollector(t *testing.T) {
 	if st.Events != 8000 || st.Dropped != 0 {
 		t.Fatalf("accounting broken: %+v", st)
 	}
-	events := col.Events()
+	events := inflated(col.MergedColumns())
 	for i := 1; i < len(events); i++ {
 		if events[i].Seq <= events[i-1].Seq {
 			t.Fatalf("merged stream out of order at %d", i)

@@ -70,10 +70,11 @@ func (r *Recovery) String() string {
 // non-nil only when nothing could be salvaged at all — the file is
 // unreadable or its header is not a DSspy stream. Damage inside the stream is
 // reported through the Recovery diagnostic instead, which is always non-nil
-// on a nil error. It also salvages events-only streams (a FileRecorder log or
-// a resilient recorder's spill file, with an empty registry); spill files
-// have no end-of-stream marker by design, so Truncated is expected for them
-// and only SkippedFrames/DiscardedBytes indicate real loss.
+// on a nil error. Like LoadSessionColumns, it also reads events-only streams
+// (a FileRecorder log or a resilient recorder's spill file) into a session
+// with an empty registry; spill files have no end-of-stream marker by
+// design, so Truncated is expected for them and only
+// SkippedFrames/DiscardedBytes indicate real loss.
 func RecoverSessionColumns(path string) (*Session, []*ColumnBatch, *Recovery, error) {
 	s := NewSessionWith(Options{Recorder: NullRecorder{}})
 	batches, rec, err := recoverFile(path, s.restoreInstance)

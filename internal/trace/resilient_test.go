@@ -133,7 +133,7 @@ func TestResilientSurvivesMidStreamReset(t *testing.T) {
 	if err := cs.Close(); err != nil {
 		t.Fatalf("server close: %v", err)
 	}
-	seqs := uniqueSeqs(cs.Events())
+	seqs := uniqueSeqs(inflated(cs.Columns()))
 	if len(seqs) != total {
 		t.Fatalf("server has %d unique events, want %d", len(seqs), total)
 	}
@@ -221,7 +221,7 @@ func TestResilientCollectorRestart(t *testing.T) {
 	// address went live, and everything replayed from the spill.
 	cs2.WaitStreams(1)
 	cs2.Close()
-	seqs := uniqueSeqs(cs2.Events())
+	seqs := uniqueSeqs(inflated(cs2.Columns()))
 	for _, e := range events[2000:] {
 		if seqs[e.Seq] == 0 {
 			t.Fatalf("event %d recorded after restart missing from new collector", e.Seq)
@@ -289,7 +289,7 @@ func TestResilientWithoutSpillCountsDrops(t *testing.T) {
 	// precisely the delivered events.
 	cs.WaitStreams(2)
 	cs.Close()
-	if got := uint64(len(uniqueSeqs(cs.Events()))); got+st.Dropped != total {
+	if got := uint64(len(uniqueSeqs(inflated(cs.Columns())))); got+st.Dropped != total {
 		t.Fatalf("server %d + dropped %d != recorded %d", got, st.Dropped, total)
 	}
 }
@@ -377,7 +377,7 @@ func TestResilientSpillReplayChunked(t *testing.T) {
 			return
 		}
 		for {
-			batch, err := sr.ReadBatch()
+			batch, err := readBatch(sr)
 			if err != nil {
 				if err == io.EOF {
 					err = nil
@@ -548,7 +548,7 @@ func TestResilientCorruptSpillAccounted(t *testing.T) {
 
 	cs.WaitStreams(1)
 	cs.Close()
-	if got := uint64(len(uniqueSeqs(cs.Events()))); got+st.Dropped != total {
+	if got := uint64(len(uniqueSeqs(inflated(cs.Columns())))); got+st.Dropped != total {
 		t.Fatalf("server %d + dropped %d != recorded %d", got, st.Dropped, total)
 	}
 }
@@ -605,7 +605,7 @@ func TestResilientFinishSessionShipsRegistry(t *testing.T) {
 	if err := cs.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(cs.Events()); got != 10 {
+	if got := len(inflated(cs.Columns())); got != 10 {
 		t.Fatalf("collector got %d events, want 10", got)
 	}
 	replay := cs.Session()
@@ -644,7 +644,7 @@ func TestServerSurvivesAcceptErrors(t *testing.T) {
 	if err := cs.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(cs.Events()); got != 50 {
+	if got := len(inflated(cs.Columns())); got != 50 {
 		t.Fatalf("server got %d events, want 50", got)
 	}
 	ss := cs.ServerStats()
@@ -697,7 +697,7 @@ func TestServerSkipsCorruptFramesInFlight(t *testing.T) {
 	if !c.Complete {
 		t.Fatalf("stream should have completed around the skipped frames: %+v", c)
 	}
-	got := len(cs.Events())
+	got := len(inflated(cs.Columns()))
 	want := len(events) - c.SkippedFrames*DefaultSocketBatch
 	if got != want {
 		t.Fatalf("server kept %d events, want %d (%d frames skipped)", got, want, c.SkippedFrames)
@@ -725,7 +725,7 @@ func TestServerConnCapAndDeadline(t *testing.T) {
 	for _, e := range testEvents(DefaultSocketBatch) {
 		rec.Record(e) // exactly one batch: flushed, then silence
 	}
-	waitFor(t, 2*time.Second, func() bool { return len(cs.Events()) == DefaultSocketBatch })
+	waitFor(t, 2*time.Second, func() bool { return len(inflated(cs.Columns())) == DefaultSocketBatch })
 
 	// Second producer while the first is still connected: over the cap.
 	conn2, err := net.Dial("tcp", cs.Addr().String())
@@ -793,7 +793,7 @@ func TestResilientUnderWriteDelays(t *testing.T) {
 
 	cs.WaitStreams(1)
 	cs.Close()
-	if got := len(uniqueSeqs(cs.Events())); got != total {
+	if got := len(uniqueSeqs(inflated(cs.Columns()))); got != total {
 		t.Fatalf("server got %d unique events, want %d", got, total)
 	}
 }

@@ -169,8 +169,9 @@ func (sr *StreamReader) readInstance() (Instance, error) {
 // Seq-sorted runs ready for in-order folding (StreamAnalyzer.FeedColumns).
 // On a v3 log no []Event is ever materialized — each frame's payload is
 // decoded onto columns, and the common already-ordered log is returned
-// without a merge copy. It is strict: any damage fails the load; use
-// RecoverSessionColumns for damaged logs.
+// without a merge copy. An events-only log (FileRecorder) loads into a
+// session with an empty registry. It is strict: any damage fails the load;
+// use RecoverSessionColumns for damaged logs.
 func LoadSessionColumns(path string) (*Session, []*ColumnBatch, error) {
 	f, err := os.Open(path)
 	if err != nil {

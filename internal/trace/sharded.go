@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -406,14 +405,6 @@ func (sh *shard) drain() {
 	close(sh.done)
 }
 
-// snapshot inflates a copy of the store for live readers.
-func (sh *shard) snapshot() []Event {
-	sh.mu.Lock()
-	out := sh.cols.Events(make([]Event, 0, sh.cols.Len()))
-	sh.mu.Unlock()
-	return out
-}
-
 // seal marks the shard closed for producers (late Records count as dropped)
 // and closes the channel so the drain goroutine can finish.
 func (sh *shard) seal() {
@@ -600,24 +591,6 @@ func (c *ShardedCollector) merge() *ColumnBatch {
 		c.mergedCols = merged
 	})
 	return c.mergedCols
-}
-
-// Events returns the collected events in sequence order, inflated to Event
-// structs. After Close the merged columnar order is computed once and cached,
-// so each call costs one inflation; on a live collector it returns a sorted
-// snapshot of what has been drained so far. Consumers that can fold columns
-// should use MergedColumns instead and skip the inflation entirely.
-func (c *ShardedCollector) Events() []Event {
-	if c.closed.Load() {
-		m := c.merge()
-		return m.Events(make([]Event, 0, m.Len()))
-	}
-	var all []Event
-	for _, sh := range c.shards {
-		all = append(all, sh.snapshot()...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Seq < all[j].Seq })
-	return all
 }
 
 // MergedColumns returns the Seq-ordered union of all shard stores as one

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 )
@@ -87,7 +86,7 @@ func TestShardedCollectorEventsMergedAndSorted(t *testing.T) {
 	c.Close()
 	c.Close() // idempotent
 
-	events := c.Events()
+	events := inflated(c.MergedColumns())
 	if len(events) != producers*perProducer {
 		t.Fatalf("merged %d events, want %d", len(events), producers*perProducer)
 	}
@@ -107,18 +106,19 @@ func TestShardedCollectorLiveSnapshot(t *testing.T) {
 	for i := 0; i < n; i++ {
 		c.Record(Event{Seq: uint64(i + 1), Instance: InstanceID(i % 3), Op: OpRead})
 	}
-	// The drain goroutines race with us; the snapshot must be sorted and
-	// hold at most what was recorded.
-	live := c.Events()
-	if len(live) > n {
-		t.Fatalf("live snapshot has %d events, more than the %d recorded", len(live), n)
+	// The drain goroutines race with us; a live read counts at most what
+	// was recorded, and the merged order exists only once the collector
+	// is closed.
+	if got := c.Len(); got > n {
+		t.Fatalf("live Len = %d, more than the %d recorded", got, n)
 	}
-	if !sort.SliceIsSorted(live, func(i, j int) bool { return live[i].Seq < live[j].Seq }) {
-		t.Fatal("live snapshot not in sequence order")
+	if c.MergedColumns() != nil {
+		t.Fatal("MergedColumns on a live collector")
 	}
 	c.Close()
-	if got := len(c.Events()); got != n {
-		t.Fatalf("after Close: %d events, want %d", got, n)
+	merged := c.MergedColumns()
+	if merged.Len() != n || !merged.IsSortedBySeq() {
+		t.Fatalf("after Close: %d events (sorted %v), want %d in order", merged.Len(), merged.IsSortedBySeq(), n)
 	}
 }
 
@@ -153,8 +153,8 @@ func TestShardedCollectorStats(t *testing.T) {
 }
 
 // TestAsyncCollectorSortsOnceAtClose is the regression test for the old
-// behavior of re-sorting the full copy on every Events call: Close must seal
-// the sequence order so that Events afterwards is one copy, no sort.
+// behavior of re-sorting the full copy on every read: Close must seal the
+// sequence order so that MergedColumns afterwards needs no sort.
 func TestAsyncCollectorSortsOnceAtClose(t *testing.T) {
 	c := NewShardedCollectorSize(1, 1<<12)
 	// Feed sequence numbers in shuffled order, as interleaved producers
@@ -166,7 +166,7 @@ func TestAsyncCollectorSortsOnceAtClose(t *testing.T) {
 	c.Close()
 
 	// White box: Close must have left the internal store in final sequence
-	// order, so Events() needs no sort.
+	// order.
 	merged := c.MergedColumns()
 	if merged == nil {
 		t.Fatal("Close did not seal the merged order")
@@ -174,21 +174,13 @@ func TestAsyncCollectorSortsOnceAtClose(t *testing.T) {
 	if !merged.IsSortedBySeq() {
 		t.Fatal("internal store not sorted after Close")
 	}
-
-	first := c.Events()
-	if len(first) != len(perm) {
-		t.Fatalf("Events returned %d events, want %d", len(first), len(perm))
+	if merged.Len() != len(perm) {
+		t.Fatalf("merged %d events, want %d", merged.Len(), len(perm))
 	}
-	for i, e := range first {
-		if e.Seq != uint64(i+1) {
-			t.Fatalf("event %d out of order: seq %d", i, e.Seq)
+	for i, seq := range merged.Seq {
+		if seq != uint64(i+1) {
+			t.Fatalf("event %d out of order: seq %d", i, seq)
 		}
-	}
-	// Each call must return an independent copy of the cached order.
-	first[0].Seq = 999999
-	second := c.Events()
-	if second[0].Seq != 1 {
-		t.Fatal("Events does not copy: caller mutation leaked into the store")
 	}
 }
 

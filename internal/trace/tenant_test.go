@@ -43,7 +43,7 @@ func TestHelloRoundTrip(t *testing.T) {
 		t.Fatalf("hello round-trip: got %+v, want %+v", ent.hello, want)
 	}
 	// The events behind the hello still decode.
-	events, err := sr.ReadAll()
+	events, err := readAll(sr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,8 +267,8 @@ func TestCollectorServerMultiplexesTenants(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	alpha := cs.TenantEvents("alpha")
-	beta := cs.TenantEvents("beta")
+	alpha := inflated(cs.TenantColumns("alpha"))
+	beta := inflated(cs.TenantColumns("beta"))
 	if len(alpha) != 100 || len(beta) != 50 {
 		t.Fatalf("tenant stores: alpha %d beta %d, want 100/50", len(alpha), len(beta))
 	}
@@ -310,7 +310,7 @@ func TestCollectorServerDefaultTenantWithoutHello(t *testing.T) {
 	cs.WaitStreams(1)
 	cs.Close()
 
-	if got := len(cs.TenantEvents(DefaultTenant)); got != 20 {
+	if got := len(inflated(cs.TenantColumns(DefaultTenant))); got != 20 {
 		t.Fatalf("default tenant holds %d events, want 20", got)
 	}
 }
@@ -336,7 +336,7 @@ func TestLegacyServerToleratesHello(t *testing.T) {
 	cs.WaitStreams(1)
 	cs.Close()
 
-	if got := len(cs.Events()); got != 10 {
+	if got := len(inflated(cs.Columns())); got != 10 {
 		t.Fatalf("legacy server stored %d events from hello stream, want 10", got)
 	}
 	conns := cs.ServerStats().Conns
@@ -397,7 +397,7 @@ func TestTenantConnCap(t *testing.T) {
 	if err := beta.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 2*time.Second, func() bool { return len(cs.TenantEvents("beta")) == 1 })
+	waitFor(t, 2*time.Second, func() bool { return len(inflated(cs.TenantColumns("beta"))) == 1 })
 }
 
 // TestPerTenantDeadlineRecordsTimedOutSalvage is the ISSUE bugfix test: a
@@ -482,7 +482,7 @@ func TestDrainSalvagesInFlightStreams(t *testing.T) {
 	if err := sock.sendColumns(&b); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 2*time.Second, func() bool { return len(cs.TenantEvents("alpha")) == 40 })
+	waitFor(t, 2*time.Second, func() bool { return len(inflated(cs.TenantColumns("alpha"))) == 40 })
 
 	cut, err := cs.Drain(50 * time.Millisecond)
 	if err != nil {
@@ -491,7 +491,7 @@ func TestDrainSalvagesInFlightStreams(t *testing.T) {
 	if cut != 1 {
 		t.Fatalf("drain cut %d conns, want 1", cut)
 	}
-	if got := len(cs.TenantEvents("alpha")); got != 40 {
+	if got := len(inflated(cs.TenantColumns("alpha"))); got != 40 {
 		t.Fatalf("drained store holds %d events, want the 40 salvaged", got)
 	}
 	for _, ts := range cs.TenantStats() {
@@ -531,7 +531,7 @@ func TestDrainWaitsForCleanFinish(t *testing.T) {
 	if cut != 0 {
 		t.Fatalf("drain cut %d conns, want 0 (stream finished in the window)", cut)
 	}
-	if got := len(cs.TenantEvents("alpha")); got != 10 {
+	if got := len(inflated(cs.TenantColumns("alpha"))); got != 10 {
 		t.Fatalf("store holds %d events after clean drain, want 10", got)
 	}
 	conns := cs.ServerStats().Conns

@@ -10,6 +10,33 @@ import (
 	"time"
 )
 
+// readAll drains sr onto one column batch and inflates it: the events of
+// every frame decoded before the first error, which is nil at the clean end
+// of the stream.
+func readAll(sr *StreamReader) ([]Event, error) {
+	var b ColumnBatch
+	for {
+		if _, err := sr.ReadColumns(&b); err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return b.Events(nil), err
+		}
+	}
+}
+
+// readBatch reads the next event frame and inflates it.
+func readBatch(sr *StreamReader) ([]Event, error) {
+	var b ColumnBatch
+	if _, err := sr.ReadColumns(&b); err != nil {
+		return nil, err
+	}
+	return inflated(&b), nil
+}
+
+// inflated is b as a []Event, non-nil even when empty.
+func inflated(b *ColumnBatch) []Event { return b.Events(make([]Event, 0, b.Len())) }
+
 func TestOpString(t *testing.T) {
 	cases := map[Op]string{
 		OpRead:    "Read",
@@ -261,7 +288,7 @@ func TestAsyncCollectorBasic(t *testing.T) {
 		s.Emit(id, OpInsert, i, i+1)
 	}
 	c.Close()
-	events := c.Events()
+	events := inflated(c.MergedColumns())
 	if len(events) != n {
 		t.Fatalf("collected %d events, want %d", len(events), n)
 	}
@@ -316,7 +343,7 @@ func TestWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sr.ReadAll()
+	got, err := readAll(sr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +382,7 @@ func TestWireRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := sr.ReadAll()
+		got, err := readAll(sr)
 		return err == nil && len(got) == 1 && got[0] == e
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -386,7 +413,7 @@ func TestWireLargeBatchSplits(t *testing.T) {
 	var batches int
 	var total int
 	for {
-		b, err := sr.ReadBatch()
+		b, err := readBatch(sr)
 		if err == io.EOF {
 			break
 		}
@@ -418,7 +445,7 @@ func TestWireRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sr.ReadBatch(); err == nil {
+	if _, err := readBatch(sr); err == nil {
 		t.Error("expected error for unknown frame kind")
 	}
 }
@@ -445,7 +472,7 @@ func TestSocketCollectorRoundTrip(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatalf("closing server: %v", err)
 	}
-	events := srv.Events()
+	events := inflated(srv.Columns())
 	if len(events) != n {
 		t.Fatalf("server received %d events, want %d", len(events), n)
 	}
@@ -488,7 +515,7 @@ func TestSocketCollectorMultipleProducers(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(srv.Events()); got != producers*perProducer {
+	if got := len(inflated(srv.Columns())); got != producers*perProducer {
 		t.Fatalf("received %d events, want %d", got, producers*perProducer)
 	}
 }

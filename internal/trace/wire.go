@@ -296,18 +296,6 @@ func noEOF(err error) error {
 	return err
 }
 
-// ReadBatch returns the next batch of events, or io.EOF after the
-// end-of-stream frame. It is ReadColumns inflated to []Event, for consumers
-// that want structs (the file log, tests).
-func (sr *StreamReader) ReadBatch() ([]Event, error) {
-	var b ColumnBatch
-	n, err := sr.ReadColumns(&b)
-	if err != nil {
-		return nil, err
-	}
-	return b.Events(make([]Event, 0, n)), nil
-}
-
 // ReadColumns appends the next event batch onto b's columns, returning the
 // number of events appended, or io.EOF after the end-of-stream frame.
 // Registry frames are rejected; hello and aggregate frames are skipped (the
@@ -330,22 +318,6 @@ func (sr *StreamReader) ReadColumns(b *ColumnBatch) (int, error) {
 			continue
 		default:
 			return 0, fmt.Errorf("%w: unexpected frame kind 0x%02x in event stream", ErrBadStream, ent.kind)
-		}
-	}
-}
-
-// ReadAll drains the stream into one slice: ReadColumns onto one batch,
-// inflated once at the end. On an error it returns the events of every
-// frame decoded before it.
-func (sr *StreamReader) ReadAll() ([]Event, error) {
-	var b ColumnBatch
-	for {
-		if _, err := sr.ReadColumns(&b); err != nil {
-			all := b.Events(nil)
-			if err == io.EOF {
-				err = nil
-			}
-			return all, err
 		}
 	}
 }

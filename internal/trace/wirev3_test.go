@@ -114,7 +114,7 @@ func readStream(t *testing.T, raw []byte, wantVersion int) []Event {
 	if sr.Version() != wantVersion {
 		t.Fatalf("version = %d, want %d", sr.Version(), wantVersion)
 	}
-	events, err := sr.ReadAll()
+	events, err := readAll(sr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestV3OversizedPayloadRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sr.ReadBatch(); !errors.Is(err, ErrBadStream) {
+	if _, err := readBatch(sr); !errors.Is(err, ErrBadStream) {
 		t.Fatalf("oversized payload length returned %v, want ErrBadStream", err)
 	}
 }

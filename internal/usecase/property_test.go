@@ -20,7 +20,7 @@ import (
 type randomProfile struct {
 	s      *trace.Session
 	id     trace.InstanceID
-	events []trace.Event
+	events *trace.ColumnBatch
 }
 
 func newRandomProfile(script []uint8) randomProfile {
@@ -50,7 +50,7 @@ func newRandomProfile(script []uint8) randomProfile {
 			size = 0
 		}
 	}
-	return randomProfile{s: s, id: id, events: rec.Events()}
+	return randomProfile{s: s, id: id, events: columnsOf(rec.Events())}
 }
 
 // detect analyzes the run under th and returns the instance's use cases.

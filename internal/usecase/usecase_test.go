@@ -19,11 +19,18 @@ func session() (*trace.Session, *trace.MemRecorder) {
 	return trace.NewSessionWith(trace.Options{Recorder: rec, CaptureSites: true}), rec
 }
 
+// columnsOf scatters events onto one column batch.
+func columnsOf(events []trace.Event) *trace.ColumnBatch {
+	b := &trace.ColumnBatch{}
+	b.AppendEvents(events)
+	return b
+}
+
 // detectOn analyzes the session's one instance under the paper's thresholds
 // and returns its use cases.
 func detectOn(t *testing.T, s *trace.Session, rec *trace.MemRecorder) []UseCase {
 	t.Helper()
-	rep := core.New().Analyze(s, rec.Events())
+	rep := core.New().Analyze(s, columnsOf(rec.Events()))
 	if len(rep.Instances) != 1 {
 		t.Fatalf("got %d instances, want 1", len(rep.Instances))
 	}
@@ -451,7 +458,7 @@ func TestWriteWithoutReadNotWhenReadAfter(t *testing.T) {
 func TestDetectEmptyProfile(t *testing.T) {
 	s, rec := session()
 	dstruct.NewList[int](s)
-	rep := core.New().Analyze(s, rec.Events())
+	rep := core.New().Analyze(s, columnsOf(rec.Events()))
 	if len(rep.Instances) != 0 || rep.UseCases() != nil {
 		t.Errorf("event-free instance: rows = %d, use cases = %v", len(rep.Instances), rep.UseCases())
 	}

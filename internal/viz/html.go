@@ -7,13 +7,14 @@ import (
 	"strings"
 
 	"dsspy/internal/core"
+	"dsspy/internal/trace"
 )
 
 // HTML report: DSspy "visualizes the runtime profiles" and "presents the
 // access profiles, the use cases and the recommended actions to the
 // engineer" (§IV). WriteHTMLReport emits a single self-contained HTML file:
 // one section per instance with its findings, evidence, recommended action,
-// and an inline SVG of the runtime profile.
+// and an inline SVG of the runtime profile drawn from the run's events.
 
 // HTMLOptions tunes report rendering.
 type HTMLOptions struct {
@@ -26,8 +27,9 @@ type HTMLOptions struct {
 	IncludeUnflagged bool
 }
 
-// WriteHTMLReport renders the analysis report as one HTML document.
-func WriteHTMLReport(w io.Writer, rep *core.Report, opts HTMLOptions) error {
+// WriteHTMLReport renders the analysis report as one HTML document, drawing
+// each instance's profile from run, the run's events in sequence order.
+func WriteHTMLReport(w io.Writer, rep *core.Report, run *trace.ColumnBatch, opts HTMLOptions) error {
 	if opts.Title == "" {
 		opts.Title = "DSspy report"
 	}
@@ -52,6 +54,7 @@ code { background: #f2f2f2; padding: 0 .2rem; }
 </style></head><body>
 `)
 	fmt.Fprintf(&b, "<h1>%s</h1>\n", html.EscapeString(opts.Title))
+	byInstance := ByInstance(run)
 
 	ss := rep.SearchSpace()
 	fmt.Fprintf(&b,
@@ -81,15 +84,15 @@ code { background: #f2f2f2; padding: 0 .2rem; }
 				`<div class="usecase"><b>%s</b> — %s<br><span class="rec">Recommended action: %s</span></div>`+"\n",
 				html.EscapeString(u.Kind.String()), html.EscapeString(u.Evidence), html.EscapeString(u.Recommendation))
 		}
-		events := ir.Profile.Events
-		if len(events) > opts.MaxEventsPerChart {
-			step := (len(events) + opts.MaxEventsPerChart - 1) / opts.MaxEventsPerChart
-			sampled := events[:0:0]
-			for i := 0; i < len(events); i += step {
-				sampled = append(sampled, events[i])
+		events := byInstance.Events(inst.ID)
+		if n := events.Len(); n > opts.MaxEventsPerChart {
+			step := (n + opts.MaxEventsPerChart - 1) / opts.MaxEventsPerChart
+			sampled := &trace.ColumnBatch{}
+			for i := 0; i < n; i += step {
+				sampled.AppendRange(events, i, i+1)
 			}
 			fmt.Fprintf(&b, `<div class="meta">profile downsampled: every %d-th of %d events</div>`+"\n",
-				step, len(events))
+				step, n)
 			events = sampled
 		}
 		if err := WriteSVG(&b, events, 1000, 260); err != nil {

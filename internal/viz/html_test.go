@@ -9,9 +9,9 @@ import (
 	"dsspy/internal/trace"
 )
 
-// reportForHTML records a workload in memory and analyzes it, so the report
-// carries the per-event profiles the charts draw.
-func reportForHTML() *core.Report {
+// reportForHTML records a workload in memory and analyzes it, returning the
+// report and the run's events the charts draw.
+func reportForHTML() (*core.Report, *trace.ColumnBatch) {
 	rec := trace.NewMemRecorder()
 	s := trace.NewSessionWith(trace.Options{Recorder: rec, CaptureSites: true})
 	l := dstruct.NewListLabeled[int](s, "work items")
@@ -26,12 +26,14 @@ func reportForHTML() *core.Report {
 	}
 	quiet := dstruct.NewListLabeled[int](s, "quiet <list>")
 	quiet.Add(1)
-	return core.New().Analyze(s, rec.Events())
+	b := columns(rec.Events())
+	return core.New().Analyze(s, b), b
 }
 
 func TestWriteHTMLReport(t *testing.T) {
 	var sb strings.Builder
-	if err := WriteHTMLReport(&sb, reportForHTML(), HTMLOptions{Title: "demo <run>"}); err != nil {
+	rep, b := reportForHTML()
+	if err := WriteHTMLReport(&sb, rep, b, HTMLOptions{Title: "demo <run>"}); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -58,7 +60,8 @@ func TestWriteHTMLReport(t *testing.T) {
 
 func TestWriteHTMLReportIncludeUnflagged(t *testing.T) {
 	var sb strings.Builder
-	err := WriteHTMLReport(&sb, reportForHTML(), HTMLOptions{IncludeUnflagged: true})
+	rep, b := reportForHTML()
+	err := WriteHTMLReport(&sb, rep, b, HTMLOptions{IncludeUnflagged: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,9 +84,10 @@ func TestWriteHTMLReportContention(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		s.EmitAs(id, trace.OpRead, i, 120, 2)
 	}
-	rep := core.New().Analyze(s, rec.Events())
+	b := columns(rec.Events())
+	rep := core.New().Analyze(s, b)
 	var sb strings.Builder
-	if err := WriteHTMLReport(&sb, rep, HTMLOptions{}); err != nil {
+	if err := WriteHTMLReport(&sb, rep, b, HTMLOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "Concurrent use") {

@@ -2,7 +2,8 @@
 // access events on a chronological x-axis with their target position on the
 // y-axis, in front of a grey backdrop showing the structure's size at each
 // access (Figures 2 and 3). Two backends exist: an ASCII chart for
-// terminals and an SVG writer for reports.
+// terminals and an SVG writer for reports. Both draw one instance's events,
+// a Seq-ordered column batch that ByInstance splits from the run's.
 package viz
 
 import (
@@ -59,26 +60,61 @@ type ChartOptions struct {
 // DefaultChartOptions fits a normal terminal.
 func DefaultChartOptions() ChartOptions { return ChartOptions{MaxWidth: 120, MaxHeight: 20} }
 
-// ASCIIChart renders the events of one profile as a character grid.
-func ASCIIChart(events []trace.Event, opts ChartOptions) string {
+// Instances is a run's events split by instance: each instance's events in
+// order, the one-instance batch the charts draw.
+type Instances map[trace.InstanceID]*trace.ColumnBatch
+
+// ByInstance splits the Seq-ordered batch b by instance in one pass.
+func ByInstance(b *trace.ColumnBatch) Instances {
+	return split(b, b.InstanceRun, func(i int) trace.InstanceID { return b.Instance[i] })
+}
+
+// Events returns instance id's events, empty when it raised none.
+func (in Instances) Events(id trace.InstanceID) *trace.ColumnBatch {
+	if b := in[id]; b != nil {
+		return b
+	}
+	return &trace.ColumnBatch{}
+}
+
+// split groups the runs of b by key, copying each run with AppendRange;
+// next is b.InstanceRun or b.ThreadRun, and key reads the run's first event.
+func split[K comparable](b *trace.ColumnBatch, next func(i, limit int) int, key func(i int) K) map[K]*trace.ColumnBatch {
+	out := make(map[K]*trace.ColumnBatch)
+	for i, n := 0, b.Len(); i < n; {
+		j := next(i, n)
+		g := out[key(i)]
+		if g == nil {
+			g = &trace.ColumnBatch{}
+			out[key(i)] = g
+		}
+		g.AppendRange(b, i, j)
+		i = j
+	}
+	return out
+}
+
+// ASCIIChart renders one instance's events as a character grid.
+func ASCIIChart(b *trace.ColumnBatch, opts ChartOptions) string {
 	if opts.MaxWidth <= 0 {
 		opts.MaxWidth = 120
 	}
 	if opts.MaxHeight <= 0 {
 		opts.MaxHeight = 20
 	}
-	if len(events) == 0 {
+	n := b.Len()
+	if n == 0 {
 		return "(empty profile)\n"
 	}
 
 	// Downsample columns.
 	step := 1
-	if len(events) > opts.MaxWidth {
-		step = (len(events) + opts.MaxWidth - 1) / opts.MaxWidth
+	if n > opts.MaxWidth {
+		step = (n + opts.MaxWidth - 1) / opts.MaxWidth
 	}
 	var cols []trace.Event
-	for i := 0; i < len(events); i += step {
-		cols = append(cols, events[i])
+	for i := 0; i < n; i += step {
+		cols = append(cols, b.At(i))
 	}
 
 	// Vertical scale: map position/size onto rows.
@@ -99,7 +135,7 @@ func ASCIIChart(events []trace.Event, opts ChartOptions) string {
 
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "y: position 0..%d (1 row = %d)  x: %d events (1 col = %d)\n",
-		maxY-1, scale, len(events), step)
+		maxY-1, scale, n, step)
 	grid := make([][]byte, rows)
 	for r := range grid {
 		grid[r] = make([]byte, len(cols))
@@ -159,9 +195,9 @@ func svgColor(op trace.Op) string {
 	}
 }
 
-// WriteSVG renders the profile as an SVG document: grey size bars in the
-// background, one colored marker per access event.
-func WriteSVG(w io.Writer, events []trace.Event, width, height int) error {
+// WriteSVG renders one instance's events as an SVG document: grey size bars
+// in the background, one colored marker per access event.
+func WriteSVG(w io.Writer, b *trace.ColumnBatch, width, height int) error {
 	if width <= 0 {
 		width = 900
 	}
@@ -170,18 +206,10 @@ func WriteSVG(w io.Writer, events []trace.Event, width, height int) error {
 	}
 	const margin = 30
 	maxY := 1
-	for _, e := range events {
-		if e.Index+1 > maxY {
-			maxY = e.Index + 1
-		}
-		if e.Size > maxY {
-			maxY = e.Size
-		}
+	for i := range b.Len() {
+		maxY = max(maxY, b.Index[i]+1, b.Size[i])
 	}
-	n := len(events)
-	if n == 0 {
-		n = 1
-	}
+	n := max(b.Len(), 1)
 	xw := float64(width-2*margin) / float64(n)
 	yh := float64(height-2*margin) / float64(maxY)
 
@@ -198,18 +226,19 @@ func WriteSVG(w io.Writer, events []trace.Event, width, height int) error {
 		return err
 	}
 	// Size backdrop.
-	for i, e := range events {
-		if e.Size <= 0 {
+	for i, size := range b.Size {
+		if size <= 0 {
 			continue
 		}
-		h := float64(e.Size) * yh
+		h := float64(size) * yh
 		if err := write(`<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="#dddddd"/>`,
 			float64(margin)+float64(i)*xw, float64(height-margin)-h, xw, h); err != nil {
 			return err
 		}
 	}
 	// Event markers.
-	for i, e := range events {
+	for i := range b.Len() {
+		e := b.At(i)
 		y := 0
 		if e.Index >= 0 {
 			y = e.Index
@@ -249,30 +278,23 @@ func maxFloat(a, b float64) float64 {
 	return b
 }
 
-// OpTimeline compresses the profile into a run-length op string, e.g.
-// "I×150 R×150 C×1", a compact textual companion to the charts.
-func OpTimeline(events []trace.Event) string {
-	if len(events) == 0 {
+// OpTimeline compresses one instance's events into a run-length op string,
+// e.g. "I×150 R×150 C×1", a compact textual companion to the charts.
+func OpTimeline(b *trace.ColumnBatch) string {
+	if b.Len() == 0 {
 		return "(empty)"
 	}
 	var sb strings.Builder
-	cur := events[0].Op
-	count := 1
-	flush := func() {
+	for i := 0; i < b.Len(); {
+		j := i + 1
+		for j < b.Len() && b.Op[j] == b.Op[i] {
+			j++
+		}
 		if sb.Len() > 0 {
 			sb.WriteByte(' ')
 		}
-		fmt.Fprintf(&sb, "%c×%d", Glyph(cur), count)
+		fmt.Fprintf(&sb, "%c×%d", Glyph(b.Op[i]), j-i)
+		i = j
 	}
-	for _, e := range events[1:] {
-		if e.Op == cur {
-			count++
-			continue
-		}
-		flush()
-		cur = e.Op
-		count = 1
-	}
-	flush()
 	return sb.String()
 }

@@ -5,11 +5,17 @@ import (
 	"testing"
 
 	"dsspy/internal/dstruct"
-	"dsspy/internal/profile"
 	"dsspy/internal/trace"
 )
 
-func figure2Events() []trace.Event {
+// columns scatters events onto one column batch.
+func columns(events []trace.Event) *trace.ColumnBatch {
+	b := &trace.ColumnBatch{}
+	b.AppendEvents(events)
+	return b
+}
+
+func figure2Events() *trace.ColumnBatch {
 	rec := trace.NewMemRecorder()
 	s := trace.NewSessionWith(trace.Options{Recorder: rec})
 	l := dstruct.NewListCap[int](s, 10)
@@ -19,7 +25,7 @@ func figure2Events() []trace.Event {
 	for i := 9; i >= 0; i-- {
 		l.Get(i)
 	}
-	return rec.Events()
+	return columns(rec.Events())
 }
 
 func TestGlyphsDistinct(t *testing.T) {
@@ -78,7 +84,7 @@ func TestASCIIChartDownsamples(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		l.Add(i)
 	}
-	out := ASCIIChart(rec.Events(), ChartOptions{MaxWidth: 50, MaxHeight: 10})
+	out := ASCIIChart(columns(rec.Events()), ChartOptions{MaxWidth: 50, MaxHeight: 10})
 	lines := strings.Split(out, "\n")
 	for _, l := range lines {
 		if l == Legend {
@@ -101,7 +107,7 @@ func TestASCIIChartWholeStructureOps(t *testing.T) {
 	l.Add(2)
 	l.Sort(func(a, b int) bool { return a < b })
 	l.Clear()
-	out := ASCIIChart(rec.Events(), DefaultChartOptions())
+	out := ASCIIChart(columns(rec.Events()), DefaultChartOptions())
 	if !strings.Contains(out, "O") {
 		t.Errorf("sort marker missing:\n%s", out)
 	}
@@ -111,7 +117,7 @@ func TestASCIIChartWholeStructureOps(t *testing.T) {
 }
 
 func TestASCIIChartEmpty(t *testing.T) {
-	if got := ASCIIChart(nil, DefaultChartOptions()); !strings.Contains(got, "empty") {
+	if got := ASCIIChart(&trace.ColumnBatch{}, DefaultChartOptions()); !strings.Contains(got, "empty") {
 		t.Errorf("empty chart = %q", got)
 	}
 	// Zero options use defaults.
@@ -138,7 +144,7 @@ func TestWriteSVG(t *testing.T) {
 
 func TestWriteSVGDefaultsAndEmpty(t *testing.T) {
 	var sb strings.Builder
-	if err := WriteSVG(&sb, nil, 0, 0); err != nil {
+	if err := WriteSVG(&sb, &trace.ColumnBatch{}, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "<svg") {
@@ -155,8 +161,8 @@ func TestThreadLanes(t *testing.T) {
 		s.EmitAs(id, trace.OpRead, i, n, 1)
 		s.EmitAs(id, trace.OpRead, n-1-i, n, 2)
 	}
-	p := buildProfile(t, s, rec)
-	out := ThreadLanes(p, DefaultChartOptions())
+	inst, _ := s.Instance(id)
+	out := ThreadLanes(inst, columns(rec.Events()), DefaultChartOptions())
 	for _, want := range []string{"2 threads", "thread 1 (12 events)", "thread 2 (12 events)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("lanes missing %q:\n%s", want, out)
@@ -174,24 +180,46 @@ func TestThreadLanesSingleThreadFallsBack(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		s.Emit(id, trace.OpRead, i, 5)
 	}
-	p := buildProfile(t, s, rec)
-	out := ThreadLanes(p, DefaultChartOptions())
+	inst, _ := s.Instance(id)
+	out := ThreadLanes(inst, columns(rec.Events()), DefaultChartOptions())
 	if strings.Contains(out, "threads accessed") {
 		t.Error("single-threaded profile rendered as lanes")
 	}
 }
 
-func buildProfile(t *testing.T, s *trace.Session, rec *trace.MemRecorder) *profile.Profile {
-	t.Helper()
-	profiles := profile.Build(s, rec.Events())
-	if len(profiles) != 1 {
-		t.Fatalf("profiles = %d", len(profiles))
+// TestByInstance: splitting a run's batch by instance keeps exactly each
+// instance's events, in order, across interleaved runs of instances, and an
+// instance without events gets an empty batch.
+func TestByInstance(t *testing.T) {
+	var events []trace.Event
+	for i := 0; i < 30; i++ {
+		id := trace.InstanceID(1 + i/4%3)
+		events = append(events, trace.Event{Seq: uint64(i + 1), Instance: id, Op: trace.OpRead, Index: i, Size: 30})
 	}
-	return profiles[0]
+	byInstance := ByInstance(columns(events))
+	if len(byInstance) != 3 {
+		t.Fatalf("split into %d instances, want 3", len(byInstance))
+	}
+	for id := trace.InstanceID(0); id <= 3; id++ {
+		got := byInstance.Events(id)
+		k := 0
+		for _, e := range events {
+			if e.Instance != id {
+				continue
+			}
+			if k >= got.Len() || got.At(k) != e {
+				t.Fatalf("instance %d: event %d missing or out of order", id, k)
+			}
+			k++
+		}
+		if got.Len() != k {
+			t.Fatalf("instance %d: %d events selected, want %d", id, got.Len(), k)
+		}
+	}
 }
 
 func TestOpTimeline(t *testing.T) {
-	if got := OpTimeline(nil); got != "(empty)" {
+	if got := OpTimeline(&trace.ColumnBatch{}); got != "(empty)" {
 		t.Errorf("empty timeline = %q", got)
 	}
 	got := OpTimeline(figure2Events())

@@ -69,32 +69,23 @@ func TestShardedCollectorConcurrencyLossless(t *testing.T) {
 	shardedWorkload(s)
 	sharded.Close()
 
-	merged := sharded.Events()
-	if len(merged) != mem.Len() {
-		t.Fatalf("sharded collector holds %d events, tee twin holds %d", len(merged), mem.Len())
+	merged := sharded.MergedColumns()
+	if merged.Len() != mem.Len() {
+		t.Fatalf("sharded collector holds %d events, tee twin holds %d", merged.Len(), mem.Len())
 	}
-	for i, e := range merged {
-		if e.Seq != uint64(i+1) {
-			t.Fatalf("merged stream has a gap at %d: seq %d", i, e.Seq)
+	for i, seq := range merged.Seq {
+		if seq != uint64(i+1) {
+			t.Fatalf("merged stream has a gap at %d: seq %d", i, seq)
 		}
 	}
 
 	cfg := core.DefaultConfig()
 	cfg.Workers = 1
-	seq := NewReportBytes(t, core.NewWith(cfg).Analyze(s, mem.Events()))
-	par := NewReportBytes(t, analyzeColumns(s, sharded))
+	seq := NewReportBytes(t, core.NewWith(cfg).Analyze(s, columnsOf(mem.Events())))
+	par := NewReportBytes(t, core.New().Analyze(s, merged))
 	if !bytes.Equal(seq, par) {
 		t.Fatalf("columnar report differs from sequential:\n--- sequential ---\n%s\n--- columnar ---\n%s", seq, par)
 	}
-}
-
-// analyzeColumns folds a closed collector's merged column store through the
-// stream analyzer's columnar lane.
-func analyzeColumns(s *trace.Session, col *trace.ShardedCollector) *core.Report {
-	sa := core.New().NewStreamAnalyzer(0)
-	sa.Attach(s)
-	sa.FeedColumns(col.MergedColumns())
-	return sa.Close()
 }
 
 func NewReportBytes(t *testing.T, rep *core.Report) []byte {
@@ -117,7 +108,7 @@ func TestReplayRoundtripParallelPipeline(t *testing.T) {
 	s := trace.NewSessionWith(trace.Options{Recorder: col, CaptureSites: true})
 	shardedWorkload(s)
 	col.Close()
-	orig := analyzeColumns(s, col)
+	orig := core.New().Analyze(s, col.MergedColumns())
 
 	path := filepath.Join(t.TempDir(), "run.dslog")
 	if err := dsspy.SaveSessionColumns(path, s, col.MergedColumns()); err != nil {
@@ -127,7 +118,11 @@ func TestReplayRoundtripParallelPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed := dsspy.NewAnalyzer().Analyze(rs, inflateRuns(cols))
+	all := &trace.ColumnBatch{}
+	for _, b := range cols {
+		all.AppendRange(b, 0, b.Len())
+	}
+	replayed := dsspy.NewAnalyzer().Analyze(rs, all)
 
 	ou, ru := orig.UseCases(), replayed.UseCases()
 	if len(ou) != len(ru) {
@@ -154,7 +149,7 @@ func TestCorpusAppsWorkerInvariance(t *testing.T) {
 			mem := trace.NewMemRecorder()
 			s := trace.NewSessionWith(trace.Options{Recorder: mem, CaptureSites: true})
 			app.Instrumented(s)
-			events := mem.Events()
+			events := columnsOf(mem.Events())
 
 			cfg := core.DefaultConfig()
 			cfg.Workers = 1

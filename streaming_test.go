@@ -16,21 +16,30 @@ import (
 
 // The streaming differential suite: events reach the one analysis engine
 // along several lanes — a live collector draining column batches into
-// FeedShard (Run), a recorded []Event slice folded through Feed (Analyze),
+// FeedShard (Run), a recorded []Event slice folded through Feed (feedEvents),
 // and column batches from a log (FeedColumns). Every lane must render
 // byte-identical reports (text + JSON) for every corpus workload, every
 // evaluation app, concurrent producers, mid-run snapshots, and salvaged
 // event logs.
 
+// feedEvents folds events through StreamAnalyzer.Feed, the daemon's []Event
+// ingest, and returns the report.
+func feedEvents(s *trace.Session, events []trace.Event) *core.Report {
+	sa := core.New().NewStreamAnalyzer(0)
+	sa.Attach(s)
+	sa.Feed(events...)
+	return sa.Close()
+}
+
 // runBothLanes profiles a deterministic workload twice: once through Run's
-// collector lane and once recorded in memory and folded through Analyze.
+// collector lane and once recorded in memory and folded through Feed.
 func runBothLanes(t *testing.T, workload func(*trace.Session)) (collected, fed []byte) {
 	t.Helper()
 	collected = NewReportBytes(t, core.New().Run(workload))
 	mem := trace.NewMemRecorder()
 	s := trace.NewSessionWith(trace.Options{Recorder: mem, CaptureSites: true})
 	workload(s)
-	fed = NewReportBytes(t, core.New().Analyze(s, mem.Events()))
+	fed = NewReportBytes(t, feedEvents(s, mem.Events()))
 	return collected, fed
 }
 
@@ -49,7 +58,7 @@ func TestStreamingDifferentialCorpus(t *testing.T) {
 				}
 			})
 			if !bytes.Equal(collected, fed) {
-				t.Fatalf("%s: Analyze report differs from Run:\n--- Run ---\n%s\n--- Analyze ---\n%s",
+				t.Fatalf("%s: Feed report differs from Run:\n--- Run ---\n%s\n--- Feed ---\n%s",
 					p.Name, collected, fed)
 			}
 		})
@@ -63,7 +72,7 @@ func TestStreamingDifferentialApps(t *testing.T) {
 		t.Run(app.Name, func(t *testing.T) {
 			collected, fed := runBothLanes(t, app.Instrumented)
 			if !bytes.Equal(collected, fed) {
-				t.Fatalf("%s: Analyze report differs from Run:\n--- Run ---\n%s\n--- Analyze ---\n%s",
+				t.Fatalf("%s: Feed report differs from Run:\n--- Run ---\n%s\n--- Feed ---\n%s",
 					app.Name, collected, fed)
 			}
 		})
@@ -96,10 +105,10 @@ func TestStreamingConcurrentProducers(t *testing.T) {
 		t.Fatalf("serialized same-instance access must fold in order; got %d out-of-order events", ooo)
 	}
 
-	fed := NewReportBytes(t, core.New().Analyze(s, mem.Events()))
+	fed := NewReportBytes(t, feedEvents(s, mem.Events()))
 	streamed := NewReportBytes(t, streamedRep)
 	if !bytes.Equal(fed, streamed) {
-		t.Fatalf("collector-lane report differs from Analyze under 8 producers:\n--- Analyze ---\n%s\n--- collector ---\n%s",
+		t.Fatalf("collector-lane report differs from Feed under 8 producers:\n--- Feed ---\n%s\n--- collector ---\n%s",
 			fed, streamed)
 	}
 }
@@ -136,7 +145,7 @@ func TestStreamingSnapshotMidRun(t *testing.T) {
 
 	sa.Feed(events[half:]...)
 	final := NewReportBytes(t, sa.Close())
-	whole := NewReportBytes(t, core.New().Analyze(s, events))
+	whole := NewReportBytes(t, feedEvents(s, events))
 	if !bytes.Equal(whole, final) {
 		t.Fatalf("final report after mid-run snapshot differs from an undisturbed run:\n--- undisturbed ---\n%s\n--- snapshotted ---\n%s",
 			whole, final)
@@ -192,7 +201,7 @@ func TestStreamingRecoverDamagedLog(t *testing.T) {
 		t.Fatal("salvage recovered no events; the fixture should keep its event frames")
 	}
 
-	fed := NewReportBytes(t, core.New().Analyze(cs, revs))
+	fed := NewReportBytes(t, feedEvents(cs, revs))
 
 	sa := core.New().NewStreamAnalyzer(0)
 	sa.Attach(cs)
