@@ -32,7 +32,6 @@ import (
 	"dsspy/internal/advisor"
 	"dsspy/internal/apps"
 	"dsspy/internal/core"
-	"dsspy/internal/dstruct"
 	"dsspy/internal/obs"
 	"dsspy/internal/sample"
 	"dsspy/internal/trace"
@@ -544,61 +543,15 @@ func pickWorkload(appName, demo string) (*apps.App, func(*trace.Session)) {
 		}
 		return app, app.Instrumented
 	}
-	switch demo {
-	case "figure2":
-		return nil, func(s *trace.Session) {
-			l := dstruct.NewListCap[int](s, 10)
-			for i := 0; i < 10; i++ {
-				l.Add(i)
-			}
-			for i := 9; i >= 0; i-- {
-				l.Get(i)
-			}
-		}
-	case "figure3":
-		return nil, func(s *trace.Session) {
-			l := dstruct.NewListLabeled[int](s, "producer/scanner")
-			for c := 0; c < 12; c++ {
-				for i := 0; i < 150; i++ {
-					l.Add(i)
-				}
-				for i := 0; i < l.Len(); i++ {
-					l.Get(i)
-				}
-				l.Clear()
-			}
-		}
-	case "queue":
-		return nil, func(s *trace.Session) {
-			l := dstruct.NewListLabeled[int](s, "hand-rolled FIFO")
-			for c := 0; c < 20; c++ {
-				for i := 0; i < 10; i++ {
-					l.Add(i)
-				}
-				for i := 0; i < 10; i++ {
-					l.RemoveAt(0)
-				}
-			}
-		}
-	case "stack":
-		return nil, func(s *trace.Session) {
-			l := dstruct.NewListLabeled[int](s, "hand-rolled LIFO")
-			for c := 0; c < 20; c++ {
-				for i := 0; i < 10; i++ {
-					l.Add(i)
-				}
-				for i := 0; i < 10; i++ {
-					l.RemoveAt(l.Len() - 1)
-				}
-			}
-		}
-	case "":
-		return nil, nil
-	default:
-		fmt.Fprintf(os.Stderr, "unknown demo %q\n", demo)
-		exit(2)
+	if demo == "" {
 		return nil, nil
 	}
+	workload := demos[demo]
+	if workload == nil {
+		fmt.Fprintf(os.Stderr, "unknown demo %q\n", demo)
+		exit(2)
+	}
+	return nil, workload
 }
 
 // printLive renders one -live snapshot: a compact per-instance table over

@@ -10,7 +10,10 @@
 // cheap, and preserves the chronological order the analysis needs.
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"path/filepath"
+)
 
 // Op is the access type of an event. The paper distinguishes the trivial
 // access types Read and Write from the compound access types Insert, Search,
@@ -165,9 +168,12 @@ type Site struct {
 	Function string
 }
 
+// String prints the site as the text report does, with the file's base name:
+// File holds the absolute path runtime.Caller saw, which depends on where the
+// program was built.
 func (s Site) String() string {
 	if s.File == "" {
 		return "<unknown>"
 	}
-	return fmt.Sprintf("%s:%d (%s)", s.File, s.Line, s.Function)
+	return fmt.Sprintf("%s:%d (%s)", filepath.Base(s.File), s.Line, s.Function)
 }
