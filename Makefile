@@ -54,9 +54,11 @@ race:
 ## tenants' 1024-event frames through TenantEvents beside a report reader;
 ## ns/event and B/event), and the Table IV hot path (BindDefault's sole
 ## producer into a 2-shard streaming collector and analyzer on CPU Benchmarks
-## and Mandelbrot, a GC before each op; ns/event and B/event).
+## and Mandelbrot, a GC before each op; ns/event and B/event), and the
+## drain's fold alone (the same apps' retained shard batches through
+## FeedShard; wall and getrusage CPU ns/event).
 bench:
-	$(GO) test -run xxx -bench 'Collect1M|Pipeline[12]MStreamed|Overload|DaemonTenantReport|DaemonIngest|SoleProducerPipeline' -benchmem -benchtime 5x -count 5 . ./internal/core/
+	$(GO) test -run xxx -bench 'Collect1M|Pipeline[12]MStreamed|Overload|DaemonTenantReport|DaemonIngest|SoleProducerPipeline|DrainFold' -benchmem -benchtime 5x -count 5 . ./internal/core/
 
 ## bench-smoke: every benchmark of the module for one iteration. The timings
 ## mean nothing; it fails when a benchmark's own answer check (b.Fatal) does,

@@ -10,7 +10,9 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
+	"time"
 
 	"dsspy/internal/apps"
 	"dsspy/internal/core"
@@ -626,6 +628,81 @@ func BenchmarkSoleProducerPipeline(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 			b.ReportMetric(float64(allocs)/float64(events), "B/event")
+		})
+	}
+}
+
+// drainBatch is one shard batch as a collector's drain handed it to its sink.
+type drainBatch struct {
+	shard int
+	cols  *trace.ColumnBatch
+}
+
+// drainBatches profiles app through a bound sole producer into a 2-shard
+// streaming collector and returns the session and a copy of every batch the
+// drains handed to their sink, in each shard's delivery order.
+func drainBatches(app *apps.App) (*trace.Session, []drainBatch, uint64) {
+	var mu sync.Mutex
+	var out []drainBatch
+	var events uint64
+	col := trace.NewStreamingShardedCollector(2, trace.DefaultAsyncBuffer, trace.Block(), false,
+		func(shard int, b *trace.ColumnBatch) {
+			c := &trace.ColumnBatch{}
+			c.AppendRange(b, 0, b.Len())
+			mu.Lock()
+			out = append(out, drainBatch{shard, c})
+			events += uint64(b.Len())
+			mu.Unlock()
+		})
+	s := trace.NewSessionWith(trace.Options{Recorder: col, CaptureSites: true})
+	p := s.BindDefault()
+	app.Instrumented(s)
+	p.Close()
+	col.Close()
+	return s, out, events
+}
+
+// cpuTime is the process's user plus system CPU time so far.
+func cpuTime(b *testing.B) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
+// BenchmarkDrainFold is the drain's fold alone: CPU Benchmarks' and
+// Mandelbrot's shard batches, retained as a 2-shard collector's drains
+// handed them over, folded through FeedShard on one goroutine. It reports
+// wall and CPU ns/event; CPU time (getrusage) is the figure to compare,
+// because on a 2-core host the apps-full run is bound by total CPU and wall
+// time swings with the neighbours. Finalizing is outside the timer, and the
+// last op's report must keep the app's parallel use cases.
+func BenchmarkDrainFold(b *testing.B) {
+	for _, name := range []string{"CPU Benchmarks", "Mandelbrot"} {
+		app := apps.ByName(name)
+		b.Run(strings.ReplaceAll(name, " ", ""), func(b *testing.B) {
+			s, batches, events := drainBatches(app)
+			d := core.New()
+			var sa *core.StreamAnalyzer
+			runtime.GC()
+			b.ResetTimer()
+			cpu0 := cpuTime(b)
+			for i := 0; i < b.N; i++ {
+				sa = d.NewStreamAnalyzer(2)
+				for _, db := range batches {
+					sa.FeedShard(db.shard, db.cols)
+				}
+			}
+			cpu := cpuTime(b) - cpu0
+			b.StopTimer()
+			n := float64(events) * float64(b.N)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/event")
+			b.ReportMetric(float64(cpu.Nanoseconds())/n, "cpu-ns/event")
+			sa.Attach(s)
+			if uc := len(sa.Close().ParallelUseCases()); uc != app.WantUseCases {
+				b.Fatalf("%s: %d parallel use cases, want %d", name, uc, app.WantUseCases)
+			}
 		})
 	}
 }
