@@ -146,12 +146,12 @@ func foldEvents(inst trace.Instance, events []trace.Event, cfg Config) eventOrac
 		u.Event(e)
 		global.Feed(e)
 		if r, ok := runs.Feed(e); ok {
-			u.Run(&r)
+			u.Run(r.Op, r.Len())
 		}
 	}
 	global.Finish()
 	if r, ok := runs.Finish(); ok {
-		u.Run(&r)
+		u.Run(r.Op, r.Len())
 	}
 	sum := &pattern.Summary{}
 	for _, thread := range byThread(events) {
@@ -258,7 +258,7 @@ func TestPromotionDifferential(t *testing.T) {
 
 				a := NewWith(cc.cfg).NewStreamAnalyzer(1)
 				a.Attach(s)
-				if a.shards[0].byInst[id] != nil {
+				if streamOf(a, id) != nil {
 					t.Fatal("instance state exists before any event")
 				}
 				var cb trace.ColumnBatch
@@ -272,7 +272,7 @@ func TestPromotionDifferential(t *testing.T) {
 					cb.AppendEvents(events[lo:hi])
 					a.FeedColumns(&cb)
 					a.settle() // FeedColumns may return before its batch is folded
-					st := a.shards[0].byInst[id]
+					st := streamOf(a, id)
 					if promoted := st.global != nil; promoted != joined {
 						t.Fatalf("after events [0,%d): global promoted = %v, second thread seen = %v", hi, promoted, joined)
 					}
@@ -313,4 +313,16 @@ func TestOpenRunsCountsOneSegmentation(t *testing.T) {
 	if got := a.Snapshot().Stats.Streaming.OpenRuns; got != 3 {
 		t.Fatalf("after a second thread joined: OpenRuns = %d, want 3", got)
 	}
+}
+
+// streamOf returns instance id's reducer in a, nil when it has none.
+func streamOf(a *StreamAnalyzer, id trace.InstanceID) (found *instanceStream) {
+	for _, sh := range a.shards {
+		sh.each(func(st *instanceStream) {
+			if st.id == id {
+				found = st
+			}
+		})
+	}
+	return found
 }

@@ -26,7 +26,7 @@ func summarize(t *testing.T, rec *trace.MemRecorder, cfg Config) *Summary {
 		t.Fatalf("recorded events span more than one instance")
 	}
 	d := NewStreamDetector(cfg, true)
-	d.FeedRuns(&b, 0, b.Len(), func(*profile.Run, Pattern) {})
+	d.FeedBatch(&b, 0, b.Len(), func(Closed) {})
 	d.Finish()
 	return d.Summary()
 }

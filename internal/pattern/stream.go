@@ -6,12 +6,13 @@
 // runs one per thread of every instance, plus one over the interleaved stream
 // for the regularity check.
 //
-// Closed runs are lent by pointer (FeedRuns, and the segmenter's borrow
-// contract behind it) together with their Pattern record, built once when
-// the run is classified: the record, not the run, is what a keeping
-// detector's pattern list retains and what the use-case reducer folds. The
-// value forms — Feed, FeedBatch with a Closed callback and Finish — are
-// adapters over the same fold.
+// The analyzer drives a detector through FoldRun and Segment, which log the
+// runs the segmenter closes in a profile.Span, and classifies each logged
+// run of MinLen or more events once, into a Pattern record: the record, not
+// the run, is what a keeping detector's pattern list retains and what the
+// use-case reducer folds. A shorter run is never classified. The value
+// forms — Feed, FeedBatch and Finish — are adapters over the same fold that
+// return every closed run built in full.
 package pattern
 
 import (
@@ -21,8 +22,7 @@ import (
 
 // Closed is what the value-form adapters (Feed, FeedBatch, Finish) return
 // when a run closes: a copy of the run plus its classification (None when
-// the run is below MinLen or matches no type). FeedRuns lends the run
-// without the copy, with its Pattern record in place of the type.
+// the run is below MinLen or matches no type).
 type Closed struct {
 	Run  profile.Run
 	Type Type
@@ -60,36 +60,56 @@ func (d *StreamDetector) Feed(e trace.Event) (Closed, bool) {
 	if !ok {
 		return Closed{}, false
 	}
-	return Closed{Run: r, Type: d.classify(&r).Type}, true
+	return Closed{Run: r, Type: d.Fold(&r).Type}, true
 }
 
-// FeedRuns folds events [i, j) of a column batch, lending every closed run
-// and its pattern record to emit; the record's Type is None, and its other
-// fields unset, when the run is no pattern. The run pointer follows the
-// segmenter's borrow contract: it is valid only during the callback.
-func (d *StreamDetector) FeedRuns(b *trace.ColumnBatch, i, j int, emit func(*profile.Run, Pattern)) {
-	d.seg.FeedRuns(b, i, j, func(r *profile.Run) { emit(r, d.classify(r)) })
-}
-
-// FeedBatch is FeedRuns for callers that want each closed run by value.
+// FeedBatch folds events [i, j) of a column batch, passing every closed run
+// and its classification to emit by value.
 func (d *StreamDetector) FeedBatch(b *trace.ColumnBatch, i, j int, emit func(Closed)) {
-	d.FeedRuns(b, i, j, func(r *profile.Run, p Pattern) { emit(Closed{Run: *r, Type: p.Type}) })
+	d.seg.FeedRuns(b, i, j, func(r *profile.Run) { emit(Closed{Run: *r, Type: d.Fold(r).Type}) })
 }
 
-// classify classifies one closed run and folds it into the summary: the
-// single implementation behind FeedRuns and the value adapters. The record
+// FoldRun folds a prefix of one thread's run [k, e) of an instance's span
+// through profile.FoldRun — the instance's stats and contention reducers
+// and this detector's segmenter in one pass — classifies the runs the pass
+// closed, and returns the end of the prefix and pats with the patterns
+// found appended. sp receives what the pass leaves for the use-case layer.
+func (d *StreamDetector) FoldRun(b *trace.ColumnBatch, k, e int, ss *profile.StreamStats, ct *profile.StreamContention, sp *profile.Span, pats []Pattern) (int, []Pattern) {
+	k = profile.FoldRun(b, k, e, ss, ct, d.seg, d.cfg.MinLen, sp)
+	for i := range sp.Runs {
+		if p := d.Fold(&sp.Runs[i]); p.Type != None {
+			pats = append(pats, p)
+		}
+	}
+	return k, pats
+}
+
+// Segment folds a prefix of events [i, j) of a column batch through the
+// detector's segmenter alone, classifies the runs it closed, and returns
+// the end of the prefix. sp receives the closes, as FoldRun's pass leaves
+// them.
+func (d *StreamDetector) Segment(b *trace.ColumnBatch, i, j int, sp *profile.Span) int {
+	i = d.seg.Segment(b, i, j, d.cfg.MinLen, sp)
+	for k := range sp.Runs {
+		d.Fold(&sp.Runs[k])
+	}
+	return i
+}
+
+// Fold classifies one closed run and folds it into the summary: the single
+// implementation behind FoldRun, Segment and the value adapters. The record
 // is listed only when the detector keeps its pattern list.
-func (d *StreamDetector) classify(r *profile.Run) Pattern {
-	p := d.fold(r)
+func (d *StreamDetector) Fold(r *profile.Run) Pattern {
+	p := d.tally(r)
 	if p.Type != None && d.keep {
 		d.sum.Patterns = append(d.sum.Patterns, p)
 	}
 	return p
 }
 
-// fold classifies one closed run, records it when it is a pattern and folds
+// tally classifies one closed run, records it when it is a pattern and folds
 // the record's aggregates into the summary without listing it.
-func (d *StreamDetector) fold(r *profile.Run) Pattern {
+func (d *StreamDetector) tally(r *profile.Run) Pattern {
 	if r.Len() < d.cfg.MinLen {
 		return Pattern{}
 	}
@@ -109,7 +129,7 @@ func (d *StreamDetector) Finish() (Closed, bool) {
 	if !ok {
 		return Closed{}, false
 	}
-	return Closed{Run: r, Type: d.classify(&r).Type}, true
+	return Closed{Run: r, Type: d.Fold(&r).Type}, true
 }
 
 // FinishMerged flushes every detector's open run, in the order given, lending
@@ -130,7 +150,7 @@ func FinishMerged(dets []*StreamDetector, emit func(*profile.Run, Pattern)) *Sum
 	for _, d := range dets {
 		var tail Pattern
 		if r, ok := d.seg.Finish(); ok {
-			p := d.fold(&r)
+			p := d.tally(&r)
 			emit(&r, p)
 			if p.Type != None && d.keep {
 				tail = p

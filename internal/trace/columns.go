@@ -205,23 +205,25 @@ func (b *ColumnBatch) Reset() {
 // runs are typically whole producer batches — the streaming analyzer resolves
 // the per-instance reducer once per run instead of once per event.
 func (b *ColumnBatch) InstanceRun(i, limit int) int {
-	id := b.Instance[i]
-	j := i + 1
-	for j < limit && b.Instance[j] == id {
-		j++
+	first := b.Instance[i]
+	for k, id := range b.Instance[i+1 : limit] {
+		if id != first {
+			return i + 1 + k
+		}
 	}
-	return j
+	return limit
 }
 
 // ThreadRun returns the end of the run of equal Thread values starting at i,
 // bounded by limit.
 func (b *ColumnBatch) ThreadRun(i, limit int) int {
-	id := b.Thread[i]
-	j := i + 1
-	for j < limit && b.Thread[j] == id {
-		j++
+	first := b.Thread[i]
+	for k, id := range b.Thread[i+1 : limit] {
+		if id != first {
+			return i + 1 + k
+		}
 	}
-	return j
+	return limit
 }
 
 // FirstSeq and LastSeq bound a (sorted) run for overlap checks.

@@ -4,9 +4,10 @@
 // folded aggregates once the instance kind and stats are known. Every
 // aggregate here is order-insensitive (sums, maxes, counters) or depends only
 // on run adjacency in stream order (Sort-After-Insert, Write-Without-Read),
-// so any split of the stream into spans — per event (Event) or per column
-// span (FoldBatch) — reaches the same answer. The analyzer (internal/core)
-// drives it; it is the only use-case engine.
+// so any split of the stream into spans — per event (Event) or per thread
+// run, as the end counts of profile.FoldRun's pass (Ends) — reaches the same
+// answer. The analyzer (internal/core) drives it; it is the only use-case
+// engine.
 package usecase
 
 import (
@@ -108,84 +109,53 @@ func (u *Stream) Event(e trace.Event) {
 	}
 }
 
-// FoldBatch folds events [i, j) of a column batch — Event applied per
-// element, walking the Op/Index/Size columns in one tight loop (Seq, Instance
-// and Thread never matter here). atBack is inlined on the columns; the fuzz
-// differential holds the two forms equal.
+// FoldBatch folds events [i, j) of a column batch through Event, one event
+// at a time: the reference form, timed alone. The analyzer folds the end
+// counts FoldRun's pass leaves (Ends).
 func (u *Stream) FoldBatch(b *trace.ColumnBatch, i, j int) {
-	ops := b.Op[i:j]
-	idxs := b.Index[i:j]
-	sizes := b.Size[i:j]
-	for k := range ops {
-		idx := idxs[k]
-		if idx < 0 {
-			continue
-		}
-		op, size := ops[k], sizes[k]
-		front := idx == 0
-		var back bool
-		if op == trace.OpDelete {
-			back = idx >= size
-		} else {
-			back = size > 0 && idx >= size-1
-		}
-		switch op {
-		case trace.OpInsert:
-			if front {
-				u.iqInsFront++
-			} else if back {
-				u.iqInsBack++
-			}
-			if front && size <= 1 {
-				u.siInsBack++
-				u.siInsFront++
-			} else if front {
-				u.siInsFront++
-			} else if back {
-				u.siInsBack++
-			}
-		case trace.OpDelete:
-			if front {
-				u.iqOutFront++
-			} else if back {
-				u.iqOutBack++
-			}
-			if front && size == 0 {
-				u.siDelFront++
-				u.siDelBack++
-			} else if front {
-				u.siDelFront++
-			} else if back {
-				u.siDelBack++
-			}
-		case trace.OpRead:
-			if front {
-				u.iqOutFront++
-			} else if back {
-				u.iqOutBack++
-			}
-		}
+	for k := i; k < j; k++ {
+		u.Event(b.At(k))
+	}
+}
+
+// Ends folds the end counts of a span of events: Event applied to each of
+// them, summed.
+func (u *Stream) Ends(c *profile.EndCounts) {
+	u.iqInsFront += c.InsFront
+	u.iqInsBack += c.InsBack
+	u.siInsFront += c.InsFront
+	u.siInsBack += c.InsBack + c.InsEmpty
+	u.iqOutFront += c.DelFront + c.ReadFront
+	u.iqOutBack += c.DelBack + c.ReadBack
+	u.siDelFront += c.DelFront
+	u.siDelBack += c.DelBack + c.DelEmpty
+}
+
+// Runs folds closed runs of the instance's global run stream, in order.
+func (u *Stream) Runs(closes []profile.RunClose) {
+	for _, c := range closes {
+		u.Run(c.Op, c.Len)
 	}
 }
 
 // Run folds one closed run of the instance's global (default-options)
-// segmentation, in stream order — Sort-After-Insert needs run adjacency and
-// Write-Without-Read needs the terminal run. The run is read, never kept, so
-// a segmenter's borrowed run may be passed straight through.
-func (u *Stream) Run(r *profile.Run) {
-	if r.Op == trace.OpInsert {
-		u.saiInsertEvents += r.Len()
+// segmentation, n events of op, in stream order — Sort-After-Insert needs
+// run adjacency and Write-Without-Read needs the terminal run. Nothing else
+// of the run matters here, so a run is never built for this fold.
+func (u *Stream) Run(op trace.Op, n int) {
+	if op == trace.OpInsert {
+		u.saiInsertEvents += n
 	}
 	// Adjacency check before updating prev: a sort run matches only the run
 	// immediately before it.
-	if u.saiMatchedLen == 0 && r.Op == trace.OpSort && u.saiHavePrev &&
+	if u.saiMatchedLen == 0 && op == trace.OpSort && u.saiHavePrev &&
 		u.saiPrevOp == trace.OpInsert && u.saiPrevLen >= u.th.SAIMinRunLen {
 		u.saiMatchedLen = u.saiPrevLen
 	}
-	u.saiPrevOp, u.saiPrevLen, u.saiHavePrev = r.Op, r.Len(), true
+	u.saiPrevOp, u.saiPrevLen, u.saiHavePrev = op, n, true
 
-	if r.Op != trace.OpClear {
-		u.wwrLastOp, u.wwrLastLen, u.wwrSeen = r.Op, r.Len(), true
+	if op != trace.OpClear {
+		u.wwrLastOp, u.wwrLastLen, u.wwrSeen = op, n, true
 	}
 }
 
